@@ -3,8 +3,7 @@
 from .analysis import (FlipMatrix, LmlParams, bin_probability, convergence_error,
                        f_max, gdbf_flip_matrix, lml_flip_matrix, pc_from_pe,
                        pe_initial, syndrome_sum_likelihoods)
-from .channel import (ChannelParams, QuantizerSpec, ebn0_to_sigma, saturate,
-                      sigma_to_ebn0, transmit)
+from .channel import QuantizerSpec, ebn0_to_sigma, saturate, sigma_to_ebn0, transmit
 from .codes import AlistError, ParityCheckCode, load_alist, parse_alist, serialize_alist
 from .core import DecodeResult, DecoderState, decode, init_state, objective
 from .gdbf import AdaptiveThresholdStepper, MultiFlipStepper, SingleFlipStepper, inversion

@@ -13,6 +13,7 @@ import numpy as np
 
 from .channel import QuantizerSpec
 from .codes import ParityCheckCode
+from .core import objective
 
 
 def _norm_cdf(z: float) -> float:
@@ -21,10 +22,10 @@ def _norm_cdf(z: float) -> float:
 
 def f_max(code: ParityCheckCode, codeword: np.ndarray, y: np.ndarray) -> float:
     """Global objective maximum sum(c_k y_k) + m for a transmitted codeword."""
-    if not code.is_codeword(codeword):
+    s = code.syndrome(codeword)
+    if s.min() != 1:
         raise ValueError("reference vector is not a codeword")
-    return float(np.asarray(codeword, dtype=np.float64) @ np.asarray(y, dtype=np.float64)
-                 + code.m)
+    return objective(code, codeword, y, s)
 
 
 def convergence_error(final_objectives, f_max_values) -> float:
@@ -60,13 +61,8 @@ def pc_from_pe(p_e: float, d_c: int) -> float:
         raise ValueError("p_e must lie in [0, 1]")
     if d_c < 2:
         raise ValueError("check degree must be at least 2")
-    total = 0.0
-    for j in range(1, (d_c - 1) // 2 + (d_c - 1) % 2 + 1):
-        k = 2 * j - 1
-        if k > d_c - 1:
-            break
-        total += math.comb(d_c - 1, k) * (1.0 - p_e) ** (d_c - 1 - k) * p_e ** k
-    return total
+    return sum(math.comb(d_c - 1, k) * (1.0 - p_e) ** (d_c - 1 - k) * p_e ** k
+               for k in range(1, d_c, 2))
 
 
 def syndrome_sum_likelihoods(p_c: float, d_v: int) -> dict:
@@ -178,10 +174,7 @@ def lml_flip_matrix(params: LmlParams) -> FlipMatrix:
             p_cor, p_wrong = like[s]
             num = mass_pos * p_cor
             den = mass_neg * p_wrong
-            if num == 0.0 and den == 0.0:
-                top[r, j] = 1
-            else:
-                top[r, j] = 1 if num >= den else -1
+            top[r, j] = 1 if num >= den else -1     # 0 >= 0 keeps unreachable cells
     return _assemble(top, q, params.d_v)
 
 

@@ -51,21 +51,6 @@ def saturate(y: np.ndarray, y_max: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ChannelParams:
-    """Channel operating point: Eb/N0, code rate, derived sigma, clip range."""
-
-    ebn0_db: float
-    rate: float
-    sigma: float
-    y_max: float = 2.5
-
-    @classmethod
-    def from_ebn0(cls, ebn0_db: float, rate, y_max: float = 2.5) -> "ChannelParams":
-        return cls(ebn0_db=float(ebn0_db), rate=float(rate),
-                   sigma=ebn0_to_sigma(ebn0_db, rate), y_max=float(y_max))
-
-
-@dataclass(frozen=True)
 class QuantizerSpec:
     """Uniform symmetric quantizer with 2**q_bits levels on [-y_max, y_max].
 

@@ -12,12 +12,10 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .analysis import LmlParams, format_flip_matrix, gdbf_flip_matrix, lml_flip_matrix
 from .channel import QuantizerSpec
 from .codes import AlistError, load_alist
-from .harness import (ConfigError, DecoderSetup, NgdbfParams, load_config,
+from .harness import (SWEEPABLE, ConfigError, DecoderSetup, NgdbfParams, load_config,
                       run_campaign, run_convergence, run_sweep)
 from .noisy import build_adaptation_table
 
@@ -101,15 +99,11 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_convergence(args) -> int:
     code = load_alist(args.code)
-    base = dict(theta=args.theta, t_max=args.t)
-    setups = {
-        "sgdbf": DecoderSetup("sgdbf", NgdbfParams(w=1.0, **base)),
-        "sngdbf": DecoderSetup("sngdbf", NgdbfParams(eta=1.0, w=args.w, **base)),
-        "mgdbf": DecoderSetup("mgdbf", NgdbfParams(w=1.0, **base)),
-        "atgdbf": DecoderSetup("atgdbf", NgdbfParams(lam=args.lam, w=1.0, **base)),
-        "mngdbf": DecoderSetup("mngdbf", NgdbfParams(lam=args.lam, eta=args.eta,
-                                                     w=args.w, **base)),
-    }
+    params = {"sgdbf": dict(w=1.0), "sngdbf": dict(eta=1.0, w=args.w), "mgdbf": dict(w=1.0),
+              "atgdbf": dict(lam=args.lam, w=1.0),
+              "mngdbf": dict(lam=args.lam, eta=args.eta, w=args.w)}
+    setups = {name: DecoderSetup(name, NgdbfParams(theta=args.theta, t_max=args.t, **kw))
+              for name, kw in params.items()}
     eps = run_convergence(code, setups, args.ebn0, args.frames, args.seed,
                           y_max=args.ymax)
     lines = ["decoder,epsilon"]
@@ -161,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="sweep one parameter over a grid")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--param", choices=("theta", "lam", "eta"), required=True)
+    p.add_argument("--param", choices=SWEEPABLE, required=True)
     p.add_argument("--grid", required=True, help="comma-separated values")
     p.add_argument("--out", required=True)
     p.add_argument("--workers", type=int, default=os.cpu_count() or 1)

@@ -7,6 +7,7 @@ decoders only ever walk neighborhoods.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -21,16 +22,6 @@ class AlistError(ValueError):
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
         self.line = line
-
-
-def as_bipolar(values) -> np.ndarray:
-    """Validate and convert a {-1,+1} sequence to an int8 array."""
-    x = np.asarray(values, dtype=np.int8)
-    if x.ndim != 1:
-        raise ValueError("bipolar vector must be one-dimensional")
-    if not np.all(np.abs(x) == 1):
-        raise ValueError("bipolar vector entries must be exactly -1 or +1")
-    return x
 
 
 def bipolar_sign(values) -> np.ndarray:
@@ -112,13 +103,8 @@ class ParityCheckCode:
 
     def degree_histograms(self):
         """Return ({col_degree: count}, {row_degree: count})."""
-        cols = {}
-        for c in self.col_neighbors:
-            cols[len(c)] = cols.get(len(c), 0) + 1
-        rows = {}
-        for r in self.row_neighbors:
-            rows[len(r)] = rows.get(len(r), 0) + 1
-        return cols, rows
+        return (dict(Counter(len(c) for c in self.col_neighbors)),
+                dict(Counter(len(r) for r in self.row_neighbors)))
 
     # -- flat edge arrays for vectorized decoding --------------------------
 

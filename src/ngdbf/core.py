@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,16 +15,14 @@ class DecoderState:
 
     The syndrome vector ``s`` is kept consistent with ``x`` after every
     step (steppers either update it incrementally or recompute it).
+    Variant-specific state (mode flag, thresholds, counters) lives in the
+    stepper that uses it.
     """
 
     x: np.ndarray                       # bipolar decisions, int8
     s: np.ndarray                       # bipolar syndromes, int8
     t: int = 0                          # executed iterations
-    thetas: np.ndarray | None = None    # per-symbol thresholds (adaptive modes)
-    u: np.ndarray | None = None         # per-symbol non-flip counters
     smooth: np.ndarray | None = None    # output-smoothing accumulators
-    mu: int = 1                         # multi-bit/single-bit mode flag
-    prev_objective: float | None = None
 
 
 @dataclass
@@ -45,32 +43,30 @@ def init_state(code: ParityCheckCode, samples: np.ndarray) -> DecoderState:
     if samples.shape[0] != code.n:
         raise ValueError(f"sample vector has length {samples.shape[0]}, code needs {code.n}")
     x = bipolar_sign(samples)
-    return DecoderState(
-        x=x,
-        s=code.syndrome(x),
-        u=np.zeros(code.n, dtype=np.int64),
-        smooth=np.zeros(code.n, dtype=np.int32),
-    )
+    return DecoderState(x=x, s=code.syndrome(x))
 
 
-def objective(code: ParityCheckCode, x: np.ndarray, y: np.ndarray) -> float:
+def objective(code: ParityCheckCode, x: np.ndarray, y: np.ndarray,
+              s: np.ndarray | None = None) -> float:
     """Correlation-plus-syndrome objective: sum(x_k y_k) + sum(s_i).
 
     Uses whatever samples the calling decoder sees (saturated floats or
     quantized levels), so traces stay consistent with the flip decisions.
+    A caller that already holds the syndrome of ``x`` passes it as ``s``.
     """
     if len(x) != code.n or len(y) != code.n:
         raise ValueError("length mismatch")
-    return float(np.asarray(x, dtype=np.float64) @ np.asarray(y, dtype=np.float64)
-                 + code.syndrome(x).sum())
+    if s is None:
+        s = code.syndrome(x)
+    return float(np.dot(x, y) + s.sum())
 
 
 class Stepper:
     """One decoding strategy: mutates the state by a single iteration.
 
     Subclasses hold the code, the (possibly quantized) samples they decode
-    against, and any per-frame noise source; they carry no mutable state
-    shared across frames.
+    against, any per-frame noise source and their own per-frame state; a
+    stepper decodes one frame.
     """
 
     code: ParityCheckCode
@@ -81,9 +77,6 @@ class Stepper:
 
     def step(self, state: DecoderState) -> None:
         raise NotImplementedError
-
-    def objective_of(self, state: DecoderState) -> float:
-        return float(state.x @ self.y + state.s.sum())
 
 
 def decode(stepper: Stepper, state: DecoderState, t_max: int, *,
@@ -103,28 +96,29 @@ def decode(stepper: Stepper, state: DecoderState, t_max: int, *,
         raise ValueError("smoothing window must lie in [0, t_max]")
 
     stepper.start(state)
-    trace = [stepper.objective_of(state)] if trace_objective else None
+    code, y = stepper.code, stepper.y
+    trace = [objective(code, state.x, y, state.s)] if trace_objective else None
     engaged = False
+    if smoothing_window:
+        state.smooth = np.zeros(code.n, dtype=np.int32)
 
     for _ in range(t_max):
         if state.s.min() == 1:
-            return DecodeResult(True, state.t, state.x.copy(), trace, engaged)
+            break
         stepper.step(state)
         state.t += 1
         if smoothing_window and state.t > t_max - smoothing_window:
             state.smooth += state.x
             engaged = True
         if trace is not None:
-            trace.append(stepper.objective_of(state))
+            trace.append(objective(code, state.x, y, state.s))
 
-    if state.s.min() == 1:
-        return DecodeResult(True, state.t, state.x.copy(), trace, engaged)
-
-    if smoothing_window and engaged:
+    success = bool(state.s.min() == 1)
+    if engaged and not success:
         decisions = smoothed_decision(state.smooth, state.x)
     else:
         decisions = state.x.copy()
-    return DecodeResult(False, state.t, decisions, trace, engaged)
+    return DecodeResult(success, state.t, decisions, trace, engaged)
 
 
 def smoothed_decision(smooth: np.ndarray, x: np.ndarray) -> np.ndarray:

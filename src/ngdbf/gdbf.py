@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .codes import ParityCheckCode
-from .core import DecoderState, Stepper
+from .core import DecoderState, Stepper, objective
 
 
 def inversion(x_k: float, y_k: float, adj_syndromes, w: float = 1.0, q_k: float = 0.0) -> float:
@@ -54,8 +54,8 @@ def flip_where(code: ParityCheckCode, state: DecoderState, mask: np.ndarray) -> 
         state.s = code.syndrome(state.x)
 
 
-class SingleFlipStepper(Stepper):
-    """One flip per iteration at the minimum inversion metric."""
+class MetricStepper(Stepper):
+    """Shared part of the float steppers: samples, syndrome weight, noise."""
 
     def __init__(self, code: ParityCheckCode, y: np.ndarray,
                  w: float = 1.0, noise=None):
@@ -64,48 +64,53 @@ class SingleFlipStepper(Stepper):
         self.w = float(w)
         self.noise = noise
 
-    def step(self, state: DecoderState) -> None:
+    def metrics(self, state: DecoderState) -> np.ndarray:
+        """E_k of every symbol, perturbed by one fresh draw when noise is on."""
         q = self.noise.draw() if self.noise is not None else None
-        e = inversions(self.code, state, self.y, self.w, q)
-        flip_single(self.code, state, e)
+        return inversions(self.code, state, self.y, self.w, q)
 
 
-class MultiFlipStepper(Stepper):
+class SingleFlipStepper(MetricStepper):
+    """One flip per iteration at the minimum inversion metric."""
+
+    def step(self, state: DecoderState) -> None:
+        flip_single(self.code, state, self.metrics(state))
+
+
+class MultiFlipStepper(MetricStepper):
     """Threshold-triggered parallel flips with optional mode switching.
 
-    While the mode flag is 1 every bit with E_k < theta flips in parallel;
-    with mode switching enabled, any iteration that decreases the objective
-    drops the flag to 0 permanently and the stepper degrades to single-bit
-    flips from then on.
+    While the mode flag ``mu`` is 1 every bit with E_k < theta flips in
+    parallel; with mode switching enabled, any iteration that decreases the
+    objective drops the flag to 0 permanently and the stepper degrades to
+    single-bit flips from then on.
     """
 
     def __init__(self, code: ParityCheckCode, y: np.ndarray, theta: float,
                  w: float = 1.0, noise=None, mode_switching: bool = True):
-        self.code = code
-        self.y = np.asarray(y, dtype=np.float64)
+        super().__init__(code, y, w, noise)
         self.theta = float(theta)
-        self.w = float(w)
-        self.noise = noise
         self.mode_switching = mode_switching
+        self.mu = 1
+        self.prev_objective = None
 
     def start(self, state: DecoderState) -> None:
-        state.prev_objective = self.objective_of(state)
+        self.prev_objective = objective(self.code, state.x, self.y, state.s)
 
     def step(self, state: DecoderState) -> None:
-        q = self.noise.draw() if self.noise is not None else None
-        e = inversions(self.code, state, self.y, self.w, q)
-        if state.mu == 1:
+        e = self.metrics(state)
+        if self.mu == 1:
             flip_where(self.code, state, e < self.theta)
         else:
             flip_single(self.code, state, e)
         if self.mode_switching:
-            f = self.objective_of(state)
-            if f < state.prev_objective:
-                state.mu = 0
-            state.prev_objective = f
+            f = objective(self.code, state.x, self.y, state.s)
+            if f < self.prev_objective:
+                self.mu = 0
+            self.prev_objective = f
 
 
-class AdaptiveThresholdStepper(Stepper):
+class AdaptiveThresholdStepper(MetricStepper):
     """Per-symbol thresholds that decay toward zero on non-flip iterations.
 
     Each symbol compares its metric against its own threshold: E_k below
@@ -118,20 +123,13 @@ class AdaptiveThresholdStepper(Stepper):
                  lam: float = 1.0, w: float = 1.0, noise=None):
         if not (0.0 < lam <= 1.0):
             raise ValueError("adaptation parameter must lie in (0, 1]")
-        self.code = code
-        self.y = np.asarray(y, dtype=np.float64)
+        super().__init__(code, y, w, noise)
         self.theta = float(theta)
         self.lam = float(lam)
-        self.w = float(w)
-        self.noise = noise
-
-    def start(self, state: DecoderState) -> None:
-        state.thetas = np.full(self.code.n, self.theta, dtype=np.float64)
+        self.thetas = np.full(code.n, self.theta, dtype=np.float64)
 
     def step(self, state: DecoderState) -> None:
-        q = self.noise.draw() if self.noise is not None else None
-        e = inversions(self.code, state, self.y, self.w, q)
-        mask = e < state.thetas
+        mask = self.metrics(state) < self.thetas
         flip_where(self.code, state, mask)
         if self.lam != 1.0:
-            state.thetas[~mask] *= self.lam
+            self.thetas[~mask] *= self.lam

@@ -12,28 +12,79 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
+from .analysis import convergence_error
 from .channel import QuantizerSpec, ebn0_to_sigma, saturate, transmit
 from .codes import ParityCheckCode, load_alist
-from .core import decode, init_state
+from .core import decode, init_state, objective
 from .gdbf import MultiFlipStepper, SingleFlipStepper
 from .minsum import decode_minsum
 from .noisy import NgdbfParams, QuantizedAdaptiveStepper, mngdbf_stepper, sngdbf_stepper
 
-VARIANTS = ("sgdbf", "mgdbf", "atgdbf", "sngdbf", "mngdbf", "smngdbf", "minsum")
-_STOCHASTIC = {"sngdbf", "mngdbf", "smngdbf"}
 SWEEPABLE = ("theta", "lam", "eta")
 
 
 class ConfigError(ValueError):
     pass
+
+
+# Stepper builders, called as build(code, setup, params, y_sat, sigma, rng).
+
+def _sgdbf(code, setup, params, y_sat, sigma, rng):
+    return SingleFlipStepper(code, y_sat, w=params.w)
+
+
+def _mgdbf(code, setup, params, y_sat, sigma, rng):
+    return MultiFlipStepper(code, y_sat, theta=params.theta, w=params.w,
+                            mode_switching=setup.mode_switching)
+
+
+def _atgdbf(code, setup, params, y_sat, sigma, rng):
+    return mngdbf_stepper(code, y_sat, params.replace(eta=0.0), sigma, None)
+
+
+def _sngdbf(code, setup, params, y_sat, sigma, rng):
+    return sngdbf_stepper(code, y_sat, params, sigma, rng)
+
+
+def _mngdbf(code, setup, params, y_sat, sigma, rng):
+    if setup.quantizer is not None:
+        return QuantizedAdaptiveStepper(code, setup.quantizer, y_sat, params, sigma, rng)
+    return mngdbf_stepper(code, y_sat, params, sigma, rng)
+
+
+@dataclass(frozen=True)
+class Variant:
+    """How one decoder variant is built and run.
+
+    ``build`` is None for min-sum, which is not a bit-flip stepper.  A
+    ``stochastic`` variant gets a perturbation stream when eta > 0.  A
+    positive ``smoothing_window`` turns output smoothing on, over that many
+    final iterations unless the parameters give their own window.
+    """
+
+    build: Callable | None
+    stochastic: bool = False
+    quantizable: bool = False
+    smoothing_window: int = 0
+
+
+VARIANTS = {
+    "sgdbf": Variant(_sgdbf),
+    "mgdbf": Variant(_mgdbf),
+    "atgdbf": Variant(_atgdbf),
+    "sngdbf": Variant(_sngdbf, stochastic=True),
+    "mngdbf": Variant(_mngdbf, stochastic=True, quantizable=True),
+    "smngdbf": Variant(_mngdbf, stochastic=True, quantizable=True, smoothing_window=64),
+    "minsum": Variant(None),
+}
 
 
 @dataclass(frozen=True)
@@ -48,14 +99,16 @@ class DecoderSetup:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown decoder variant {self.variant!r}")
-        if self.quantizer is not None and self.variant not in ("mngdbf", "smngdbf"):
-            raise ConfigError("quantized datapath is only available for mngdbf/smngdbf")
+        if self.quantizer is not None and not VARIANTS[self.variant].quantizable:
+            names = "/".join(n for n, v in VARIANTS.items() if v.quantizable)
+            raise ConfigError(f"quantized datapath is only available for {names}")
 
     @property
     def smoothing_window(self) -> int:
-        if self.variant == "smngdbf":
-            return self.params.smoothing_window or 64
-        return 0
+        default = VARIANTS[self.variant].smoothing_window
+        if not default:
+            return 0
+        return self.params.smoothing_window or default
 
 
 @dataclass(frozen=True)
@@ -96,21 +149,6 @@ def frame_rng(master_seed: int, snr_index: int, frame_index: int,
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _build_stepper(code, setup: DecoderSetup, params: NgdbfParams, y_sat, sigma, rng):
-    if setup.variant == "sgdbf":
-        return SingleFlipStepper(code, y_sat, w=params.w)
-    if setup.variant == "mgdbf":
-        return MultiFlipStepper(code, y_sat, theta=params.theta, w=params.w,
-                                mode_switching=setup.mode_switching)
-    if setup.variant == "atgdbf":
-        return mngdbf_stepper(code, y_sat, params.replace(eta=0.0), sigma, None)
-    if setup.variant == "sngdbf":
-        return sngdbf_stepper(code, y_sat, params, sigma, rng)
-    if setup.quantizer is not None:
-        return QuantizedAdaptiveStepper(code, setup.quantizer, y_sat, params, sigma, rng)
-    return mngdbf_stepper(code, y_sat, params, sigma, rng)
-
-
 @dataclass
 class FrameOutcome:
     bit_errors: int
@@ -132,21 +170,22 @@ def decode_frame(code: ParityCheckCode, setup: DecoderSetup, params: NgdbfParams
         result = decode_minsum(code, y_raw, params.t_max)
         y_seen = y_raw
     else:
+        variant = VARIANTS[setup.variant]
         y_sat = saturate(y_raw, y_max)
         rng = None
-        if setup.variant in _STOCHASTIC and params.eta > 0:
+        if variant.stochastic and params.eta > 0:
             rng = frame_rng(master_seed, snr_index, frame_index, 1)
-        stepper = _build_stepper(code, setup, params, y_sat, sigma, rng)
+        stepper = variant.build(code, setup, params, y_sat, sigma, rng)
         state = init_state(code, stepper.y)
         result = decode(stepper, state, params.t_max,
                         smoothing_window=setup.smoothing_window)
         y_seen = stepper.y
 
     errors = int(np.count_nonzero(result.decisions != 1))
-    final_obj = float(result.decisions @ y_seen + code.syndrome(result.decisions).sum())
-    obj_max = float(ones @ y_seen + code.m)
-    return FrameOutcome(errors, errors > 0, result.iterations,
-                        result.smoothing_engaged, final_obj, obj_max)
+    # The transmitted all-ones word satisfies every check: its syndrome is all ones.
+    return FrameOutcome(errors, errors > 0, result.iterations, result.smoothing_engaged,
+                        objective(code, result.decisions, y_seen),
+                        objective(code, ones, y_seen, ones[:code.m]))
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +311,7 @@ def run_campaign(config: CampaignConfig, workers: int = 1,
         started = time.perf_counter()
         ranges = [(s, min(s + chunk_size, config.frames))
                   for s in range(0, config.frames, chunk_size)]
+        args = (config.code, config.setup, params, sigma, config.y_max, config.master_seed, si)
 
         def consume(outcomes) -> bool:
             for oc in outcomes:
@@ -281,11 +321,7 @@ def run_campaign(config: CampaignConfig, workers: int = 1,
 
         if workers and workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(_chunk_outcomes, config.code, config.setup, params,
-                                sigma, config.y_max, config.master_seed, si, a, b)
-                    for a, b in ranges
-                ]
+                futures = [pool.submit(_chunk_outcomes, *args, a, b) for a, b in ranges]
                 try:
                     for fut in futures:
                         if consume(fut.result()):
@@ -295,8 +331,7 @@ def run_campaign(config: CampaignConfig, workers: int = 1,
                         fut.cancel()
         else:
             for a, b in ranges:
-                if consume(_chunk_outcomes(config.code, config.setup, params, sigma,
-                                           config.y_max, config.master_seed, si, a, b)):
+                if consume(_chunk_outcomes(*args, a, b)):
                     break
         point.elapsed_s = time.perf_counter() - started
         points.append(point)
@@ -328,18 +363,20 @@ def run_convergence(code: ParityCheckCode, setups: dict, ebn0_db: float, frames:
     sigma = ebn0_to_sigma(ebn0_db, float(code.rate))
     out = {}
     for name, setup in setups.items():
-        deficits = []
-        for fi in range(frames):
-            oc = decode_frame(code, setup, setup.params, sigma, y_max,
-                              master_seed, 0, fi)
-            deficits.append(oc.final_objective - oc.objective_max)
-        out[name] = float(np.mean(deficits))
+        outcomes = [decode_frame(code, setup, setup.params, sigma, y_max, master_seed, 0, fi)
+                    for fi in range(frames)]
+        out[name] = convergence_error([oc.final_objective for oc in outcomes],
+                                      [oc.objective_max for oc in outcomes])
     return out
 
 
 # ---------------------------------------------------------------------------
 # JSON configuration
 # ---------------------------------------------------------------------------
+
+
+_CONFIG_KEYS = {"code", "decoder", "params", "ebn0_db", "frames", "seed", "error_target",
+                "y_max", "quantizer", "mode_switching", "schedules"}
 
 
 def params_from_dict(d: dict) -> NgdbfParams:
@@ -364,6 +401,9 @@ def load_config(path, master_seed: int | None = None) -> CampaignConfig:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+    extra = set(doc) - _CONFIG_KEYS
+    if extra:
+        raise ConfigError(f"{path}: unknown key(s) {sorted(extra)}")
     for key in ("code", "decoder", "ebn0_db", "frames"):
         if key not in doc:
             raise ConfigError(f"{path}: missing required key {key!r}")
@@ -376,6 +416,9 @@ def load_config(path, master_seed: int | None = None) -> CampaignConfig:
     quantizer = None
     if doc.get("quantizer"):
         qd = doc["quantizer"]
+        for key in ("q_bits", "y_max"):
+            if key not in qd:
+                raise ConfigError(f"{path}: missing required key 'quantizer.{key}'")
         quantizer = QuantizerSpec(q_bits=int(qd["q_bits"]), y_max=float(qd["y_max"]))
 
     setup = DecoderSetup(

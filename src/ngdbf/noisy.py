@@ -5,8 +5,9 @@ per-symbol flip decision in both direct and pre-scaled forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -54,7 +55,6 @@ class NgdbfParams:
             raise ValueError(f"unknown noise policy {self.noise_policy!r}")
 
     def replace(self, **kw) -> "NgdbfParams":
-        from dataclasses import replace
         return replace(self, **kw)
 
 
@@ -152,23 +152,32 @@ class AdaptationTable:
         if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
             raise ValueError("threshold levels must move strictly toward zero")
 
+    @cached_property
+    def _tau_array(self) -> np.ndarray:
+        return np.asarray(self.taus, dtype=np.int64)
+
+    def event_index(self, u):
+        """Position(s) of the event active at non-flip count(s) u."""
+        return np.searchsorted(self._tau_array, u, side="right") - 1
+
     def threshold_for(self, u):
         """Active threshold level(s) for non-flip count(s) u."""
-        taus = np.asarray(self.taus)
-        idx = np.searchsorted(taus, np.asarray(u), side="right") - 1
-        out = np.asarray(self.levels)[idx]
+        out = np.asarray(self.levels)[self.event_index(np.asarray(u))]
         return float(out) if np.isscalar(u) else out
 
     def rows(self):
         return [(i, lvl, tau) for i, (lvl, tau) in enumerate(zip(self.levels, self.taus))]
 
 
+@lru_cache(maxsize=128)
 def build_adaptation_table(theta: float, lam: float, quantizer: QuantizerSpec,
                            t_max: int) -> AdaptationTable:
     """Scan u = 0..t_max and record every change of the quantized threshold.
 
     The threshold trajectory is theta * lam**u pushed through the quantizer;
-    lam = 1 degenerates to the single event at u = 0.
+    lam = 1 degenerates to the single event at u = 0.  The table is
+    immutable and a pure function of the arguments, so recently used tables
+    are cached and shared instead of being rebuilt for every frame.
     """
     if theta >= 0:
         raise ValueError("inversion threshold must be negative")
@@ -224,32 +233,27 @@ def flip_decisions_prescaled(x, y_idx, q_idx, theta_idx, w_idx, syndrome_sums) -
 class QuantizedAdaptiveStepper(Stepper):
     """Multi-bit noisy stepper on the quantized integer datapath.
 
-    Thresholds are driven by per-symbol non-flip counters through the
+    Thresholds are driven by per-symbol non-flip counters ``u`` through the
     adaptation-event table instead of per-iteration multiplies.
     """
 
     def __init__(self, code: ParityCheckCode, quantizer: QuantizerSpec, y: np.ndarray,
-                 params: NgdbfParams, channel_sigma: float, rng: np.random.Generator | None,
-                 table: AdaptationTable | None = None):
+                 params: NgdbfParams, channel_sigma: float, rng: np.random.Generator | None):
         self.code = code
         self.quantizer = quantizer
         self.y_idx = quantizer.to_index(y)
         self.y = quantizer.from_index(self.y_idx)
         self.w_idx = int(quantizer.to_index(params.w))
-        if table is None:
-            table = build_adaptation_table(params.theta, params.lam, quantizer, params.t_max)
-        self.theta_idx = quantizer.to_index(np.asarray(table.levels))
-        self.taus = np.asarray(table.taus, dtype=np.int64)
+        self.table = build_adaptation_table(params.theta, params.lam, quantizer, params.t_max)
+        self.theta_idx = quantizer.to_index(np.asarray(self.table.levels))
         self.noise = _noise_or_none(code, params, channel_sigma, rng)
+        self.u = np.zeros(code.n, dtype=np.int64)
 
     def step(self, state: DecoderState) -> None:
-        if self.noise is not None:
-            q_idx = self.quantizer.to_index(self.noise.draw())
-        else:
-            q_idx = np.zeros(self.code.n, dtype=np.int64)
-        th = self.theta_idx[np.searchsorted(self.taus, state.u, side="right") - 1]
+        q_idx = self.quantizer.to_index(self.noise.draw()) if self.noise is not None else 0
+        th = self.theta_idx[self.table.event_index(self.u)]
         delta = flip_decisions_direct(state.x, self.y_idx, q_idx, th, self.w_idx,
                                       self.code.syndrome_sums(state.s))
         mask = delta < 0
         flip_where(self.code, state, mask)
-        state.u[~mask] += 1
+        self.u[~mask] += 1

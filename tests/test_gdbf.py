@@ -81,8 +81,8 @@ class TestMultiFlip:
     def test_single_bit_mode_when_flag_low(self, tiny_code):
         y = np.array([1, 1, 1, -0.3, -0.25, 1.0])
         st = init_state(tiny_code, y)
-        st.mu = 0
         stepper = MultiFlipStepper(tiny_code, y, theta=-0.1, mode_switching=False)
+        stepper.mu = 0
         stepper.step(st)
         assert int((st.x != init_state(tiny_code, y).x).sum()) == 1
 
@@ -92,11 +92,11 @@ class TestMultiFlip:
         st = init_state(tiny_code, y)
         stepper = MultiFlipStepper(tiny_code, y, theta=0.5, mode_switching=True)
         stepper.start(st)
-        assert st.mu == 1
+        assert stepper.mu == 1
         stepper.step(st)
-        assert st.mu == 0
+        assert stepper.mu == 0
         stepper.step(st)   # objective rises again, flag must stay low
-        assert st.mu == 0
+        assert stepper.mu == 0
 
     def test_mode_flag_untouched_without_switching(self, tiny_code):
         y = np.array([-0.2, -0.2, 1, 1, 1, 1.0])
@@ -104,7 +104,7 @@ class TestMultiFlip:
         stepper = MultiFlipStepper(tiny_code, y, theta=0.5, mode_switching=False)
         stepper.start(st)
         stepper.step(st)
-        assert st.mu == 1
+        assert stepper.mu == 1
 
 
 class TestAdaptiveThreshold:
@@ -130,7 +130,7 @@ class TestAdaptiveThreshold:
         stepper = AdaptiveThresholdStepper(tiny_code, y, theta=-0.9, lam=0.99)
         stepper.start(st)
         stepper.step(st)
-        assert np.allclose(st.thetas, -0.891)
+        assert np.allclose(stepper.thetas, -0.891)
 
     def test_flip_keeps_threshold(self, tiny_code):
         # weak wrong bit with both checks violated: E_0 = 0.2 - 2 = -1.8
@@ -142,8 +142,8 @@ class TestAdaptiveThreshold:
         assert e[0] < -0.9
         stepper.step(st)
         assert st.x[0] == 1                       # flipped
-        assert st.thetas[0] == pytest.approx(-0.9)
-        assert st.thetas[1] == pytest.approx(-0.891)
+        assert stepper.thetas[0] == pytest.approx(-0.9)
+        assert stepper.thetas[1] == pytest.approx(-0.891)
 
     def test_threshold_magnitudes_never_grow(self, bench_code):
         rng = np.random.default_rng(13)
@@ -152,10 +152,10 @@ class TestAdaptiveThreshold:
         st = init_state(bench_code, y)
         stepper = AdaptiveThresholdStepper(bench_code, y, theta=-0.9, lam=0.98)
         stepper.start(st)
-        prev = np.abs(st.thetas.copy())
+        prev = np.abs(stepper.thetas.copy())
         for _ in range(50):
             stepper.step(st)
-            now = np.abs(st.thetas)
+            now = np.abs(stepper.thetas)
             assert (now <= prev + 1e-15).all()
             prev = now.copy()
 

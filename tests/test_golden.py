@@ -13,7 +13,7 @@ A deliberate change of results re-records them with
 """
 
 import json
-import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -78,8 +78,6 @@ def test_convergence_report_matches_golden(tmp_path):
 
 
 def record() -> None:
-    import tempfile
-
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name in sorted(CAMPAIGNS):
@@ -89,4 +87,3 @@ def record() -> None:
 
 if __name__ == "__main__":
     record()
-    sys.exit(0)

@@ -208,6 +208,20 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="gamma"):
             load_config(self._write(tmp_path, doc), master_seed=1)
 
+    def test_unknown_top_level_key(self, tmp_path):
+        doc = self.base_doc()
+        doc["frame"] = 10       # typo of "frames"
+        with pytest.raises(ConfigError, match="'frame'"):
+            load_config(self._write(tmp_path, doc), master_seed=1)
+
+    @pytest.mark.parametrize("key", ["q_bits", "y_max"])
+    def test_quantizer_block_missing_key(self, tmp_path, key):
+        doc = self.base_doc()
+        doc["quantizer"] = {"q_bits": 4, "y_max": 1.75}
+        del doc["quantizer"][key]
+        with pytest.raises(ConfigError, match=f"quantizer.{key}"):
+            load_config(self._write(tmp_path, doc), master_seed=1)
+
     def test_quantizer_block(self, tmp_path):
         doc = self.base_doc()
         doc["quantizer"] = {"q_bits": 4, "y_max": 1.75}

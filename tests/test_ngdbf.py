@@ -218,10 +218,10 @@ class TestQuantizedDatapath:
             stepper.step(st)
         # the stalled symbols have 36 consecutive non-flips; one more crosses
         # the tau=37 event and relaxes the threshold from -0.9375 to -0.3125
-        active_before = stepper.theta_idx[np.searchsorted(stepper.taus, st.u, side="right") - 1]
+        active_before = stepper.theta_idx[stepper.table.event_index(stepper.u)]
         stepper.step(st)
-        active_after = stepper.theta_idx[np.searchsorted(stepper.taus, st.u, side="right") - 1]
-        frozen = st.u == 37
+        active_after = stepper.theta_idx[stepper.table.event_index(stepper.u)]
+        frozen = stepper.u == 37
         assert frozen.any()
         assert (q.from_index(active_before[frozen]) == pytest.approx(-0.9375))
         assert (q.from_index(active_after[frozen]) == pytest.approx(-0.3125))
