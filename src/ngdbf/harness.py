@@ -401,6 +401,8 @@ def load_config(path, master_seed: int | None = None) -> CampaignConfig:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: top level must be a JSON object")
     extra = set(doc) - _CONFIG_KEYS
     if extra:
         raise ConfigError(f"{path}: unknown key(s) {sorted(extra)}")

@@ -208,6 +208,10 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="gamma"):
             load_config(self._write(tmp_path, doc), master_seed=1)
 
+    def test_top_level_must_be_an_object(self, tmp_path):
+        with pytest.raises(ConfigError, match="object"):
+            load_config(self._write(tmp_path, [{"code": "x"}]), master_seed=1)
+
     def test_unknown_top_level_key(self, tmp_path):
         doc = self.base_doc()
         doc["frame"] = 10       # typo of "frames"
