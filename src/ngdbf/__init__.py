@@ -13,7 +13,6 @@ from .harness import (CampaignConfig, CampaignResult, ConfigError, DecoderSetup,
 from .minsum import decode_minsum
 from .noisy import (AdaptationTable, NgdbfParams, NoiseSource,
                     QuantizedAdaptiveStepper, build_adaptation_table,
-                    flip_decisions_direct, flip_decisions_prescaled,
-                    mngdbf_stepper, sngdbf_stepper)
+                    flip_decisions_direct, flip_decisions_prescaled)
 
 __version__ = "0.1.0"

@@ -24,9 +24,9 @@ from .analysis import convergence_error
 from .channel import QuantizerSpec, ebn0_to_sigma, saturate, transmit
 from .codes import ParityCheckCode, load_alist
 from .core import decode, init_state, objective
-from .gdbf import MultiFlipStepper, SingleFlipStepper
+from .gdbf import AdaptiveThresholdStepper, MultiFlipStepper, SingleFlipStepper
 from .minsum import decode_minsum
-from .noisy import NgdbfParams, QuantizedAdaptiveStepper, mngdbf_stepper, sngdbf_stepper
+from .noisy import NgdbfParams, NoiseSource, QuantizedAdaptiveStepper
 
 SWEEPABLE = ("theta", "lam", "eta")
 
@@ -35,29 +35,23 @@ class ConfigError(ValueError):
     pass
 
 
-# Stepper builders, called as build(code, setup, params, y_sat, sigma, rng).
+# Stepper builders, called as build(code, setup, params, y_sat, noise); noise is
+# the frame's perturbation stream, or None for a deterministic run.
 
-def _sgdbf(code, setup, params, y_sat, sigma, rng):
-    return SingleFlipStepper(code, y_sat, w=params.w)
+def _single(code, setup, params, y_sat, noise):
+    return SingleFlipStepper(code, y_sat, w=params.w, noise=noise)
 
 
-def _mgdbf(code, setup, params, y_sat, sigma, rng):
+def _multi(code, setup, params, y_sat, noise):
     return MultiFlipStepper(code, y_sat, theta=params.theta, w=params.w,
                             mode_switching=setup.mode_switching)
 
 
-def _atgdbf(code, setup, params, y_sat, sigma, rng):
-    return mngdbf_stepper(code, y_sat, params.replace(eta=0.0), sigma, None)
-
-
-def _sngdbf(code, setup, params, y_sat, sigma, rng):
-    return sngdbf_stepper(code, y_sat, params, sigma, rng)
-
-
-def _mngdbf(code, setup, params, y_sat, sigma, rng):
+def _adaptive(code, setup, params, y_sat, noise):
     if setup.quantizer is not None:
-        return QuantizedAdaptiveStepper(code, setup.quantizer, y_sat, params, sigma, rng)
-    return mngdbf_stepper(code, y_sat, params, sigma, rng)
+        return QuantizedAdaptiveStepper(code, setup.quantizer, y_sat, params, noise)
+    return AdaptiveThresholdStepper(code, y_sat, theta=params.theta, lam=params.lam,
+                                    w=params.w, noise=noise)
 
 
 @dataclass(frozen=True)
@@ -65,7 +59,8 @@ class Variant:
     """How one decoder variant is built and run.
 
     ``build`` is None for min-sum, which is not a bit-flip stepper.  A
-    ``stochastic`` variant gets a perturbation stream when eta > 0.  A
+    ``stochastic`` variant is its deterministic twin (same builder) given a
+    perturbation stream, which it gets when eta > 0.  A
     positive ``smoothing_window`` turns output smoothing on, over that many
     final iterations unless the parameters give their own window.
     """
@@ -77,12 +72,12 @@ class Variant:
 
 
 VARIANTS = {
-    "sgdbf": Variant(_sgdbf),
-    "mgdbf": Variant(_mgdbf),
-    "atgdbf": Variant(_atgdbf),
-    "sngdbf": Variant(_sngdbf, stochastic=True),
-    "mngdbf": Variant(_mngdbf, stochastic=True, quantizable=True),
-    "smngdbf": Variant(_mngdbf, stochastic=True, quantizable=True, smoothing_window=64),
+    "sgdbf": Variant(_single),
+    "mgdbf": Variant(_multi),
+    "atgdbf": Variant(_adaptive),
+    "sngdbf": Variant(_single, stochastic=True),
+    "mngdbf": Variant(_adaptive, stochastic=True, quantizable=True),
+    "smngdbf": Variant(_adaptive, stochastic=True, quantizable=True, smoothing_window=64),
     "minsum": Variant(None),
 }
 
@@ -97,7 +92,7 @@ class DecoderSetup:
     mode_switching: bool = True     # only meaningful for mgdbf
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
+        if not isinstance(self.variant, str) or self.variant not in VARIANTS:
             raise ConfigError(f"unknown decoder variant {self.variant!r}")
         if self.quantizer is not None and not VARIANTS[self.variant].quantizable:
             names = "/".join(n for n, v in VARIANTS.items() if v.quantizable)
@@ -138,7 +133,10 @@ class CampaignConfig:
             if ebn0_db not in table:
                 raise ConfigError(
                     f"schedule for {name!r} has no entry for Eb/N0 = {ebn0_db} dB")
-            params = params.replace(**{name: table[ebn0_db]})
+            try:
+                params = params.replace(**{name: table[ebn0_db]})
+            except ValueError as exc:
+                raise ConfigError(f"schedule for {name!r} at Eb/N0 = {ebn0_db} dB: {exc}") from exc
         return params
 
 
@@ -155,37 +153,40 @@ class FrameOutcome:
     frame_error: bool
     iterations: int
     engaged: bool
-    final_objective: float
-    objective_max: float
+
+
+def _transmit_and_decode(code: ParityCheckCode, setup: DecoderSetup, params: NgdbfParams,
+                         sigma: float, y_max: float, master_seed: int, snr_index: int,
+                         frame_index: int) -> tuple:
+    """Transmit one all-ones frame and decode it.
+
+    Returns the decode result and the samples the decoder decided on (raw
+    for min-sum, saturated or quantized for the bit-flip steppers).
+    """
+    y_raw = transmit(np.ones(code.n, dtype=np.int8), sigma,
+                     frame_rng(master_seed, snr_index, frame_index, 0))
+    if setup.variant == "minsum":
+        return decode_minsum(code, y_raw, params.t_max), y_raw
+
+    variant = VARIANTS[setup.variant]
+    noise = None
+    if variant.stochastic and params.eta > 0:
+        noise = NoiseSource(code.n, params.eta * sigma, params.noise_policy,
+                            frame_rng(master_seed, snr_index, frame_index, 1))
+    stepper = variant.build(code, setup, params, saturate(y_raw, y_max), noise)
+    result = decode(stepper, init_state(code, stepper.y), params.t_max,
+                    smoothing_window=setup.smoothing_window)
+    return result, stepper.y
 
 
 def decode_frame(code: ParityCheckCode, setup: DecoderSetup, params: NgdbfParams,
                  sigma: float, y_max: float, master_seed: int, snr_index: int,
                  frame_index: int) -> FrameOutcome:
     """Transmit one all-ones frame, decode it, and score the outcome."""
-    ones = np.ones(code.n, dtype=np.int8)
-    y_raw = transmit(ones, sigma, frame_rng(master_seed, snr_index, frame_index, 0))
-
-    if setup.variant == "minsum":
-        result = decode_minsum(code, y_raw, params.t_max)
-        y_seen = y_raw
-    else:
-        variant = VARIANTS[setup.variant]
-        y_sat = saturate(y_raw, y_max)
-        rng = None
-        if variant.stochastic and params.eta > 0:
-            rng = frame_rng(master_seed, snr_index, frame_index, 1)
-        stepper = variant.build(code, setup, params, y_sat, sigma, rng)
-        state = init_state(code, stepper.y)
-        result = decode(stepper, state, params.t_max,
-                        smoothing_window=setup.smoothing_window)
-        y_seen = stepper.y
-
+    result, _ = _transmit_and_decode(code, setup, params, sigma, y_max, master_seed,
+                                     snr_index, frame_index)
     errors = int(np.count_nonzero(result.decisions != 1))
-    # The transmitted all-ones word satisfies every check: its syndrome is all ones.
-    return FrameOutcome(errors, errors > 0, result.iterations, result.smoothing_engaged,
-                        objective(code, result.decisions, y_seen),
-                        objective(code, ones, y_seen, ones[:code.m]))
+    return FrameOutcome(errors, errors > 0, result.iterations, result.smoothing_engaged)
 
 
 # ---------------------------------------------------------------------------
@@ -361,12 +362,17 @@ def run_convergence(code: ParityCheckCode, setups: dict, ebn0_db: float, frames:
     errors.  Returns {name: mean(f(x(T)) - f_max)}.
     """
     sigma = ebn0_to_sigma(ebn0_db, float(code.rate))
+    ones = np.ones(code.n, dtype=np.int8)
     out = {}
     for name, setup in setups.items():
-        outcomes = [decode_frame(code, setup, setup.params, sigma, y_max, master_seed, 0, fi)
-                    for fi in range(frames)]
-        out[name] = convergence_error([oc.final_objective for oc in outcomes],
-                                      [oc.objective_max for oc in outcomes])
+        finals, maxes = [], []
+        for fi in range(frames):
+            result, y_seen = _transmit_and_decode(code, setup, setup.params, sigma, y_max,
+                                                  master_seed, 0, fi)
+            finals.append(objective(code, result.decisions, y_seen))
+            # The transmitted all-ones word satisfies every check: its syndrome is all ones.
+            maxes.append(objective(code, ones, y_seen, ones[:code.m]))
+        out[name] = convergence_error(finals, maxes)
     return out
 
 
@@ -379,14 +385,46 @@ _CONFIG_KEYS = {"code", "decoder", "params", "ebn0_db", "frames", "seed", "error
                 "y_max", "quantizer", "mode_switching", "schedules"}
 
 
+def _integer(value, key: str, minimum: int | None = None) -> int:
+    """A JSON integer, not a boolean, at least ``minimum`` when one is given."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key!r} must be an integer, not {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{key!r} must be at least {minimum}, not {value}")
+    return value
+
+
+def _number(value, key: str, positive: bool = False) -> float:
+    """A finite JSON number, not a boolean, as a float; above zero if ``positive``."""
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            if math.isfinite(value) and (value > 0 or not positive):
+                return float(value)
+        except OverflowError:       # an integer beyond the float range
+            pass
+    kind = "a positive" if positive else "a finite"
+    raise ConfigError(f"{key!r} must be {kind} number, not {value!r}")
+
+
+def _object(value, key: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key!r} must be a JSON object, not {value!r}")
+    return value
+
+
 def params_from_dict(d: dict) -> NgdbfParams:
     known = {"theta", "lam", "eta", "w", "t_max", "smoothing_window", "noise_policy"}
-    extra = set(d) - known
+    extra = set(_object(d, "params")) - known
     if extra:
         raise ConfigError(f"unknown decoder parameter(s): {sorted(extra)}")
+    for key, value in d.items():
+        if key in ("t_max", "smoothing_window"):
+            _integer(value, f"params.{key}")
+        elif key != "noise_policy":
+            _number(value, f"params.{key}")
     try:
         return NgdbfParams(**d)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad decoder parameters: {exc}") from exc
 
 
@@ -395,6 +433,8 @@ def load_config(path, master_seed: int | None = None) -> CampaignConfig:
 
     Relative code paths resolve against the config file's directory.  A
     seed given here is overridden by an explicit ``master_seed`` argument.
+    Every value is checked here, so a malformed document raises a
+    :class:`ConfigError` naming the key instead of failing in a decode.
     """
     path = Path(path)
     try:
@@ -410,39 +450,66 @@ def load_config(path, master_seed: int | None = None) -> CampaignConfig:
         if key not in doc:
             raise ConfigError(f"{path}: missing required key {key!r}")
 
+    if not isinstance(doc["code"], str) or not doc["code"]:
+        raise ConfigError(f"'code' must be the path of an alist file, not {doc['code']!r}")
     code_path = Path(doc["code"])
     if not code_path.is_absolute():
         code_path = path.parent / code_path
-    code = load_alist(code_path)
+    try:
+        code = load_alist(code_path)
+    except OSError as exc:
+        raise ConfigError(f"'code': cannot read {code_path} ({exc.strerror})") from exc
 
     quantizer = None
-    if doc.get("quantizer"):
-        qd = doc["quantizer"]
+    if doc.get("quantizer") is not None:
+        qd = _object(doc["quantizer"], "quantizer")
         for key in ("q_bits", "y_max"):
             if key not in qd:
                 raise ConfigError(f"{path}: missing required key 'quantizer.{key}'")
-        quantizer = QuantizerSpec(q_bits=int(qd["q_bits"]), y_max=float(qd["y_max"]))
+        quantizer = QuantizerSpec(q_bits=_integer(qd["q_bits"], "quantizer.q_bits", minimum=1),
+                                  y_max=_number(qd["y_max"], "quantizer.y_max", positive=True))
 
+    mode_switching = doc.get("mode_switching", True)
+    if not isinstance(mode_switching, bool):
+        raise ConfigError(f"'mode_switching' must be true or false, not {mode_switching!r}")
     setup = DecoderSetup(
         variant=doc["decoder"],
         params=params_from_dict(doc.get("params", {})),
         quantizer=quantizer,
-        mode_switching=bool(doc.get("mode_switching", True)),
+        mode_switching=mode_switching,
     )
-    schedules = {
-        name: {float(k): float(v) for k, v in table.items()}
-        for name, table in doc.get("schedules", {}).items()
-    }
-    seed = master_seed if master_seed is not None else doc.get("seed")
+    schedules = {}
+    for name, table in _object(doc.get("schedules", {}), "schedules").items():
+        key = f"schedules.{name}"
+        schedules[name] = {}
+        for snr, value in _object(table, key).items():
+            try:
+                ebn0 = float(snr)
+            except ValueError:
+                raise ConfigError(f"{key!r}: key {snr!r} is not an Eb/N0 in dB") from None
+            schedules[name][ebn0] = _number(value, f"{key}.{snr}")
+    if not isinstance(doc["ebn0_db"], list):
+        raise ConfigError(f"'ebn0_db' must be a list of numbers, not {doc['ebn0_db']!r}")
+    error_target = doc.get("error_target", 100)
+    if error_target is not None:
+        _integer(error_target, "error_target", minimum=1)
+    seed = doc.get("seed")
+    if seed is not None:
+        _integer(seed, "seed", minimum=0)
+    if master_seed is not None:
+        seed = master_seed
     if seed is None:
         raise ConfigError("a master seed is required (config 'seed' or --seed)")
-    return CampaignConfig(
+    config = CampaignConfig(
         code=code,
         setup=setup,
-        ebn0_db=tuple(float(v) for v in doc["ebn0_db"]),
-        frames=int(doc["frames"]),
+        ebn0_db=tuple(_number(v, f"ebn0_db[{i}]") for i, v in enumerate(doc["ebn0_db"])),
+        frames=_integer(doc["frames"], "frames", minimum=1),
         master_seed=int(seed),
-        error_target=doc.get("error_target", 100),
-        y_max=float(doc.get("y_max", 2.5)),
+        error_target=error_target,
+        y_max=_number(doc.get("y_max", 2.5), "y_max", positive=True),
         schedules=schedules,
     )
+    for ebn0 in config.ebn0_db:     # every scheduled value must cover and fit its point
+        config.params_at(ebn0)
+    return config

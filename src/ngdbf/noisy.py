@@ -14,7 +14,7 @@ import numpy as np
 from .channel import QuantizerSpec
 from .codes import ParityCheckCode
 from .core import DecoderState, Stepper
-from .gdbf import AdaptiveThresholdStepper, SingleFlipStepper, flip_where
+from .gdbf import flip_where
 
 NOISE_POLICIES = ("iid", "shift_chain", "uniform")
 
@@ -95,34 +95,6 @@ class NoiseSource:
             fresh = self.sigma * self.rng.standard_normal(1)
             self._chain = np.concatenate((fresh, self._chain[:-1]))
         return self._chain.copy()
-
-
-def _noise_or_none(code: ParityCheckCode, params: NgdbfParams, channel_sigma: float,
-                   rng: np.random.Generator | None) -> NoiseSource | None:
-    if params.eta == 0.0:
-        return None
-    if rng is None:
-        raise ValueError("a random generator is required when eta > 0")
-    return NoiseSource(code.n, params.eta * channel_sigma, params.noise_policy, rng)
-
-
-def sngdbf_stepper(code: ParityCheckCode, y: np.ndarray, params: NgdbfParams,
-                   channel_sigma: float, rng: np.random.Generator | None) -> SingleFlipStepper:
-    """Single-bit noisy stepper: argmin flip on the perturbed metric."""
-    return SingleFlipStepper(code, y, w=params.w,
-                             noise=_noise_or_none(code, params, channel_sigma, rng))
-
-
-def mngdbf_stepper(code: ParityCheckCode, y: np.ndarray, params: NgdbfParams,
-                   channel_sigma: float, rng: np.random.Generator | None) -> AdaptiveThresholdStepper:
-    """Multi-bit noisy stepper with per-symbol threshold adaptation.
-
-    lam = 1 yields the non-adaptive variant (fixed threshold, no mode
-    switching); the smoothed variant is the same stepper run with a
-    positive smoothing window in :func:`ngdbf.core.decode`.
-    """
-    return AdaptiveThresholdStepper(code, y, theta=params.theta, lam=params.lam, w=params.w,
-                                    noise=_noise_or_none(code, params, channel_sigma, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +210,7 @@ class QuantizedAdaptiveStepper(Stepper):
     """
 
     def __init__(self, code: ParityCheckCode, quantizer: QuantizerSpec, y: np.ndarray,
-                 params: NgdbfParams, channel_sigma: float, rng: np.random.Generator | None):
+                 params: NgdbfParams, noise: NoiseSource | None = None):
         self.code = code
         self.quantizer = quantizer
         self.y_idx = quantizer.to_index(y)
@@ -246,7 +218,7 @@ class QuantizedAdaptiveStepper(Stepper):
         self.w_idx = int(quantizer.to_index(params.w))
         self.table = build_adaptation_table(params.theta, params.lam, quantizer, params.t_max)
         self.theta_idx = quantizer.to_index(np.asarray(self.table.levels))
-        self.noise = _noise_or_none(code, params, channel_sigma, rng)
+        self.noise = noise
         self.u = np.zeros(code.n, dtype=np.int64)
 
     def step(self, state: DecoderState) -> None:

@@ -42,10 +42,10 @@ from ngdbf.channel import QuantizerSpec, ebn0_to_sigma, saturate, transmit
 from ngdbf.codes import parse_alist, serialize_alist
 from ngdbf.core import decode, init_state, objective
 from ngdbf.gdbf import MultiFlipStepper, inversions
-from ngdbf.harness import (CampaignConfig, DecoderSetup, NgdbfParams, run_campaign,
-                           run_convergence)
+from ngdbf.harness import (VARIANTS, CampaignConfig, DecoderSetup, NgdbfParams,
+                           run_campaign, run_convergence)
 from ngdbf.noisy import (build_adaptation_table, flip_decisions_direct,
-                         flip_decisions_prescaled, mngdbf_stepper)
+                         flip_decisions_prescaled)
 
 from .conftest import TINY_ALIST
 from .support.lml_oracle import all_neighbour_pe, lml_flip_pattern
@@ -196,7 +196,8 @@ class TestCriterion06:
             y = saturate(transmit(c, sigma, rng), 2.5)
             st_a = init_state(bench_code, y)
             st_b = init_state(bench_code, y)
-            noisy = mngdbf_stepper(bench_code, y, params, sigma, None)
+            noisy = VARIANTS["mngdbf"].build(bench_code, DecoderSetup("mngdbf", params),
+                                             params, y, None)
             plain = MultiFlipStepper(bench_code, y, theta=-0.9, w=1.0,
                                      mode_switching=False)
             noisy.start(st_a)

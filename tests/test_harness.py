@@ -1,15 +1,65 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ngdbf.channel import QuantizerSpec
-from ngdbf.harness import (CampaignConfig, ConfigError, DecoderSetup, NgdbfParams,
-                           decode_frame, load_config, run_campaign, run_convergence,
-                           run_sweep, wilson_interval)
+from ngdbf.harness import (SWEEPABLE, VARIANTS, CampaignConfig, ConfigError, DecoderSetup,
+                           NgdbfParams, decode_frame, load_config, run_campaign,
+                           run_convergence, run_sweep, wilson_interval)
 
 DATA_DIR = Path(__file__).parent / "data"
+ALIST = str(DATA_DIR / "reg3x6_504x1008.alist")
+
+# Arbitrary finite JSON values, and documents whose values are mostly near
+# their expected shape, so that generated documents also pass the first checks
+# and reach the later ones.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=8)
+
+
+@st.composite
+def mostly(draw, strategy):
+    """A value of ``strategy`` or, one time in four, any finite JSON value."""
+    return draw(JSON_VALUES if draw(st.integers(0, 3)) == 0 else strategy)
+
+
+NEAR_SHAPE = {
+    "decoder": st.sampled_from(sorted(VARIANTS)),
+    "params": st.dictionaries(
+        st.sampled_from(["theta", "lam", "eta", "w", "t_max", "smoothing_window",
+                         "noise_policy"]),
+        mostly(st.floats(-1.5, 1.5) | st.integers(0, 120) | st.just("shift_chain"))),
+    "ebn0_db": st.lists(mostly(st.sampled_from([3.0, 3.5])), min_size=1, max_size=3),
+    "frames": st.integers(-1, 5),
+    "seed": st.integers(-1, 5),
+    "error_target": st.none() | st.integers(-1, 5),
+    "y_max": st.floats(-1, 3),
+    "quantizer": st.fixed_dictionaries({"q_bits": mostly(st.integers(0, 5)),
+                                        "y_max": mostly(st.floats(-1, 3))}),
+    "mode_switching": st.booleans(),
+    "schedules": st.dictionaries(
+        st.sampled_from(SWEEPABLE + ("gamma",)),
+        mostly(st.dictionaries(st.sampled_from(["3.0", "3.5", "x"]),
+                               mostly(st.floats(-1, 1)), min_size=1))),
+}
+
+
+@st.composite
+def config_documents(draw):
+    """The bundled code, the required keys and some optional ones."""
+    keys = ["decoder", "ebn0_db", "frames", "seed"] + draw(st.lists(
+        st.sampled_from(["params", "error_target", "y_max", "quantizer", "mode_switching",
+                         "schedules"]), unique=True))
+    return {"code": ALIST, **{key: draw(mostly(NEAR_SHAPE[key])) for key in keys}}
 
 
 def make_config(code, variant="mngdbf", ebn0=(4.0,), frames=200, seed=5,
@@ -163,6 +213,16 @@ class TestFrameDecode:
         assert oc.iterations == 40
         assert oc.engaged
 
+    @pytest.mark.parametrize("noisy, plain", [("sngdbf", "sgdbf"), ("mngdbf", "atgdbf")])
+    def test_stochastic_flag_is_the_only_difference(self, bench_code, noisy, plain):
+        # At eta = 0 a noisy variant draws no perturbation and is its twin.
+        params = NgdbfParams(theta=-0.7, lam=0.98, eta=0.0, w=0.75, t_max=40)
+        outcomes = {name: [decode_frame(bench_code, DecoderSetup(name, params), params,
+                                        0.8, 2.5, 11, 0, fi) for fi in range(6)]
+                    for name in (noisy, plain)}
+        assert outcomes[noisy] == outcomes[plain]
+        assert any(oc.iterations for oc in outcomes[plain])
+
 
 class TestConfigLoading:
     def _write(self, tmp_path, doc):
@@ -172,7 +232,7 @@ class TestConfigLoading:
 
     def base_doc(self):
         return {
-            "code": str(DATA_DIR / "reg3x6_504x1008.alist"),
+            "code": ALIST,
             "decoder": "mngdbf",
             "params": {"theta": -0.9, "lam": 0.99, "eta": 0.95, "w": 0.75, "t_max": 50},
             "ebn0_db": [3.0, 3.5],
@@ -231,3 +291,48 @@ class TestConfigLoading:
         doc["quantizer"] = {"q_bits": 4, "y_max": 1.75}
         cfg = load_config(self._write(tmp_path, doc), master_seed=1)
         assert cfg.setup.quantizer.n_levels == 16
+
+    def test_mode_switching_must_be_a_boolean(self, tmp_path):
+        doc = self.base_doc()
+        doc["decoder"] = "mgdbf"
+        doc["mode_switching"] = False
+        assert load_config(self._write(tmp_path, doc), master_seed=1).setup.mode_switching is False
+        doc["mode_switching"] = "false"
+        with pytest.raises(ConfigError, match="'mode_switching'"):
+            load_config(self._write(tmp_path, doc), master_seed=1)
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("schedules", [1], "schedules"),
+        ("schedules", {"eta": [1]}, "schedules.eta"),
+        ("ebn0_db", "4.5", "ebn0_db"),
+        ("ebn0_db", 4, "ebn0_db"),
+        ("ebn0_db", ["x"], "ebn0_db[0]"),
+        ("quantizer", 5, "quantizer"),
+        ("quantizer", {"q_bits": 0, "y_max": 1.75}, "quantizer.q_bits"),
+        ("frames", 10.7, "frames"),
+        ("frames", True, "frames"),
+        ("seed", 1.9, "seed"),
+        ("error_target", 0, "error_target"),
+        ("error_target", -3, "error_target"),
+        ("error_target", 2.5, "error_target"),
+        ("y_max", -1, "y_max"),
+        ("params", {"t_max": 1.5}, "params.t_max"),
+        ("code", 5, "code"),
+        ("code", ".", "code"),
+        ("code", "missing.alist", "code"),
+    ])
+    def test_malformed_value_names_its_key(self, tmp_path, key, value, named):
+        doc = self.base_doc()
+        doc[key] = value
+        with pytest.raises(ConfigError, match=re.escape(f"'{named}'")):
+            load_config(self._write(tmp_path, doc), master_seed=1)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(doc=config_documents())
+    def test_any_document_loads_or_raises_config_error(self, tmp_path_factory, doc):
+        path = tmp_path_factory.getbasetemp() / "generated.json"
+        path.write_text(json.dumps(doc))
+        try:
+            load_config(path)
+        except ConfigError:
+            pass

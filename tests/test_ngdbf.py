@@ -3,11 +3,11 @@ import pytest
 
 from ngdbf.channel import QuantizerSpec, saturate, transmit
 from ngdbf.core import decode, init_state
-from ngdbf.gdbf import MultiFlipStepper, inversion
+from ngdbf.gdbf import MultiFlipStepper, SingleFlipStepper, inversion
+from ngdbf.harness import VARIANTS, DecoderSetup
 from ngdbf.noisy import (AdaptationTable, NgdbfParams, NoiseSource,
                          QuantizedAdaptiveStepper, build_adaptation_table,
-                         flip_decisions_direct, flip_decisions_prescaled,
-                         mngdbf_stepper, sngdbf_stepper)
+                         flip_decisions_direct, flip_decisions_prescaled)
 
 
 class TestParams:
@@ -76,7 +76,8 @@ class TestDegeneration:
             y = saturate(transmit(c, 0.63, rng), 2.5)
             st_a = init_state(bench_code, y)
             st_b = init_state(bench_code, y)
-            noisy = mngdbf_stepper(bench_code, y, params, 0.63, None)
+            noisy = VARIANTS["mngdbf"].build(bench_code, DecoderSetup("mngdbf", params),
+                                             params, y, None)
             plain = MultiFlipStepper(bench_code, y, theta=-0.9, w=1.0, mode_switching=False)
             noisy.start(st_a)
             plain.start(st_b)
@@ -91,15 +92,13 @@ class TestDegeneration:
         params = NgdbfParams(theta=-0.9, lam=0.99, eta=0.95, w=0.75, t_max=40)
         outs = []
         for _ in range(2):
-            stepper = mngdbf_stepper(bench_code, y, params, 0.63, np.random.default_rng(123))
+            noise = NoiseSource(bench_code.n, params.eta * 0.63, params.noise_policy,
+                                np.random.default_rng(123))
+            stepper = VARIANTS["mngdbf"].build(bench_code, DecoderSetup("mngdbf", params),
+                                               params, y, noise)
             res = decode(stepper, init_state(bench_code, y), 40)
             outs.append((res.iterations, res.decisions.tobytes()))
         assert outs[0] == outs[1]
-
-    def test_noise_requires_generator(self, bench_code):
-        params = NgdbfParams(eta=0.5)
-        with pytest.raises(ValueError):
-            mngdbf_stepper(bench_code, np.ones(bench_code.n), params, 0.6, None)
 
 
 class TestSmoothing:
@@ -212,7 +211,7 @@ class TestQuantizedDatapath:
         q = QuantizerSpec(3, 2.5)
         params = NgdbfParams(theta=-0.9, lam=0.99, eta=0.0, w=0.75, t_max=300)
         y = np.array([-2.0, 1, 1, 1, 1, 1.0])
-        stepper = QuantizedAdaptiveStepper(tiny_code, q, y, params, 0.668, None)
+        stepper = QuantizedAdaptiveStepper(tiny_code, q, y, params, None)
         st = init_state(tiny_code, stepper.y)
         for _ in range(36):
             stepper.step(st)
@@ -232,8 +231,9 @@ class TestQuantizedDatapath:
                              noise_policy="shift_chain")
         c = np.ones(bench_code.n, dtype=np.int8)
         y = transmit(c, 0.6, np.random.default_rng(2))
-        stepper = QuantizedAdaptiveStepper(bench_code, q, y, params, 0.6,
-                                           np.random.default_rng(3))
+        noise = NoiseSource(bench_code.n, params.eta * 0.6, params.noise_policy,
+                            np.random.default_rng(3))
+        stepper = QuantizedAdaptiveStepper(bench_code, q, y, params, noise)
         res = decode(stepper, init_state(bench_code, stepper.y), 100)
         assert res.success
         assert bench_code.is_codeword(res.decisions)
@@ -242,8 +242,7 @@ class TestQuantizedDatapath:
 class TestSingleBitNoisy:
     def test_argmin_semantics_with_zero_noise(self, tiny_code):
         y = np.array([1, 1, 1, -0.1, 1, 1.0])
-        params = NgdbfParams(eta=0.0, w=1.0, t_max=10)
-        stepper = sngdbf_stepper(tiny_code, y, params, 0.6, None)
+        stepper = SingleFlipStepper(tiny_code, y, w=1.0)
         st = init_state(tiny_code, y)
         stepper.step(st)
         assert list(st.x) == [1] * 6
