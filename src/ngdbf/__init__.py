@@ -6,13 +6,12 @@ from .analysis import (FlipMatrix, LmlParams, bin_probability, convergence_error
 from .channel import QuantizerSpec, ebn0_to_sigma, saturate, sigma_to_ebn0, transmit
 from .codes import AlistError, ParityCheckCode, load_alist, parse_alist, serialize_alist
 from .core import DecodeResult, DecoderState, decode, init_state, objective
-from .gdbf import AdaptiveThresholdStepper, MultiFlipStepper, SingleFlipStepper, inversion
+from .gdbf import AdaptiveThresholdStepper, MultiFlipStepper, SingleFlipStepper
 from .harness import (CampaignConfig, CampaignResult, ConfigError, DecoderSetup,
                       decode_frame, load_config, run_campaign, run_convergence,
                       run_sweep, wilson_interval)
 from .minsum import decode_minsum
 from .noisy import (AdaptationTable, NgdbfParams, NoiseSource,
-                    QuantizedAdaptiveStepper, build_adaptation_table,
-                    flip_decisions_direct, flip_decisions_prescaled)
+                    QuantizedAdaptiveStepper, build_adaptation_table)
 
 __version__ = "0.1.0"

@@ -21,11 +21,6 @@ from .codes import ParityCheckCode
 from .core import DecoderState, Stepper, objective
 
 
-def inversion(x_k: float, y_k: float, adj_syndromes, w: float = 1.0, q_k: float = 0.0) -> float:
-    """Scalar inversion metric for one symbol."""
-    return float(x_k * y_k + w * sum(adj_syndromes) + q_k)
-
-
 def inversions(code: ParityCheckCode, state: DecoderState, y: np.ndarray,
                w: float = 1.0, q: np.ndarray | None = None) -> np.ndarray:
     """Vector of E_k over all symbols from the current syndrome snapshot."""
@@ -113,23 +108,31 @@ class MultiFlipStepper(MetricStepper):
 class AdaptiveThresholdStepper(MetricStepper):
     """Per-symbol thresholds that decay toward zero on non-flip iterations.
 
-    Each symbol compares its metric against its own threshold: E_k below
-    theta_k flips the bit (threshold kept), otherwise theta_k is multiplied
-    by lam in (0, 1].  lam = 1 reproduces the fixed-threshold multi-bit rule
+    Each symbol keeps a non-flip counter u_k, and its threshold is the
+    precomputed threshold after u_k non-flips: E_k below it flips the bit
+    (counter kept), otherwise the counter advances.  On the float path the
+    threshold after u non-flips is theta multiplied by lam u times in turn,
+    for u = 0..t_max; lam = 1 reproduces the fixed-threshold multi-bit rule
     with the mode flag pinned to 1.
     """
 
     def __init__(self, code: ParityCheckCode, y: np.ndarray, theta: float,
-                 lam: float = 1.0, w: float = 1.0, noise=None):
+                 lam: float = 1.0, w: float = 1.0, noise=None, *, t_max: int):
         if not (0.0 < lam <= 1.0):
             raise ValueError("adaptation parameter must lie in (0, 1]")
         super().__init__(code, y, w, noise)
-        self.theta = float(theta)
-        self.lam = float(lam)
-        self.thetas = np.full(code.n, self.theta, dtype=np.float64)
+        self.thresholds = self.threshold_by_count(float(theta), float(lam), t_max)
+        self.u = np.zeros(code.n, dtype=np.int64)
+
+    def threshold_by_count(self, theta: float, lam: float, t_max: int) -> np.ndarray:
+        """theta, theta*lam, theta*lam*lam, ... for u = 0..t_max non-flips."""
+        return np.cumprod(np.concatenate(([theta], np.full(t_max, lam))))
 
     def step(self, state: DecoderState) -> None:
-        mask = self.metrics(state) < self.thetas
+        self.flip_below_threshold(state, self.metrics(state))
+
+    def flip_below_threshold(self, state: DecoderState, e: np.ndarray) -> None:
+        """The adaptive rule: flip where E_k is below its threshold, count the rest."""
+        mask = e < self.thresholds[self.u]
         flip_where(self.code, state, mask)
-        if self.lam != 1.0:
-            self.thetas[~mask] *= self.lam
+        self.u[~mask] += 1

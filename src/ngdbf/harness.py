@@ -51,7 +51,7 @@ def _adaptive(code, setup, params, y_sat, noise):
     if setup.quantizer is not None:
         return QuantizedAdaptiveStepper(code, setup.quantizer, y_sat, params, noise)
     return AdaptiveThresholdStepper(code, y_sat, theta=params.theta, lam=params.lam,
-                                    w=params.w, noise=noise)
+                                    w=params.w, noise=noise, t_max=params.t_max)
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,8 @@ class Variant:
     ``stochastic`` variant is its deterministic twin (same builder) given a
     perturbation stream, which it gets when eta > 0.  A
     positive ``smoothing_window`` turns output smoothing on, over that many
-    final iterations unless the parameters give their own window.
+    final iterations unless the parameters give their own window; only such
+    a variant accepts a window in its parameters.
     """
 
     build: Callable | None
@@ -97,13 +98,18 @@ class DecoderSetup:
         if self.quantizer is not None and not VARIANTS[self.variant].quantizable:
             names = "/".join(n for n, v in VARIANTS.items() if v.quantizable)
             raise ConfigError(f"quantized datapath is only available for {names}")
+        if self.params.smoothing_window and not VARIANTS[self.variant].smoothing_window:
+            names = "/".join(n for n, v in VARIANTS.items() if v.smoothing_window)
+            raise ConfigError(f"'params.smoothing_window' applies only to {names}, "
+                              f"not {self.variant}")
+        if self.smoothing_window > self.params.t_max:
+            raise ConfigError(f"'params.smoothing_window' is not given and the {self.variant} "
+                              f"default of {self.smoothing_window} exceeds params.t_max = "
+                              f"{self.params.t_max}; give a window of at most t_max")
 
     @property
     def smoothing_window(self) -> int:
-        default = VARIANTS[self.variant].smoothing_window
-        if not default:
-            return 0
-        return self.params.smoothing_window or default
+        return self.params.smoothing_window or VARIANTS[self.variant].smoothing_window
 
 
 @dataclass(frozen=True)

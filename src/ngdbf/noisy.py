@@ -1,20 +1,18 @@
-"""Noise-perturbed bit-flip decoding: parameters, noise policies, the
-quantized datapath with precomputed threshold-adaptation events, and the
-per-symbol flip decision in both direct and pre-scaled forms.
+"""Noise-perturbed bit-flip decoding: parameters, noise policies, and the
+quantized datapath with precomputed threshold-adaptation events.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
 from .channel import QuantizerSpec
 from .codes import ParityCheckCode
-from .core import DecoderState, Stepper
-from .gdbf import flip_where
+from .core import DecoderState
+from .gdbf import AdaptiveThresholdStepper, inversions
 
 NOISE_POLICIES = ("iid", "shift_chain", "uniform")
 
@@ -124,19 +122,6 @@ class AdaptationTable:
         if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
             raise ValueError("threshold levels must move strictly toward zero")
 
-    @cached_property
-    def _tau_array(self) -> np.ndarray:
-        return np.asarray(self.taus, dtype=np.int64)
-
-    def event_index(self, u):
-        """Position(s) of the event active at non-flip count(s) u."""
-        return np.searchsorted(self._tau_array, u, side="right") - 1
-
-    def threshold_for(self, u):
-        """Active threshold level(s) for non-flip count(s) u."""
-        out = np.asarray(self.levels)[self.event_index(np.asarray(u))]
-        return float(out) if np.isscalar(u) else out
-
     def rows(self):
         return [(i, lvl, tau) for i, (lvl, tau) in enumerate(zip(self.levels, self.taus))]
 
@@ -166,66 +151,30 @@ def build_adaptation_table(theta: float, lam: float, quantizer: QuantizerSpec,
     return AdaptationTable(levels=tuple(levels), taus=tuple(taus))
 
 
-def flip_decisions_direct(x, y_idx, q_idx, theta_idx, w_idx, syndrome_sums) -> np.ndarray:
-    """delta_k = sign(E_k - theta_k) on the integer (half-step) datapath.
+class QuantizedAdaptiveStepper(AdaptiveThresholdStepper):
+    """The adaptive rule on the quantized integer datapath.
 
-    All quantized quantities are signed odd integers in units of step/2.
-    sign(0) is +1, so a metric exactly on the threshold does not flip.
-    """
-    lhs = (np.asarray(x, dtype=np.int64) * y_idx + int(w_idx) * np.asarray(syndrome_sums, dtype=np.int64)
-           + q_idx - theta_idx)
-    return np.where(lhs >= 0, 1, -1).astype(np.int8)
-
-
-def flip_decisions_prescaled(x, y_idx, q_idx, theta_idx, w_idx, syndrome_sums) -> np.ndarray:
-    """The same decision evaluated the way the hardware adder sees it.
-
-    Channel sample, perturbation and threshold are pre-scaled by the
-    reciprocal of the quantized weight so the syndrome inputs stay
-    unweighted; exact rational arithmetic keeps the comparison free of
-    rounding, which makes the two formulations agree everywhere, including
-    on the exact-threshold boundary.
-    """
-    w = int(w_idx)
-    x = np.asarray(x)
-    y_idx = np.asarray(y_idx)
-    q_idx = np.asarray(q_idx)
-    theta_idx = np.asarray(theta_idx)
-    s = np.asarray(syndrome_sums)
-    out = np.empty(len(x), dtype=np.int8)
-    for k in range(len(x)):
-        scaled = (Fraction(int(x[k]) * int(y_idx[k]), w)
-                  + Fraction(int(q_idx[k]), w)
-                  - Fraction(int(theta_idx[k]), w)
-                  + int(s[k]))
-        out[k] = 1 if scaled >= 0 else -1
-    return out
-
-
-class QuantizedAdaptiveStepper(Stepper):
-    """Multi-bit noisy stepper on the quantized integer datapath.
-
-    Thresholds are driven by per-symbol non-flip counters ``u`` through the
-    adaptation-event table instead of per-iteration multiplies.
+    Samples, syndrome weight, perturbation and thresholds are signed odd
+    integers in units of step/2.  The threshold after u non-flips is the
+    level of the last adaptation event with tau <= u, expanded once per
+    stepper from the event table.  A metric exactly on the threshold does
+    not flip.
     """
 
     def __init__(self, code: ParityCheckCode, quantizer: QuantizerSpec, y: np.ndarray,
                  params: NgdbfParams, noise: NoiseSource | None = None):
-        self.code = code
         self.quantizer = quantizer
         self.y_idx = quantizer.to_index(y)
-        self.y = quantizer.from_index(self.y_idx)
         self.w_idx = int(quantizer.to_index(params.w))
-        self.table = build_adaptation_table(params.theta, params.lam, quantizer, params.t_max)
-        self.theta_idx = quantizer.to_index(np.asarray(self.table.levels))
-        self.noise = noise
-        self.u = np.zeros(code.n, dtype=np.int64)
+        super().__init__(code, quantizer.from_index(self.y_idx), params.theta, params.lam,
+                         params.w, noise, t_max=params.t_max)
+
+    def threshold_by_count(self, theta: float, lam: float, t_max: int) -> np.ndarray:
+        table = build_adaptation_table(theta, lam, self.quantizer, t_max)
+        return np.repeat(self.quantizer.to_index(np.asarray(table.levels)),
+                         np.diff((*table.taus, t_max + 1)))
 
     def step(self, state: DecoderState) -> None:
-        q_idx = self.quantizer.to_index(self.noise.draw()) if self.noise is not None else 0
-        th = self.theta_idx[self.table.event_index(self.u)]
-        delta = flip_decisions_direct(state.x, self.y_idx, q_idx, th, self.w_idx,
-                                      self.code.syndrome_sums(state.s))
-        mask = delta < 0
-        flip_where(self.code, state, mask)
-        self.u[~mask] += 1
+        q_idx = self.quantizer.to_index(self.noise.draw()) if self.noise is not None else None
+        self.flip_below_threshold(state, inversions(self.code, state, self.y_idx,
+                                                    self.w_idx, q_idx))

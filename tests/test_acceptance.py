@@ -44,11 +44,11 @@ from ngdbf.core import decode, init_state, objective
 from ngdbf.gdbf import MultiFlipStepper, inversions
 from ngdbf.harness import (VARIANTS, CampaignConfig, DecoderSetup, NgdbfParams,
                            run_campaign, run_convergence)
-from ngdbf.noisy import (build_adaptation_table, flip_decisions_direct,
-                         flip_decisions_prescaled)
+from ngdbf.noisy import build_adaptation_table
 
 from .conftest import TINY_ALIST
 from .support.lml_oracle import all_neighbour_pe, lml_flip_pattern
+from .support.oracles import flip_decisions_direct, flip_decisions_prescaled
 from .test_analysis import (LML_STAGE_1, LML_STAGE_2, LML_STAGE_3, WGDBF_THETA_00,
                             WGDBF_THETA_03, WGDBF_THETA_09)
 

@@ -25,16 +25,20 @@ def test_every_benchmark_span_is_recorded(bench_code, tmp_path, monkeypatch, cap
     from measure import install
     from tracer import Tracer
 
-    params = NgdbfParams(theta=-0.9, lam=0.99, eta=0.95, w=0.75, t_max=5,
-                         smoothing_window=5)
-    setups = [DecoderSetup(name, params) for name in harness.VARIANTS]
-    setups.append(DecoderSetup("mngdbf", params, QuantizerSpec(4, 1.75)))
+    params = NgdbfParams(theta=-0.9, lam=0.99, eta=0.95, w=0.75, t_max=5)
+    setups = [DecoderSetup(name, params) for name in harness.VARIANTS if name != "smngdbf"]
+    setups += [DecoderSetup("smngdbf", params.replace(smoothing_window=5)),
+               DecoderSetup("mngdbf", params, QuantizerSpec(4, 1.75))]
     tracer = Tracer()
     install(tracer, tmp_path)
     try:
         for setup in setups:
-            harness.decode_frame(bench_code, setup, params, 0.8, 2.5, 1, 0, 0)
+            harness.decode_frame(bench_code, setup, setup.params, 0.8, 2.5, 1, 0, 0)
     finally:
         tracer.restore()
     assert "not found" not in capsys.readouterr().err
     assert [name for name in SPANS if not tracer.calls[name]] == []
+    # One step span per decode iteration: a step that called another traced
+    # step would count its iterations twice in the per-layer split.
+    steps = tracer.calls["gdbf.step"] + tracer.calls["noisy.quantized_step"]
+    assert steps == tracer.counters["core.decode.iterations"]

@@ -91,7 +91,7 @@ class TestDecodeLoop:
             c = np.ones(code.n, dtype=np.int8)
             for trial in range(10):
                 y = saturate(transmit(c, 0.7, rng), 2.5)
-                stepper = AdaptiveThresholdStepper(code, y, theta=-0.9, lam=0.99, w=0.75)
+                stepper = AdaptiveThresholdStepper(code, y, theta=-0.9, lam=0.99, w=0.75, t_max=40)
                 res = decode(stepper, init_state(code, y), 40)
                 if res.success:
                     assert code.is_codeword(res.decisions)
@@ -101,7 +101,7 @@ class TestDecodeLoop:
         y = saturate(transmit(c, 0.65, np.random.default_rng(4)), 2.5)
         runs = []
         for _ in range(2):
-            stepper = AdaptiveThresholdStepper(bench_code, y, theta=-0.9, lam=0.99)
+            stepper = AdaptiveThresholdStepper(bench_code, y, theta=-0.9, lam=0.99, t_max=60)
             res = decode(stepper, init_state(bench_code, y), 60)
             runs.append((res.success, res.iterations, res.decisions.tobytes()))
         assert runs[0] == runs[1]

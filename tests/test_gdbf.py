@@ -3,8 +3,9 @@ import pytest
 
 from ngdbf.channel import saturate, transmit
 from ngdbf.core import DecoderState, decode, init_state
-from ngdbf.gdbf import (AdaptiveThresholdStepper, MultiFlipStepper, SingleFlipStepper,
-                        inversion, inversions)
+from ngdbf.gdbf import AdaptiveThresholdStepper, MultiFlipStepper, SingleFlipStepper, inversions
+
+from .support.oracles import inversion
 
 
 class TestInversion:
@@ -115,7 +116,7 @@ class TestAdaptiveThreshold:
             y = saturate(transmit(c, 0.63, rng), 2.5)
             st_a = init_state(bench_code, y)
             st_b = init_state(bench_code, y)
-            a = AdaptiveThresholdStepper(bench_code, y, theta=-0.9, lam=1.0)
+            a = AdaptiveThresholdStepper(bench_code, y, theta=-0.9, lam=1.0, t_max=30)
             b = MultiFlipStepper(bench_code, y, theta=-0.9, mode_switching=False)
             a.start(st_a)
             b.start(st_b)
@@ -127,38 +128,53 @@ class TestAdaptiveThreshold:
     def test_no_flip_decays_threshold(self, tiny_code):
         y = np.ones(6)
         st = init_state(tiny_code, y)
-        stepper = AdaptiveThresholdStepper(tiny_code, y, theta=-0.9, lam=0.99)
+        stepper = AdaptiveThresholdStepper(tiny_code, y, theta=-0.9, lam=0.99, t_max=1)
         stepper.start(st)
         stepper.step(st)
-        assert np.allclose(stepper.thetas, -0.891)
+        assert np.allclose(stepper.thresholds[stepper.u], -0.891)
 
     def test_flip_keeps_threshold(self, tiny_code):
         # weak wrong bit with both checks violated: E_0 = 0.2 - 2 = -1.8
         y = np.array([-0.2, 1, 1, 1, 1, 1.0])
         st = init_state(tiny_code, y)
-        stepper = AdaptiveThresholdStepper(tiny_code, y, theta=-0.9, lam=0.99)
+        stepper = AdaptiveThresholdStepper(tiny_code, y, theta=-0.9, lam=0.99, t_max=1)
         stepper.start(st)
         e = inversions(tiny_code, st, y)
         assert e[0] < -0.9
         stepper.step(st)
         assert st.x[0] == 1                       # flipped
-        assert stepper.thetas[0] == pytest.approx(-0.9)
-        assert stepper.thetas[1] == pytest.approx(-0.891)
+        assert stepper.thresholds[stepper.u][0] == pytest.approx(-0.9)
+        assert stepper.thresholds[stepper.u][1] == pytest.approx(-0.891)
 
     def test_threshold_magnitudes_never_grow(self, bench_code):
         rng = np.random.default_rng(13)
         c = np.ones(bench_code.n, dtype=np.int8)
         y = saturate(transmit(c, 0.7, rng), 2.5)
         st = init_state(bench_code, y)
-        stepper = AdaptiveThresholdStepper(bench_code, y, theta=-0.9, lam=0.98)
+        stepper = AdaptiveThresholdStepper(bench_code, y, theta=-0.9, lam=0.98, t_max=50)
         stepper.start(st)
-        prev = np.abs(stepper.thetas.copy())
+        prev = np.abs(stepper.thresholds[stepper.u])
         for _ in range(50):
             stepper.step(st)
-            now = np.abs(stepper.thetas)
+            now = np.abs(stepper.thresholds[stepper.u])
             assert (now <= prev + 1e-15).all()
             prev = now.copy()
 
+    @pytest.mark.parametrize("theta, lam", [(-0.9, 0.99), (-0.6, 0.97), (-1.3, 0.9),
+                                            (-0.7, 0.999), (-2.1, 0.93), (-0.5, 1.0)])
+    def test_threshold_after_u_non_flips_is_the_repeated_product(self, tiny_code, theta, lam):
+        # Every check satisfied and E_k > 0: no symbol ever flips, so after u
+        # steps each threshold is theta multiplied by lam u times in turn.
+        y = np.ones(6)
+        st = init_state(tiny_code, y)
+        stepper = AdaptiveThresholdStepper(tiny_code, y, theta=theta, lam=lam, t_max=400)
+        expected = theta
+        for u in range(1, 401):
+            stepper.step(st)
+            expected *= lam
+            assert (stepper.u == u).all()
+            assert (stepper.thresholds[stepper.u] == expected).all()
+
     def test_invalid_lambda(self, tiny_code):
         with pytest.raises(ValueError):
-            AdaptiveThresholdStepper(tiny_code, np.ones(6), theta=-0.9, lam=0.0)
+            AdaptiveThresholdStepper(tiny_code, np.ones(6), theta=-0.9, lam=0.0, t_max=10)

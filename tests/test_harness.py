@@ -301,6 +301,14 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="'mode_switching'"):
             load_config(self._write(tmp_path, doc), master_seed=1)
 
+    def test_default_smoothing_window_must_fit_t_max(self, tmp_path):
+        doc = self.base_doc()
+        doc["decoder"] = "smngdbf"      # t_max 50 and no window: the default 64 is too long
+        with pytest.raises(ConfigError, match=re.escape("'params.smoothing_window'")):
+            load_config(self._write(tmp_path, doc), master_seed=1)
+        doc["params"]["smoothing_window"] = 50
+        assert load_config(self._write(tmp_path, doc), master_seed=1).setup.smoothing_window == 50
+
     @pytest.mark.parametrize("key, value, named", [
         ("schedules", [1], "schedules"),
         ("schedules", {"eta": [1]}, "schedules.eta"),
@@ -317,6 +325,7 @@ class TestConfigLoading:
         ("error_target", 2.5, "error_target"),
         ("y_max", -1, "y_max"),
         ("params", {"t_max": 1.5}, "params.t_max"),
+        ("params", {"smoothing_window": 30}, "params.smoothing_window"),   # mngdbf: no smoothing
         ("code", 5, "code"),
         ("code", ".", "code"),
         ("code", "missing.alist", "code"),

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from ngdbf.channel import QuantizerSpec, saturate, transmit
-from ngdbf.core import decode, init_state
-from ngdbf.gdbf import MultiFlipStepper, SingleFlipStepper, inversion
+from ngdbf.core import DecoderState, decode, init_state
+from ngdbf.gdbf import MultiFlipStepper, SingleFlipStepper
 from ngdbf.harness import VARIANTS, DecoderSetup
 from ngdbf.noisy import (AdaptationTable, NgdbfParams, NoiseSource,
-                         QuantizedAdaptiveStepper, build_adaptation_table,
-                         flip_decisions_direct, flip_decisions_prescaled)
+                         QuantizedAdaptiveStepper, build_adaptation_table)
+
+from .support.oracles import (flip_decisions_direct, flip_decisions_prescaled, inversion,
+                              threshold_for)
 
 
 class TestParams:
@@ -160,9 +162,9 @@ class TestAdaptationTable:
 
     def test_threshold_lookup_switch_point(self):
         table = build_adaptation_table(-0.9, 0.99, QuantizerSpec(3, 2.5), 300)
-        assert table.threshold_for(36) == pytest.approx(-0.9375)
-        assert table.threshold_for(37) == pytest.approx(-0.3125)
-        assert list(table.threshold_for(np.array([0, 36, 37, 200]))) == \
+        assert threshold_for(table, 36) == pytest.approx(-0.9375)
+        assert threshold_for(table, 37) == pytest.approx(-0.3125)
+        assert list(threshold_for(table, np.array([0, 36, 37, 200]))) == \
             pytest.approx([-0.9375, -0.9375, -0.3125, -0.3125])
 
     def test_validation(self):
@@ -217,13 +219,46 @@ class TestQuantizedDatapath:
             stepper.step(st)
         # the stalled symbols have 36 consecutive non-flips; one more crosses
         # the tau=37 event and relaxes the threshold from -0.9375 to -0.3125
-        active_before = stepper.theta_idx[stepper.table.event_index(stepper.u)]
+        active_before = stepper.thresholds[stepper.u]
         stepper.step(st)
-        active_after = stepper.theta_idx[stepper.table.event_index(stepper.u)]
+        active_after = stepper.thresholds[stepper.u]
         frozen = stepper.u == 37
         assert frozen.any()
         assert (q.from_index(active_before[frozen]) == pytest.approx(-0.9375))
         assert (q.from_index(active_after[frozen]) == pytest.approx(-0.3125))
+
+    def test_flip_set_matches_direct_oracle(self, bench_code):
+        # Random decisions and counters; each step's flips must be exactly the
+        # oracle's delta = -1 set, from the same decisions, samples,
+        # perturbation, syndrome sums and the table's active thresholds.
+        q = QuantizerSpec(4, 1.75)
+        params = NgdbfParams(theta=-0.7, lam=0.97, eta=0.95, w=0.75, t_max=80)
+        table = build_adaptation_table(params.theta, params.lam, q, params.t_max)
+        rng = np.random.default_rng(61)
+        n = bench_code.n
+        c = np.ones(n, dtype=np.int8)
+        boundary = 0
+        for trial in range(6):
+            y = transmit(c, 0.8, rng)
+            noise, twin = (NoiseSource(n, params.eta * 0.8, "iid", np.random.default_rng(trial))
+                           for _ in range(2))
+            stepper = QuantizedAdaptiveStepper(bench_code, q, y, params, noise)
+            x = rng.choice(np.array([-1, 1], dtype=np.int8), size=n)
+            st = DecoderState(x=x, s=bench_code.syndrome(x))
+            stepper.u[:] = rng.integers(0, params.t_max - 10, size=n)
+            for _ in range(10):
+                x_before, u_before = st.x.copy(), stepper.u.copy()
+                sums = bench_code.syndrome_sums(st.s)
+                q_idx = q.to_index(twin.draw())
+                theta_idx = q.to_index(threshold_for(table, u_before))
+                delta = flip_decisions_direct(x_before, stepper.y_idx, q_idx, theta_idx,
+                                              stepper.w_idx, sums)
+                boundary += int((x_before * stepper.y_idx + stepper.w_idx * sums + q_idx
+                                 == theta_idx).sum())
+                stepper.step(st)
+                assert np.array_equal(st.x != x_before, delta == -1)
+                assert np.array_equal(stepper.u, u_before + (delta == 1))
+        assert boundary > 0
 
     def test_quantized_decode_runs_and_counts(self, bench_code):
         q = QuantizerSpec(4, 1.75)
