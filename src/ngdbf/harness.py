@@ -14,9 +14,10 @@ import json
 import math
 import time
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .minsum import decode_minsum
 from .noisy import NgdbfParams, NoiseSource, QuantizedAdaptiveStepper
 
 SWEEPABLE = ("theta", "lam", "eta")
+STOP_CHUNK = 512    # frames between two applications of the early-stop rule
 
 
 class ConfigError(ValueError):
@@ -153,22 +155,28 @@ def frame_rng(master_seed: int, snr_index: int, frame_index: int,
     return np.random.Generator(np.random.PCG64(ss))
 
 
-@dataclass
-class FrameOutcome:
-    bit_errors: int
-    frame_error: bool
-    iterations: int
-    engaged: bool
+class FrameStats(NamedTuple):
+    """Decoding statistics: scalars for one frame (:func:`decode_frame`), or
+    one int32 array per statistic over a frame range (:func:`decode_chunk`)."""
+
+    bit_errors: int | np.ndarray
+    iterations: int | np.ndarray
+    engaged: bool | np.ndarray     # the smoothing window was entered
+
+    @property
+    def frame_error(self):
+        return self.bit_errors > 0
 
 
-def _transmit_and_decode(code: ParityCheckCode, setup: DecoderSetup, params: NgdbfParams,
-                         sigma: float, y_max: float, master_seed: int, snr_index: int,
+def _transmit_and_decode(code: ParityCheckCode, setup: DecoderSetup, sigma: float,
+                         y_max: float, master_seed: int, snr_index: int,
                          frame_index: int) -> tuple:
     """Transmit one all-ones frame and decode it.
 
     Returns the decode result and the samples the decoder decided on (raw
     for min-sum, saturated or quantized for the bit-flip steppers).
     """
+    params = setup.params
     y_raw = transmit(np.ones(code.n, dtype=np.int8), sigma,
                      frame_rng(master_seed, snr_index, frame_index, 0))
     if setup.variant == "minsum":
@@ -185,14 +193,25 @@ def _transmit_and_decode(code: ParityCheckCode, setup: DecoderSetup, params: Ngd
     return result, stepper.y
 
 
-def decode_frame(code: ParityCheckCode, setup: DecoderSetup, params: NgdbfParams,
-                 sigma: float, y_max: float, master_seed: int, snr_index: int,
-                 frame_index: int) -> FrameOutcome:
+def decode_frame(code: ParityCheckCode, setup: DecoderSetup, sigma: float, y_max: float,
+                 master_seed: int, snr_index: int, frame_index: int) -> FrameStats:
     """Transmit one all-ones frame, decode it, and score the outcome."""
-    result, _ = _transmit_and_decode(code, setup, params, sigma, y_max, master_seed,
-                                     snr_index, frame_index)
-    errors = int(np.count_nonzero(result.decisions != 1))
-    return FrameOutcome(errors, errors > 0, result.iterations, result.smoothing_engaged)
+    result, _ = _transmit_and_decode(code, setup, sigma, y_max, master_seed, snr_index,
+                                     frame_index)
+    return FrameStats(int(np.count_nonzero(result.decisions != 1)), result.iterations,
+                      result.smoothing_engaged)
+
+
+def decode_chunk(code: ParityCheckCode, setup: DecoderSetup, sigma: float, y_max: float,
+                 master_seed: int, snr_index: int, start: int, stop: int) -> FrameStats:
+    """Decode frames ``start`` to ``stop - 1`` of one SNR point.
+
+    Each frame goes through :func:`decode_frame`, looked up as this module's
+    global so that a wrapper installed on it sees every frame.
+    """
+    frames = [decode_frame(code, setup, sigma, y_max, master_seed, snr_index, fi)
+              for fi in range(start, stop)]
+    return FrameStats(*np.array(frames, dtype=np.int32).reshape(-1, 3).T)
 
 
 # ---------------------------------------------------------------------------
@@ -225,12 +244,13 @@ class SnrPoint:
     engaged_frames: int = 0
     elapsed_s: float = 0.0
 
-    def add(self, outcome: FrameOutcome) -> None:
-        self.frames += 1
-        self.bit_errors += outcome.bit_errors
-        self.frame_errors += outcome.frame_error
-        self.total_iterations += outcome.iterations
-        self.engaged_frames += outcome.engaged
+    def add(self, stats: FrameStats) -> None:
+        """Count a decoded frame range (:func:`decode_chunk`'s arrays)."""
+        self.frames += stats.bit_errors.size
+        self.bit_errors += int(stats.bit_errors.sum())
+        self.frame_errors += int(np.count_nonzero(stats.bit_errors))
+        self.total_iterations += int(stats.iterations.sum())
+        self.engaged_frames += int(stats.engaged.sum())
 
     @property
     def ber(self) -> float:
@@ -293,70 +313,174 @@ def _fmt(v) -> str:
     return format(v, ".10g")
 
 
-def _chunk_outcomes(code, setup, params, sigma, y_max, master_seed, snr_index,
-                    start, stop) -> list:
-    return [
-        decode_frame(code, setup, params, sigma, y_max, master_seed, snr_index, fi)
-        for fi in range(start, stop)
-    ]
+# Set in each pool worker by _init_worker: the (code, setup) its tasks decode.
+_worker_state = None
+
+
+def _init_worker(code: ParityCheckCode, setup: DecoderSetup) -> None:
+    global _worker_state
+    _worker_state = (code, setup)
+
+
+def _decode_range(params: NgdbfParams, sigma: float, y_max: float, master_seed: int,
+                  snr_index: int, start: int, stop: int) -> FrameStats:
+    """Pool task: :func:`decode_chunk` on this worker's code, with ``params``."""
+    code, setup = _worker_state
+    return decode_chunk(code, replace(setup, params=params), sigma, y_max, master_seed,
+                        snr_index, start, stop)
+
+
+@dataclass
+class _PointRun:
+    """One SNR point in progress.
+
+    Frames go out in ranges that stay within one stop chunk.  A chunk is
+    counted once all its ranges are back, chunks in frame order, and the
+    stop rule follows each chunk: the result does not depend on how the
+    ranges were scheduled.
+    """
+
+    config: CampaignConfig
+    snr_index: int
+    chunk_size: int
+    point: SnrPoint = field(init=False)
+    setup: DecoderSetup = field(init=False)     # the config's setup, this point's parameters
+    handed_out: int = 0
+    pending: dict = field(default_factory=dict)     # chunk index -> [FrameStats]
+    started: float = 0.0
+    done: bool = False
+
+    def __post_init__(self):
+        ebn0 = self.config.ebn0_db[self.snr_index]
+        sigma = ebn0_to_sigma(ebn0, float(self.config.code.rate))
+        self.point = SnrPoint(ebn0_db=ebn0, sigma=sigma, n=self.config.code.n)
+        self.setup = replace(self.config.setup, params=self.config.params_at(ebn0))
+
+    def next_range(self, size: int, ahead: int) -> tuple | None:
+        """The next (start, stop) of at most ``size`` frames, or None.
+
+        Frames go out up to the end of the chunk the stop rule decides next
+        and ``ahead`` chunks more; without an error target, all of them.
+        """
+        cfg, chunk, start = self.config, self.chunk_size, self.handed_out
+        limit = cfg.frames
+        if cfg.error_target is not None:
+            limit = min(limit, self.point.frames + (1 + ahead) * chunk)
+        if self.done or start >= limit:
+            return None
+        self.started = self.started or time.perf_counter()
+        self.handed_out = min(start + size, (start // chunk + 1) * chunk, cfg.frames)
+        return start, self.handed_out
+
+    def collect(self, start: int, stats: FrameStats) -> None:
+        """Take a decoded range and count every chunk it completes."""
+        if self.done:       # decoded past a stop: not part of the result
+            return
+        cfg = self.config
+        self.pending.setdefault(start // self.chunk_size, []).append(stats)
+        while not self.done:
+            chunk = self.point.frames // self.chunk_size
+            size = min(self.chunk_size, cfg.frames - self.point.frames)
+            if sum(part.bit_errors.size for part in self.pending.get(chunk, ())) < size:
+                return
+            for part in self.pending.pop(chunk):
+                self.point.add(part)
+            self.done = (self.point.frames == cfg.frames or (
+                cfg.error_target is not None and self.point.frame_errors >= cfg.error_target))
+        self.point.elapsed_s = time.perf_counter() - self.started
+
+
+def _run_pooled(runs: list, workers: int) -> None:
+    """Decode every point's ranges on one pool of ``workers`` processes.
+
+    A stop chunk is split into about eight ranges per worker, so a point
+    that stops at its first chunk still keeps every worker busy.  At most
+    ``workers + 1`` ranges are in flight.  Ranges the stop rule surely
+    needs go first, earliest point first: the next chunk of every point
+    still running.  Only when there are none left do ranges of the chunk
+    after it go out, which are lost if the point stops.
+    """
+    code, setup = runs[0].config.code, runs[0].config.setup
+    size = -(-runs[0].chunk_size // (8 * workers))
+    in_flight = {}      # future -> (run, range start)
+
+    def next_task():
+        for ahead in (0, 1):
+            for run in runs:
+                frames = run.next_range(size, ahead)
+                if frames:
+                    return run, frames
+        return None
+
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                             initargs=(code, setup)) as pool:
+        try:
+            while True:
+                while len(in_flight) <= workers and (task := next_task()):
+                    run, (start, stop) = task
+                    fut = pool.submit(_decode_range, run.setup.params, run.point.sigma,
+                                      run.config.y_max, run.config.master_seed,
+                                      run.snr_index, start, stop)
+                    in_flight[fut] = run, start
+                if not in_flight:
+                    return
+                finished, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+                for fut in finished:
+                    run, start = in_flight.pop(fut)
+                    run.collect(start, fut.result())
+        finally:
+            for fut in in_flight:
+                fut.cancel()
+
+
+def _run(configs: list, workers: int, chunk_size: int) -> list:
+    """Run every SNR point of every config; one CampaignResult per config.
+
+    The code, the variant, the quantizer and the mode switch are those of
+    the first config; the configs differ at most in parameters.
+    """
+    runs = [[_PointRun(cfg, si, chunk_size) for si in range(len(cfg.ebn0_db))]
+            for cfg in configs]
+    flat = [run for point_runs in runs for run in point_runs]
+    if workers and workers > 1:
+        _run_pooled(flat, workers)
+    else:
+        for run in flat:
+            cfg = run.config
+            while frames := run.next_range(chunk_size, 0):
+                run.collect(frames[0], decode_chunk(cfg.code, run.setup, run.point.sigma,
+                                                    cfg.y_max, cfg.master_seed, run.snr_index,
+                                                    *frames))
+    return [CampaignResult(cfg.setup.variant, cfg.master_seed, [run.point for run in point_runs])
+            for cfg, point_runs in zip(configs, runs)]
 
 
 def run_campaign(config: CampaignConfig, workers: int = 1,
-                 chunk_size: int = 512) -> CampaignResult:
+                 chunk_size: int = STOP_CHUNK) -> CampaignResult:
     """Run every SNR point to its frame budget or error-event target.
 
     Early stopping is evaluated at fixed chunk boundaries in frame order,
     independent of how many workers decode the chunks, so two runs of the
-    same config always produce bit-identical statistics.
+    same config always produce bit-identical statistics.  With more than
+    one worker, one process pool serves every point.
     """
-    rate = float(config.code.rate)
-    points = []
-    for si, ebn0 in enumerate(config.ebn0_db):
-        sigma = ebn0_to_sigma(ebn0, rate)
-        params = config.params_at(ebn0)
-        point = SnrPoint(ebn0_db=ebn0, sigma=sigma, n=config.code.n)
-        started = time.perf_counter()
-        ranges = [(s, min(s + chunk_size, config.frames))
-                  for s in range(0, config.frames, chunk_size)]
-        args = (config.code, config.setup, params, sigma, config.y_max, config.master_seed, si)
-
-        def consume(outcomes) -> bool:
-            for oc in outcomes:
-                point.add(oc)
-            return (config.error_target is not None
-                    and point.frame_errors >= config.error_target)
-
-        if workers and workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(_chunk_outcomes, *args, a, b) for a, b in ranges]
-                try:
-                    for fut in futures:
-                        if consume(fut.result()):
-                            break
-                finally:
-                    for fut in futures:
-                        fut.cancel()
-        else:
-            for a, b in ranges:
-                if consume(_chunk_outcomes(*args, a, b)):
-                    break
-        point.elapsed_s = time.perf_counter() - started
-        points.append(point)
-    return CampaignResult(config.setup.variant, config.master_seed, points)
+    return _run([config], workers, chunk_size)[0]
 
 
 def run_sweep(config: CampaignConfig, parameter: str, grid,
               workers: int = 1) -> list:
-    """One campaign per grid value of theta/lam/eta, sharing the master seed."""
+    """One campaign per grid value of theta/lam/eta, sharing the master seed.
+
+    Every campaign of the sweep runs on one process pool.
+    """
     if parameter not in SWEEPABLE:
         raise ConfigError(f"cannot sweep {parameter!r}; choose one of {SWEEPABLE}")
     if not len(grid):
         raise ConfigError("sweep grid must be non-empty")
-    out = []
-    for value in grid:
-        setup = replace(config.setup, params=config.setup.params.replace(**{parameter: value}))
-        out.append((float(value), run_campaign(replace(config, setup=setup), workers=workers)))
-    return out
+    configs = [replace(config, setup=replace(
+                   config.setup, params=config.setup.params.replace(**{parameter: value})))
+               for value in grid]
+    return list(zip(map(float, grid), _run(configs, workers, STOP_CHUNK)))
 
 
 def run_convergence(code: ParityCheckCode, setups: dict, ebn0_db: float, frames: int,
@@ -373,8 +497,7 @@ def run_convergence(code: ParityCheckCode, setups: dict, ebn0_db: float, frames:
     for name, setup in setups.items():
         finals, maxes = [], []
         for fi in range(frames):
-            result, y_seen = _transmit_and_decode(code, setup, setup.params, sigma, y_max,
-                                                  master_seed, 0, fi)
+            result, y_seen = _transmit_and_decode(code, setup, sigma, y_max, master_seed, 0, fi)
             finals.append(objective(code, result.decisions, y_seen))
             # The transmitted all-ones word satisfies every check: its syndrome is all ones.
             maxes.append(objective(code, ones, y_seen, ones[:code.m]))

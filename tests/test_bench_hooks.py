@@ -33,11 +33,14 @@ def test_every_benchmark_span_is_recorded(bench_code, tmp_path, monkeypatch, cap
     install(tracer, tmp_path)
     try:
         for setup in setups:
-            harness.decode_frame(bench_code, setup, setup.params, 0.8, 2.5, 1, 0, 0)
+            harness.decode_frame(bench_code, setup, 0.8, 2.5, 1, 0, 0)
+        # Pool workers' frames are counted through the wrapped decode_frame.
+        harness.decode_chunk(bench_code, setups[0], 0.8, 2.5, 1, 0, 0, 2)
     finally:
         tracer.restore()
     assert "not found" not in capsys.readouterr().err
     assert [name for name in SPANS if not tracer.calls[name]] == []
+    assert tracer.calls["harness.decode_frame"] == len(setups) + 2
     # One step span per decode iteration: a step that called another traced
     # step would count its iterations twice in the per-layer split.
     steps = tracer.calls["gdbf.step"] + tracer.calls["noisy.quantized_step"]

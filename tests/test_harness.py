@@ -1,5 +1,7 @@
 import json
+import pickle
 import re
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ngdbf import harness
 from ngdbf.channel import QuantizerSpec
 from ngdbf.harness import (SWEEPABLE, VARIANTS, CampaignConfig, ConfigError, DecoderSetup,
                            NgdbfParams, decode_frame, load_config, run_campaign,
@@ -105,6 +108,17 @@ class TestCampaign:
         pooled = run_campaign(cfg, workers=3, chunk_size=16)
         assert serial.to_csv() == pooled.to_csv()
 
+    def test_early_stop_invariant_under_worker_count(self, bench_code):
+        # 151 frames is not a multiple of the 2-frame ranges a 25-frame chunk
+        # is split into on 2 or 3 workers; the points stop after 2 and 5 chunks
+        # and at the end of the budget.
+        cfg = make_config(bench_code, ebn0=(2.5, 4.0, 5.0), frames=151, error_target=30,
+                          theta=-0.9, lam=0.99, eta=0.95, w=0.75, t_max=40)
+        results = {w: run_campaign(cfg, workers=w, chunk_size=25) for w in (1, 2, 3)}
+        assert [pt.frames for pt in results[1].points] == [50, 125, 151]
+        assert results[2].to_csv() == results[1].to_csv()
+        assert results[3].to_csv() == results[1].to_csv()
+
     def test_high_snr_limit(self, bench_code):
         cfg = make_config(bench_code, ebn0=(40.0,), frames=50, theta=-0.9, lam=0.99,
                           eta=0.95, w=0.75, t_max=50)
@@ -177,6 +191,29 @@ class TestSweep:
         assert swept[0][0] == 1.0
         assert swept[0][1].to_csv() == plain.to_csv()
 
+    def test_one_pool_and_small_tasks(self, bench_code, monkeypatch):
+        # The code and setup reach each worker once, when the pool starts;
+        # a task carries only a point's parameters, sigma and frame range.
+        starts, task_bytes = [], []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                starts.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+            def submit(self, fn, /, *args, **kwargs):
+                task_bytes.append(len(pickle.dumps((fn, args, kwargs))))
+                return super().submit(fn, *args, **kwargs)
+
+        cfg = make_config(bench_code, ebn0=(3.0, 3.5), frames=40, theta=-0.9, lam=0.99,
+                          eta=0.95, w=0.75, t_max=20)
+        serial = run_sweep(cfg, "eta", [0.85, 0.95])
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        pooled = run_sweep(cfg, "eta", [0.85, 0.95], workers=2)
+        assert starts == [2]
+        assert task_bytes and max(task_bytes) < 1024
+        assert [res.to_csv() for _, res in pooled] == [res.to_csv() for _, res in serial]
+
     def test_sweep_validation(self, bench_code):
         cfg = make_config(bench_code, frames=10, theta=-0.9, t_max=10)
         with pytest.raises(ConfigError):
@@ -201,7 +238,7 @@ class TestConvergenceRunner:
 class TestFrameDecode:
     def test_minsum_variant(self, bench_code):
         setup = DecoderSetup("minsum", NgdbfParams(t_max=10))
-        oc = decode_frame(bench_code, setup, setup.params, 0.5, 2.5, 1, 0, 0)
+        oc = decode_frame(bench_code, setup, 0.5, 2.5, 1, 0, 0)
         assert oc.bit_errors == 0 and not oc.frame_error
 
     def test_smoothing_engagement_flag(self, bench_code):
@@ -209,7 +246,7 @@ class TestFrameDecode:
                              NgdbfParams(theta=-0.9, lam=0.99, eta=0.95, w=0.75,
                                          t_max=40, smoothing_window=30))
         # at very low SNR the budget is exhausted and the window engages
-        oc = decode_frame(bench_code, setup, setup.params, 1.4, 2.5, 2, 0, 0)
+        oc = decode_frame(bench_code, setup, 1.4, 2.5, 2, 0, 0)
         assert oc.iterations == 40
         assert oc.engaged
 
@@ -217,7 +254,7 @@ class TestFrameDecode:
     def test_stochastic_flag_is_the_only_difference(self, bench_code, noisy, plain):
         # At eta = 0 a noisy variant draws no perturbation and is its twin.
         params = NgdbfParams(theta=-0.7, lam=0.98, eta=0.0, w=0.75, t_max=40)
-        outcomes = {name: [decode_frame(bench_code, DecoderSetup(name, params), params,
+        outcomes = {name: [decode_frame(bench_code, DecoderSetup(name, params),
                                         0.8, 2.5, 11, 0, fi) for fi in range(6)]
                     for name in (noisy, plain)}
         assert outcomes[noisy] == outcomes[plain]
