@@ -356,16 +356,16 @@ class _PointRun:
         self.point = SnrPoint(ebn0_db=ebn0, sigma=sigma, n=self.config.code.n)
         self.setup = replace(self.config.setup, params=self.config.params_at(ebn0))
 
-    def next_range(self, size: int, ahead: int) -> tuple | None:
+    def next_range(self, size: int) -> tuple | None:
         """The next (start, stop) of at most ``size`` frames, or None.
 
-        Frames go out up to the end of the chunk the stop rule decides next
-        and ``ahead`` chunks more; without an error target, all of them.
+        Frames go out up to the end of the chunk the stop rule decides next;
+        without an error target, all of them.
         """
         cfg, chunk, start = self.config, self.chunk_size, self.handed_out
         limit = cfg.frames
         if cfg.error_target is not None:
-            limit = min(limit, self.point.frames + (1 + ahead) * chunk)
+            limit = min(limit, self.point.frames + chunk)
         if self.done or start >= limit:
             return None
         self.started = self.started or time.perf_counter()
@@ -374,8 +374,6 @@ class _PointRun:
 
     def collect(self, start: int, stats: FrameStats) -> None:
         """Take a decoded range and count every chunk it completes."""
-        if self.done:       # decoded past a stop: not part of the result
-            return
         cfg = self.config
         self.pending.setdefault(start // self.chunk_size, []).append(stats)
         while not self.done:
@@ -395,21 +393,17 @@ def _run_pooled(runs: list, workers: int) -> None:
 
     A stop chunk is split into about eight ranges per worker, so a point
     that stops at its first chunk still keeps every worker busy.  At most
-    ``workers + 1`` ranges are in flight.  Ranges the stop rule surely
-    needs go first, earliest point first: the next chunk of every point
-    still running.  Only when there are none left do ranges of the chunk
-    after it go out, which are lost if the point stops.
+    ``workers + 1`` ranges are in flight, earliest point first, and only
+    ranges the stop rule needs: no frame is decoded past a stop.
     """
     code, setup = runs[0].config.code, runs[0].config.setup
     size = -(-runs[0].chunk_size // (8 * workers))
     in_flight = {}      # future -> (run, range start)
 
     def next_task():
-        for ahead in (0, 1):
-            for run in runs:
-                frames = run.next_range(size, ahead)
-                if frames:
-                    return run, frames
+        for run in runs:
+            if frames := run.next_range(size):
+                return run, frames
         return None
 
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
@@ -447,7 +441,7 @@ def _run(configs: list, workers: int, chunk_size: int) -> list:
     else:
         for run in flat:
             cfg = run.config
-            while frames := run.next_range(chunk_size, 0):
+            while frames := run.next_range(chunk_size):
                 run.collect(frames[0], decode_chunk(cfg.code, run.setup, run.point.sigma,
                                                     cfg.y_max, cfg.master_seed, run.snr_index,
                                                     *frames))

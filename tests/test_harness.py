@@ -119,6 +119,16 @@ class TestCampaign:
         assert results[2].to_csv() == results[1].to_csv()
         assert results[3].to_csv() == results[1].to_csv()
 
+    def test_ranges_stay_within_the_chunk_the_stop_rule_decides(self, bench_code):
+        # With an error target, only the next stop chunk goes out, so no frame
+        # is decoded past a stop; without one, the whole budget may.
+        for target, handed_out in ((1, 25), (None, 60)):
+            run = harness._PointRun(make_config(bench_code, frames=60, error_target=target),
+                                    0, chunk_size=25)
+            ranges = list(iter(lambda: run.next_range(4), None))
+            assert ranges[:2] == [(0, 4), (4, 8)] and (24, 25) in ranges
+            assert run.handed_out == handed_out
+
     def test_high_snr_limit(self, bench_code):
         cfg = make_config(bench_code, ebn0=(40.0,), frames=50, theta=-0.9, lam=0.99,
                           eta=0.95, w=0.75, t_max=50)

@@ -1,18 +1,20 @@
 """Write a before/after benchmark record, ``BENCH_<short sha>.json``.
 
-    python3 tools/bench_record.py [--checkout DIR] [--seeds 3] [--seconds 30] [--tier1]
+    python3 tools/bench_record.py [--checkout DIR] [--out DIR] [--tier1]
 
 Runs every perfbench workload of the checkout (this repository by
-default) untraced once per seed 1..N and traced once with seed 1, through
-the checkout's own ``perfbench/run.py``.  Per workload the record holds
-each end-to-end metric's median, quartiles and spread, the same for the
-unscaled timings, every run's values, the traced per-layer split and the
-run environment.  ``--tier1`` also runs the checkout's tier-1 suite once
+default) untraced once per seed 1, 2 and 3 and traced once with seed 1,
+each for ``run.py``'s default 30 s, through the checkout's own
+``perfbench/run.py``.  Per workload the record holds each end-to-end
+metric's median, quartiles and spread, the same for the unscaled timings,
+every run's values, the traced per-layer split and the run environment.  ``--tier1`` also runs the checkout's tier-1 suite once
 and records its wall time and its passed and failed counts.  The record is
 written to ``--out`` (this repository's root by default), named after the
 checkout's commit, so the records of two commits measured on the same
-machine can be compared side by side.  Any run that is not correct stops
-the tool without writing a record.
+machine can be compared side by side.  A checkout with uncommitted changes
+under ``src``, ``perfbench`` or ``tests`` is refused, since its record
+would be filed under a commit whose code it did not measure.  Any run that
+is not correct stops the tool without writing a record.
 """
 
 from __future__ import annotations
@@ -28,11 +30,31 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TIER1 = ["-m", "pytest", "-q", "-rf", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
+SEEDS = (1, 2, 3)
+SECONDS = 30        # perfbench/run.py's default run length
+MEASURED = ("src", "perfbench", "tests")
 
 
-def git_sha(checkout: Path) -> str:
-    return subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"], check=True,
+def git(checkout: Path, *args: str) -> str:
+    return subprocess.run(["git", "-C", str(checkout), *args], check=True,
                           capture_output=True, text=True).stdout.strip()
+
+
+def workload_record(runs: list, traced: dict, summarize) -> dict:
+    """One workload's entry from its untraced ``runs`` and ``traced`` run.
+
+    The same record as a workload's entry in ``perfbench/baseline.json``,
+    which ``perfbench/baseline.py`` builds inline.
+    """
+    return {
+        "environment": runs[0]["environment"],
+        "end_to_end": {metric: summarize([r["metrics"][metric] for r in runs])
+                       for metric in runs[0]["metrics"]},
+        "unscaled": {metric: summarize([r["unscaled"][metric] for r in runs])
+                     for metric in runs[0]["unscaled"]},
+        "runs": [{"seed": r["seed"], **r["metrics"]} for r in runs],
+        "per_layer": traced["metrics"],
+    }
 
 
 def tier1(checkout: Path) -> dict:
@@ -56,14 +78,13 @@ def main() -> int:
     parser.add_argument("--checkout", type=Path, default=ROOT,
                         help="git checkout to measure (default: this repository)")
     parser.add_argument("--out", type=Path, default=ROOT, help="directory to write the record to")
-    parser.add_argument("--seeds", type=int, default=3)
-    parser.add_argument("--seconds", type=int, default=30)
     parser.add_argument("--tier1", action="store_true", help="also time the tier-1 suite")
     args = parser.parse_args()
-    if args.seeds < 2 or args.seconds <= 0:
-        parser.error("--seeds must be at least 2 (for quartiles) and --seconds positive")
     checkout = args.checkout.resolve()
-    sha = git_sha(checkout)
+    sha = git(checkout, "rev-parse", "HEAD")
+    dirty = git(checkout, "status", "--porcelain", "--", *MEASURED)
+    if dirty:
+        parser.error(f"{checkout} has uncommitted changes; commit them first:\n{dirty}")
 
     # The checkout's own runner and summary, so both sides of a comparison
     # are measured with the benchmark code of their commit.
@@ -71,20 +92,11 @@ def main() -> int:
     from baseline import run, summarize
     from workloads import DEFAULT_SEED, WORKLOADS
 
-    record = {"git_sha": sha, "seeds": list(range(1, args.seeds + 1)),
-              "seconds": args.seconds, "workloads": {}}
+    record = {"git_sha": sha, "seeds": list(SEEDS), "seconds": SECONDS, "workloads": {}}
     for name in sorted(WORKLOADS):
-        runs = [run(name, seed, args.seconds, 0) for seed in record["seeds"]]
-        traced = run(name, DEFAULT_SEED, args.seconds, 1)
-        record["workloads"][name] = {
-            "environment": runs[0]["environment"],
-            "end_to_end": {metric: summarize([r["metrics"][metric] for r in runs])
-                           for metric in runs[0]["metrics"]},
-            "unscaled": {metric: summarize([r["unscaled"][metric] for r in runs])
-                         for metric in runs[0]["unscaled"]},
-            "runs": [{"seed": r["seed"], **r["metrics"]} for r in runs],
-            "per_layer": traced["metrics"],
-        }
+        runs = [run(name, seed, SECONDS, 0) for seed in SEEDS]
+        record["workloads"][name] = workload_record(runs, run(name, DEFAULT_SEED, SECONDS, 1),
+                                                    summarize)
         fps = record["workloads"][name]["end_to_end"]["frames_per_s"]
         print(f"{name}: frames_per_s median {fps['median']:.6g} "
               f"(q1 {fps['q1']:.6g}, q3 {fps['q3']:.6g})", flush=True)
