@@ -27,6 +27,12 @@ def _write_or_print(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _workers(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {text}")
+    return int(text)
+
+
 def _cmd_code_info(args) -> int:
     code = load_alist(args.code)
     cols, rows = code.degree_histograms()
@@ -149,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, help="CSV destination")
     p.add_argument("--json-out", help="optional JSON mirror of the statistics")
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--workers", type=_workers, default=os.cpu_count() or 1)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("sweep", help="sweep one parameter over a grid")
@@ -158,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", choices=SWEEPABLE, required=True)
     p.add_argument("--grid", required=True, help="comma-separated values")
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--workers", type=_workers, default=os.cpu_count() or 1)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("convergence",

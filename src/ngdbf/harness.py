@@ -14,7 +14,8 @@ import json
 import math
 import time
 from collections.abc import Callable
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -92,7 +93,7 @@ class DecoderSetup:
     variant: str
     params: NgdbfParams
     quantizer: QuantizerSpec | None = None
-    mode_switching: bool = True     # only meaningful for mgdbf
+    mode_switching: bool = True     # only mgdbf can turn it off
 
     def __post_init__(self):
         if not isinstance(self.variant, str) or self.variant not in VARIANTS:
@@ -104,6 +105,8 @@ class DecoderSetup:
             names = "/".join(n for n, v in VARIANTS.items() if v.smoothing_window)
             raise ConfigError(f"'params.smoothing_window' applies only to {names}, "
                               f"not {self.variant}")
+        if not self.mode_switching and self.variant != "mgdbf":
+            raise ConfigError(f"'mode_switching' can be false only for mgdbf, not {self.variant}")
         if self.smoothing_window > self.params.t_max:
             raise ConfigError(f"'params.smoothing_window' is not given and the {self.variant} "
                               f"default of {self.smoothing_window} exceeds params.t_max = "
@@ -144,7 +147,8 @@ class CampaignConfig:
             try:
                 params = params.replace(**{name: table[ebn0_db]})
             except ValueError as exc:
-                raise ConfigError(f"schedule for {name!r} at Eb/N0 = {ebn0_db} dB: {exc}") from exc
+                raise ConfigError(f"{name!r} = {table[ebn0_db]} at Eb/N0 = {ebn0_db} dB: "
+                                  f"{exc}") from exc
         return params
 
 
@@ -322,131 +326,58 @@ def _init_worker(code: ParityCheckCode, setup: DecoderSetup) -> None:
     _worker_state = (code, setup)
 
 
-def _decode_range(params: NgdbfParams, sigma: float, y_max: float, master_seed: int,
-                  snr_index: int, start: int, stop: int) -> FrameStats:
-    """Pool task: :func:`decode_chunk` on this worker's code, with ``params``."""
+def _decode_range(task: tuple) -> FrameStats:
+    """Round task: :func:`decode_chunk` on this worker's code, with the
+    task's (params, sigma, y_max, master_seed, snr_index, start, stop)."""
     code, setup = _worker_state
-    return decode_chunk(code, replace(setup, params=params), sigma, y_max, master_seed,
-                        snr_index, start, stop)
-
-
-@dataclass
-class _PointRun:
-    """One SNR point in progress.
-
-    Frames go out in ranges that stay within one stop chunk.  A chunk is
-    counted once all its ranges are back, chunks in frame order, and the
-    stop rule follows each chunk: the result does not depend on how the
-    ranges were scheduled.
-    """
-
-    config: CampaignConfig
-    snr_index: int
-    chunk_size: int
-    point: SnrPoint = field(init=False)
-    setup: DecoderSetup = field(init=False)     # the config's setup, this point's parameters
-    handed_out: int = 0
-    pending: dict = field(default_factory=dict)     # chunk index -> [FrameStats]
-    started: float = 0.0
-    done: bool = False
-
-    def __post_init__(self):
-        ebn0 = self.config.ebn0_db[self.snr_index]
-        sigma = ebn0_to_sigma(ebn0, float(self.config.code.rate))
-        self.point = SnrPoint(ebn0_db=ebn0, sigma=sigma, n=self.config.code.n)
-        self.setup = replace(self.config.setup, params=self.config.params_at(ebn0))
-
-    def next_range(self, size: int) -> tuple | None:
-        """The next (start, stop) of at most ``size`` frames, or None.
-
-        Frames go out up to the end of the chunk the stop rule decides next;
-        without an error target, all of them.
-        """
-        cfg, chunk, start = self.config, self.chunk_size, self.handed_out
-        limit = cfg.frames
-        if cfg.error_target is not None:
-            limit = min(limit, self.point.frames + chunk)
-        if self.done or start >= limit:
-            return None
-        self.started = self.started or time.perf_counter()
-        self.handed_out = min(start + size, (start // chunk + 1) * chunk, cfg.frames)
-        return start, self.handed_out
-
-    def collect(self, start: int, stats: FrameStats) -> None:
-        """Take a decoded range and count every chunk it completes."""
-        cfg = self.config
-        self.pending.setdefault(start // self.chunk_size, []).append(stats)
-        while not self.done:
-            chunk = self.point.frames // self.chunk_size
-            size = min(self.chunk_size, cfg.frames - self.point.frames)
-            if sum(part.bit_errors.size for part in self.pending.get(chunk, ())) < size:
-                return
-            for part in self.pending.pop(chunk):
-                self.point.add(part)
-            self.done = (self.point.frames == cfg.frames or (
-                cfg.error_target is not None and self.point.frame_errors >= cfg.error_target))
-        self.point.elapsed_s = time.perf_counter() - self.started
-
-
-def _run_pooled(runs: list, workers: int) -> None:
-    """Decode every point's ranges on one pool of ``workers`` processes.
-
-    A stop chunk is split into about eight ranges per worker, so a point
-    that stops at its first chunk still keeps every worker busy.  At most
-    ``workers + 1`` ranges are in flight, earliest point first, and only
-    ranges the stop rule needs: no frame is decoded past a stop.
-    """
-    code, setup = runs[0].config.code, runs[0].config.setup
-    size = -(-runs[0].chunk_size // (8 * workers))
-    in_flight = {}      # future -> (run, range start)
-
-    def next_task():
-        for run in runs:
-            if frames := run.next_range(size):
-                return run, frames
-        return None
-
-    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                             initargs=(code, setup)) as pool:
-        try:
-            while True:
-                while len(in_flight) <= workers and (task := next_task()):
-                    run, (start, stop) = task
-                    fut = pool.submit(_decode_range, run.setup.params, run.point.sigma,
-                                      run.config.y_max, run.config.master_seed,
-                                      run.snr_index, start, stop)
-                    in_flight[fut] = run, start
-                if not in_flight:
-                    return
-                finished, _ = wait(in_flight, return_when=FIRST_COMPLETED)
-                for fut in finished:
-                    run, start = in_flight.pop(fut)
-                    run.collect(start, fut.result())
-        finally:
-            for fut in in_flight:
-                fut.cancel()
+    params, *args = task
+    return decode_chunk(code, replace(setup, params=params), *args)
 
 
 def _run(configs: list, workers: int, chunk_size: int) -> list:
     """Run every SNR point of every config; one CampaignResult per config.
 
-    The code, the variant, the quantizer and the mode switch are those of
-    the first config; the configs differ at most in parameters.
+    Points run in rounds.  A round lists frame ranges over the next stop
+    chunk of every point still running, or over the rest of its budget when
+    it has no error target, decodes them, counts them in order and applies
+    each point's stop rule.  With more than one worker, one process pool
+    decodes every round in ranges of about an eighth of a chunk per worker,
+    so that a point that stops at its first chunk keeps every worker busy;
+    with one, this process decodes whole chunks.  The code, the variant, the
+    quantizer and the mode switch are those of the first config; the
+    configs differ at most in parameters.
     """
-    runs = [[_PointRun(cfg, si, chunk_size) for si in range(len(cfg.ebn0_db))]
-            for cfg in configs]
-    flat = [run for point_runs in runs for run in point_runs]
-    if workers and workers > 1:
-        _run_pooled(flat, workers)
-    else:
-        for run in flat:
-            cfg = run.config
-            while frames := run.next_range(chunk_size):
-                run.collect(frames[0], decode_chunk(cfg.code, run.setup, run.point.sigma,
-                                                    cfg.y_max, cfg.master_seed, run.snr_index,
-                                                    *frames))
-    return [CampaignResult(cfg.setup.variant, cfg.master_seed, [run.point for run in point_runs])
-            for cfg, point_runs in zip(configs, runs)]
+    results, running = [], []       # running: (config, SNR index, point, parameters)
+    for cfg in configs:
+        points = [SnrPoint(ebn0, ebn0_to_sigma(ebn0, float(cfg.code.rate)), cfg.code.n)
+                  for ebn0 in cfg.ebn0_db]
+        results.append(CampaignResult(cfg.setup.variant, cfg.master_seed, points))
+        running += [(cfg, si, pt, replace(cfg.setup, params=cfg.params_at(pt.ebn0_db)).params)
+                    for si, pt in enumerate(points)]
+    code, setup = configs[0].code, configs[0].setup
+    _init_worker(code, setup)       # without a pool, this process is the one worker
+    pool = (ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                initargs=(code, setup)) if workers > 1 else None)
+    size = -(-chunk_size // (8 * workers)) if pool else chunk_size
+    started = time.perf_counter()
+    with pool or nullcontext():
+        while running:
+            points, tasks = [], []
+            for cfg, si, point, params in running:
+                end = (cfg.frames if cfg.error_target is None
+                       else min(cfg.frames, point.frames + chunk_size))
+                for start in range(point.frames, end, size):
+                    points.append(point)
+                    tasks.append((params, point.sigma, cfg.y_max, cfg.master_seed, si, start,
+                                  min(start + size, end)))
+            for point, stats in zip(points, (pool.map if pool else map)(_decode_range, tasks)):
+                point.add(stats)
+            for _, _, point, _ in running:
+                point.elapsed_s = time.perf_counter() - started
+            running = [(cfg, si, pt, params) for cfg, si, pt, params in running
+                       if pt.frames < cfg.frames and (cfg.error_target is None
+                                                      or pt.frame_errors < cfg.error_target)]
+    return results
 
 
 def run_campaign(config: CampaignConfig, workers: int = 1,
@@ -465,14 +396,18 @@ def run_sweep(config: CampaignConfig, parameter: str, grid,
               workers: int = 1) -> list:
     """One campaign per grid value of theta/lam/eta, sharing the master seed.
 
-    Every campaign of the sweep runs on one process pool.
+    A grid value acts as a schedule giving the parameter that value at every
+    point, so the config must not schedule it too.  Every campaign of the
+    sweep runs on one process pool.
     """
     if parameter not in SWEEPABLE:
         raise ConfigError(f"cannot sweep {parameter!r}; choose one of {SWEEPABLE}")
     if not len(grid):
         raise ConfigError("sweep grid must be non-empty")
-    configs = [replace(config, setup=replace(
-                   config.setup, params=config.setup.params.replace(**{parameter: value})))
+    if parameter in config.schedules:
+        raise ConfigError(f"cannot sweep {parameter!r}: the config schedules it per Eb/N0")
+    configs = [replace(config, schedules={**config.schedules,
+                                          parameter: dict.fromkeys(config.ebn0_db, value)})
                for value in grid]
     return list(zip(map(float, grid), _run(configs, workers, STOP_CHUNK)))
 

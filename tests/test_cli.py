@@ -110,6 +110,19 @@ class TestSimulate:
             main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")])
         assert exc.value.code != 0
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_rejected(self, tmp_path, capsys, command, workers):
+        argv = [command, "--config", write_config(tmp_path), "--seed", "1",
+                "--out", str(tmp_path / "x.csv"), "--workers", workers]
+        if command == "sweep":
+            argv += ["--param", "lam", "--grid", "0.99"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code != 0
+        assert "--workers" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_invalid_config_reports_and_fails(self, tmp_path, capsys):
         cfg = write_config(tmp_path, decoder="bogus")
         rc = main(["simulate", "--config", cfg, "--seed", "1",

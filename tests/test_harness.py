@@ -119,15 +119,26 @@ class TestCampaign:
         assert results[2].to_csv() == results[1].to_csv()
         assert results[3].to_csv() == results[1].to_csv()
 
-    def test_ranges_stay_within_the_chunk_the_stop_rule_decides(self, bench_code):
-        # With an error target, only the next stop chunk goes out, so no frame
-        # is decoded past a stop; without one, the whole budget may.
-        for target, handed_out in ((1, 25), (None, 60)):
-            run = harness._PointRun(make_config(bench_code, frames=60, error_target=target),
-                                    0, chunk_size=25)
-            ranges = list(iter(lambda: run.next_range(4), None))
-            assert ranges[:2] == [(0, 4), (4, 8)] and (24, 25) in ranges
-            assert run.handed_out == handed_out
+    def test_ranges_stay_within_the_chunk_the_stop_rule_decides(self, bench_code,
+                                                                 monkeypatch):
+        # With an error target, only the next stop chunk goes out, so the pool
+        # decodes exactly the frames counted; without one, the whole budget.
+        ranges = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def map(self, fn, tasks, **kwargs):
+                tasks = list(tasks)
+                ranges.extend(task[-2:] for task in tasks)     # (start, stop)
+                return super().map(fn, tasks, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        for target, counted in ((1, 25), (None, 60)):
+            ranges.clear()
+            cfg = make_config(bench_code, ebn0=(1.0,), frames=60, error_target=target,
+                              theta=-0.9, lam=0.99, eta=0.95, w=0.75, t_max=10)
+            assert run_campaign(cfg, workers=2, chunk_size=25).points[0].frames == counted
+            starts, stops = zip(*sorted(ranges))
+            assert starts[0] == 0 and stops[-1] == counted and starts[1:] == stops[:-1]
 
     def test_high_snr_limit(self, bench_code):
         cfg = make_config(bench_code, ebn0=(40.0,), frames=50, theta=-0.9, lam=0.99,
@@ -230,6 +241,14 @@ class TestSweep:
             run_sweep(cfg, "w", [0.5])
         with pytest.raises(ConfigError):
             run_sweep(cfg, "eta", [])
+        # A grid value NgdbfParams rejects is named with its parameter.
+        with pytest.raises(ConfigError, match=re.escape("'eta' = 1.5")):
+            run_sweep(cfg, "eta", [0.5, 1.5])
+        # A schedule would override every grid value of its parameter.
+        scheduled = make_config(bench_code, ebn0=(3.0,), frames=10, schedules={"eta": {3.0: 0.5}},
+                                theta=-0.9, t_max=10)
+        with pytest.raises(ConfigError, match="'eta'"):
+            run_sweep(scheduled, "eta", [0.1, 0.9])
 
 
 class TestConvergenceRunner:
@@ -373,6 +392,7 @@ class TestConfigLoading:
         ("y_max", -1, "y_max"),
         ("params", {"t_max": 1.5}, "params.t_max"),
         ("params", {"smoothing_window": 30}, "params.smoothing_window"),   # mngdbf: no smoothing
+        ("mode_switching", False, "mode_switching"),    # only mgdbf switches modes
         ("code", 5, "code"),
         ("code", ".", "code"),
         ("code", "missing.alist", "code"),
