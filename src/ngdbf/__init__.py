@@ -6,7 +6,7 @@ from .analysis import (FlipMatrix, LmlParams, bin_probability, convergence_error
 from .channel import QuantizerSpec, ebn0_to_sigma, saturate, sigma_to_ebn0, transmit
 from .codes import AlistError, ParityCheckCode, load_alist, parse_alist, serialize_alist
 from .core import DecodeResult, DecoderState, decode, init_state, objective
-from .gdbf import AdaptiveThresholdStepper, MultiFlipStepper, SingleFlipStepper
+from .gdbf import BitFlipStepper, thresholds_by_count
 from .harness import (CampaignConfig, CampaignResult, ConfigError, DecoderSetup,
                       decode_frame, load_config, run_campaign, run_convergence,
                       run_sweep, wilson_interval)

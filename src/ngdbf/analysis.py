@@ -188,6 +188,8 @@ def gdbf_flip_matrix(theta: float, w: float, quantizer: QuantizerSpec,
         raise ValueError("threshold must be non-positive")
     if w <= 0:
         raise ValueError("syndrome weight must be positive")
+    if d_v < 1:
+        raise ValueError("need symbol degree d_v >= 1")
     q = quantizer
     half = q.n_levels // 2
     pos_levels = q.levels()[half:]

@@ -14,17 +14,21 @@ from pathlib import Path
 
 from .analysis import LmlParams, format_flip_matrix, gdbf_flip_matrix, lml_flip_matrix
 from .channel import QuantizerSpec
-from .codes import AlistError, load_alist
+from .codes import load_alist
 from .harness import (SWEEPABLE, ConfigError, DecoderSetup, NgdbfParams, load_config,
                       run_campaign, run_convergence, run_sweep)
 from .noisy import build_adaptation_table
 
 
 def _write_or_print(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
+    """Write ``text`` to the file ``out``, or to stdout when none is given."""
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {out} ({exc.strerror})") from exc
 
 
 def _workers(text: str) -> int:
@@ -74,16 +78,16 @@ def _cmd_flip_matrix(args) -> int:
     csv_text = "\n".join(lines) + "\n"
     print(format_flip_matrix(fm))
     if args.out:
-        Path(args.out).write_text(csv_text)
+        _write_or_print(csv_text, args.out)
     return 0
 
 
 def _cmd_simulate(args) -> int:
     config = load_config(args.config, master_seed=args.seed)
     result = run_campaign(config, workers=args.workers)
-    Path(args.out).write_text(result.to_csv())
+    _write_or_print(result.to_csv(), args.out)
     if args.json_out:
-        Path(args.json_out).write_text(result.to_json())
+        _write_or_print(result.to_json(), args.json_out)
     return 0
 
 
@@ -99,7 +103,7 @@ def _cmd_sweep(args) -> int:
                 f"{args.param},{value:.10g},{d['ebn0_db']:.10g},{d['frames']},"
                 f"{d['bit_errors']},{d['frame_errors']},{d['ber']:.10g},"
                 f"{d['fer']:.10g},{d['avg_iters']:.10g}")
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    _write_or_print("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -189,13 +193,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, AlistError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except OSError as exc:      # writes are reported by _write_or_print
+        print(f"error: cannot read {exc.filename} ({exc.strerror})", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: cannot read {exc.filename}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except ValueError as exc:   # ConfigError and AlistError among them
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

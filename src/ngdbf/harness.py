@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
@@ -26,7 +25,7 @@ from .analysis import convergence_error
 from .channel import QuantizerSpec, ebn0_to_sigma, saturate, transmit
 from .codes import ParityCheckCode, load_alist
 from .core import decode, init_state, objective
-from .gdbf import AdaptiveThresholdStepper, MultiFlipStepper, SingleFlipStepper
+from .gdbf import BitFlipStepper, thresholds_by_count
 from .minsum import decode_minsum
 from .noisy import NgdbfParams, NoiseSource, QuantizedAdaptiveStepper
 
@@ -38,50 +37,32 @@ class ConfigError(ValueError):
     pass
 
 
-# Stepper builders, called as build(code, setup, params, y_sat, noise); noise is
-# the frame's perturbation stream, or None for a deterministic run.
-
-def _single(code, setup, params, y_sat, noise):
-    return SingleFlipStepper(code, y_sat, w=params.w, noise=noise)
-
-
-def _multi(code, setup, params, y_sat, noise):
-    return MultiFlipStepper(code, y_sat, theta=params.theta, w=params.w,
-                            mode_switching=setup.mode_switching)
-
-
-def _adaptive(code, setup, params, y_sat, noise):
-    if setup.quantizer is not None:
-        return QuantizedAdaptiveStepper(code, setup.quantizer, y_sat, params, noise)
-    return AdaptiveThresholdStepper(code, y_sat, theta=params.theta, lam=params.lam,
-                                    w=params.w, noise=noise, t_max=params.t_max)
-
-
 @dataclass(frozen=True)
 class Variant:
     """How one decoder variant is built and run.
 
-    ``build`` is None for min-sum, which is not a bit-flip stepper.  A
-    ``stochastic`` variant is its deterministic twin (same builder) given a
-    perturbation stream, which it gets when eta > 0.  A
-    positive ``smoothing_window`` turns output smoothing on, over that many
-    final iterations unless the parameters give their own window; only such
-    a variant accepts a window in its parameters.
+    ``rule`` picks the bit-flip stepper's thresholds (see
+    :func:`build_stepper`); it is None for min-sum, which is not a bit-flip
+    stepper.  A ``stochastic`` variant is its deterministic twin (same rule)
+    given a perturbation stream, which it gets when eta > 0.  A positive
+    ``smoothing_window`` turns output smoothing on, over that many final
+    iterations unless the parameters give their own window; only such a
+    variant accepts a window in its parameters.
     """
 
-    build: Callable | None
+    rule: str | None        # "single", "multi", "adaptive" or None
     stochastic: bool = False
     quantizable: bool = False
     smoothing_window: int = 0
 
 
 VARIANTS = {
-    "sgdbf": Variant(_single),
-    "mgdbf": Variant(_multi),
-    "atgdbf": Variant(_adaptive),
-    "sngdbf": Variant(_single, stochastic=True),
-    "mngdbf": Variant(_adaptive, stochastic=True, quantizable=True),
-    "smngdbf": Variant(_adaptive, stochastic=True, quantizable=True, smoothing_window=64),
+    "sgdbf": Variant("single"),
+    "mgdbf": Variant("multi"),
+    "atgdbf": Variant("adaptive"),
+    "sngdbf": Variant("single", stochastic=True),
+    "mngdbf": Variant("adaptive", stochastic=True, quantizable=True),
+    "smngdbf": Variant("adaptive", stochastic=True, quantizable=True, smoothing_window=64),
     "minsum": Variant(None),
 }
 
@@ -115,6 +96,22 @@ class DecoderSetup:
     @property
     def smoothing_window(self) -> int:
         return self.params.smoothing_window or VARIANTS[self.variant].smoothing_window
+
+
+def build_stepper(code: ParityCheckCode, setup: DecoderSetup, y_sat: np.ndarray,
+                  noise: NoiseSource | None) -> BitFlipStepper:
+    """One frame's bit-flip stepper; ``noise`` is its perturbation stream or None.
+
+    A "single" rule has no thresholds, "multi" has theta at every count and
+    the mode switch, and "adaptive" decays theta by lam on each non-flip.
+    """
+    params, rule = setup.params, VARIANTS[setup.variant].rule
+    if setup.quantizer is not None:
+        return QuantizedAdaptiveStepper(code, setup.quantizer, y_sat, params, noise)
+    thresholds = None if rule == "single" else thresholds_by_count(
+        params.theta, params.lam if rule == "adaptive" else 1.0, params.t_max)
+    return BitFlipStepper(code, y_sat, params.w, noise, thresholds,
+                          mode_switching=rule == "multi" and setup.mode_switching)
 
 
 @dataclass(frozen=True)
@@ -186,12 +183,11 @@ def _transmit_and_decode(code: ParityCheckCode, setup: DecoderSetup, sigma: floa
     if setup.variant == "minsum":
         return decode_minsum(code, y_raw, params.t_max), y_raw
 
-    variant = VARIANTS[setup.variant]
     noise = None
-    if variant.stochastic and params.eta > 0:
+    if VARIANTS[setup.variant].stochastic and params.eta > 0:
         noise = NoiseSource(code.n, params.eta * sigma, params.noise_policy,
                             frame_rng(master_seed, snr_index, frame_index, 1))
-    stepper = variant.build(code, setup, params, saturate(y_raw, y_max), noise)
+    stepper = build_stepper(code, setup, saturate(y_raw, y_max), noise)
     result = decode(stepper, init_state(code, stepper.y), params.t_max,
                     smoothing_window=setup.smoothing_window)
     return result, stepper.y

@@ -12,7 +12,7 @@ import numpy as np
 from .channel import QuantizerSpec
 from .codes import ParityCheckCode
 from .core import DecoderState
-from .gdbf import AdaptiveThresholdStepper, inversions
+from .gdbf import BitFlipStepper, inversions
 
 NOISE_POLICIES = ("iid", "shift_chain", "uniform")
 
@@ -151,7 +151,7 @@ def build_adaptation_table(theta: float, lam: float, quantizer: QuantizerSpec,
     return AdaptationTable(levels=tuple(levels), taus=tuple(taus))
 
 
-class QuantizedAdaptiveStepper(AdaptiveThresholdStepper):
+class QuantizedAdaptiveStepper(BitFlipStepper):
     """The adaptive rule on the quantized integer datapath.
 
     Samples, syndrome weight, perturbation and thresholds are signed odd
@@ -166,15 +166,11 @@ class QuantizedAdaptiveStepper(AdaptiveThresholdStepper):
         self.quantizer = quantizer
         self.y_idx = quantizer.to_index(y)
         self.w_idx = int(quantizer.to_index(params.w))
-        super().__init__(code, quantizer.from_index(self.y_idx), params.theta, params.lam,
-                         params.w, noise, t_max=params.t_max)
-
-    def threshold_by_count(self, theta: float, lam: float, t_max: int) -> np.ndarray:
-        table = build_adaptation_table(theta, lam, self.quantizer, t_max)
-        return np.repeat(self.quantizer.to_index(np.asarray(table.levels)),
-                         np.diff((*table.taus, t_max + 1)))
+        table = build_adaptation_table(params.theta, params.lam, quantizer, params.t_max)
+        thresholds = np.repeat(quantizer.to_index(np.asarray(table.levels)),
+                               np.diff((*table.taus, params.t_max + 1)))
+        super().__init__(code, quantizer.from_index(self.y_idx), params.w, noise, thresholds)
 
     def step(self, state: DecoderState) -> None:
         q_idx = self.quantizer.to_index(self.noise.draw()) if self.noise is not None else None
-        self.flip_below_threshold(state, inversions(self.code, state, self.y_idx,
-                                                    self.w_idx, q_idx))
+        self.flip(state, inversions(self.code, state, self.y_idx, self.w_idx, q_idx))

@@ -11,6 +11,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from ngdbf.noisy import build_adaptation_table
+
 
 def inversion(x_k: float, y_k: float, adj_syndromes, w: float = 1.0, q_k: float = 0.0) -> float:
     """Scalar inversion metric for one symbol."""
@@ -61,3 +63,76 @@ def flip_decisions_prescaled(x, y_idx, q_idx, theta_idx, w_idx, syndrome_sums) -
                   + int(s[k]))
         out[k] = 1 if scaled >= 0 else -1
     return out
+
+
+class PlainBitFlip:
+    """Reference GDBF/NGDBF decoder for one frame, written from the paper's rules.
+
+    It reads the Tanner graph from ``code.col_neighbors`` alone, as one
+    (symbol, check) pair per edge, and uses neither the package's steppers
+    nor its syndrome routines.  Each iteration draws ``noise`` once and forms
+
+        E_k = x_k y_k + w * sum_{i in M(k)} s_i + q_k
+
+    by summing the syndromes over the edges of symbol k; after the flips it
+    recomputes every syndrome s_i as the parity of the -1 decisions on
+    check i.
+
+    - No ``theta``: the symbol at the minimum E_k flips (ties to the lowest k).
+    - ``theta``: every symbol with E_k below its own threshold flips at once;
+      a symbol that does not flip multiplies its threshold by ``lam``
+      (lam = 1 is the fixed-threshold rule).  With ``mode_switching``, the
+      first iteration that lowers the objective sum_k x_k y_k + sum_i s_i
+      switches to minimum-E_k flips for good.
+    - ``quantizer``: samples, weight and perturbation become signed integers
+      in half-step units, and the threshold after u non-flips is the level of
+      the adaptation table's last event with tau <= u, in the same units.
+    """
+
+    def __init__(self, code, y, w=1.0, noise=None, theta=None, lam=1.0,
+                 mode_switching=False, quantizer=None, t_max=None):
+        self.edge_sym = np.concatenate([np.full(len(col), k)
+                                        for k, col in enumerate(code.col_neighbors)])
+        self.edge_chk = np.concatenate(code.col_neighbors)
+        self.m, self.noise, self.quantizer, self.lam = code.m, noise, quantizer, lam
+        self.y, self.w = np.asarray(y, dtype=np.float64), w
+        if quantizer is not None:
+            self.y, self.w = quantizer.to_index(y), int(quantizer.to_index(w))
+            self.table = build_adaptation_table(theta, lam, quantizer, t_max)
+        self.x = np.where(self.y >= 0, 1, -1)
+        self.multi = theta is not None
+        self.theta = np.full(code.n, theta if self.multi else 0.0)     # float thresholds
+        self.u = np.zeros(code.n, dtype=np.int64)                       # non-flip counts
+        self.mode_switching = mode_switching
+        self.s = self.syndromes()
+        self.f = self.objective()
+
+    def syndromes(self) -> np.ndarray:
+        negative = np.bincount(self.edge_chk, weights=self.x[self.edge_sym] < 0,
+                               minlength=self.m)
+        return np.where(negative % 2 == 0, 1, -1)
+
+    def objective(self) -> float:
+        return float(self.x @ self.y + self.s.sum())
+
+    def step(self) -> None:
+        q = 0 if self.noise is None else self.noise.draw()
+        if self.quantizer is not None and self.noise is not None:
+            q = self.quantizer.to_index(q)
+        e = self.x * self.y + self.w * np.bincount(self.edge_sym, weights=self.s[self.edge_chk]) + q
+        if not self.multi:
+            k = int(np.argmin(e))
+            self.x[k] = -self.x[k]
+        else:
+            if self.quantizer is None:
+                flip = e < self.theta
+            else:
+                flip = e < self.quantizer.to_index(threshold_for(self.table, self.u))
+            self.x[flip] *= -1
+            self.theta = np.where(flip, self.theta, self.theta * self.lam)
+            self.u += ~flip
+        self.s = self.syndromes()
+        if self.multi and self.mode_switching:
+            f = self.objective()
+            self.multi = f >= self.f
+            self.f = f

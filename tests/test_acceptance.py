@@ -43,14 +43,14 @@ from ngdbf.analysis import (LmlParams, bin_probability, gdbf_flip_matrix,
 from ngdbf.channel import QuantizerSpec, ebn0_to_sigma, saturate, transmit
 from ngdbf.codes import parse_alist, serialize_alist
 from ngdbf.core import decode, init_state, objective
-from ngdbf.gdbf import MultiFlipStepper, inversions
-from ngdbf.harness import (VARIANTS, CampaignConfig, DecoderSetup, NgdbfParams,
+from ngdbf.gdbf import inversions
+from ngdbf.harness import (CampaignConfig, DecoderSetup, NgdbfParams, build_stepper,
                            run_campaign, run_convergence)
 from ngdbf.noisy import build_adaptation_table
 
 from .conftest import TINY_ALIST
 from .support.lml_oracle import all_neighbour_pe, lml_flip_pattern
-from .support.oracles import flip_decisions_direct, flip_decisions_prescaled
+from .support.oracles import PlainBitFlip, flip_decisions_direct, flip_decisions_prescaled
 from .test_analysis import (LML_STAGE_1, LML_STAGE_2, LML_STAGE_3, WGDBF_THETA_00,
                             WGDBF_THETA_03, WGDBF_THETA_09)
 
@@ -199,22 +199,18 @@ class TestCriterion06:
         for _ in range(1000):
             y = saturate(transmit(c, sigma, rng), 2.5)
             st_a = init_state(bench_code, y)
-            st_b = init_state(bench_code, y)
-            noisy = VARIANTS["mngdbf"].build(bench_code, DecoderSetup("mngdbf", params),
-                                             params, y, None)
-            plain = MultiFlipStepper(bench_code, y, theta=-0.9, w=1.0,
-                                     mode_switching=False)
+            noisy = build_stepper(bench_code, DecoderSetup("mngdbf", params), y, None)
+            plain = PlainBitFlip(bench_code, y, theta=-0.9, w=1.0)
             noisy.start(st_a)
-            plain.start(st_b)
             for _ in range(100):
-                if st_a.s.min() == 1 and st_b.s.min() == 1:
+                if st_a.s.min() == 1 and plain.s.min() == 1:
                     break
                 noisy.step(st_a)
-                plain.step(st_b)
-                if not np.array_equal(st_a.x, st_b.x):
+                plain.step()
+                if not np.array_equal(st_a.x, plain.x):
                     identical = False
                     break
-            identical = identical and np.array_equal(st_a.x, st_b.x)
+            identical = identical and np.array_equal(st_a.x, plain.x)
             if not identical:
                 break
         check(6, "eta=0/w=1/lam=1 trajectories bit-identical to plain multi-bit "

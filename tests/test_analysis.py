@@ -259,3 +259,8 @@ class TestGdbfFlipMatrix:
             gdbf_flip_matrix(0.5, 0.75, BENCH_Q, 3)
         with pytest.raises(ValueError):
             gdbf_flip_matrix(-0.5, 0.0, BENCH_Q, 3)
+
+    @pytest.mark.parametrize("d_v", [0, -2])
+    def test_symbol_degree_below_one_rejected(self, d_v):
+        with pytest.raises(ValueError, match="symbol degree"):
+            gdbf_flip_matrix(-0.5, 0.75, BENCH_Q, d_v)

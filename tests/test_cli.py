@@ -36,6 +36,10 @@ class TestCodeInfo:
         assert main(["code-info", "--code", "/nonexistent.alist"]) == 1
         assert "cannot read" in capsys.readouterr().err
 
+    def test_directory_given_as_file(self, tmp_path, capsys):
+        assert main(["code-info", "--code", str(tmp_path)]) == 1
+        assert f"cannot read {tmp_path} (Is a directory)" in capsys.readouterr().err
+
     def test_malformed_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.alist"
         bad.write_text("3 6\n1 1\n")
@@ -74,6 +78,12 @@ class TestFlipMatrix:
     def test_gdbf_mode(self, capsys):
         assert main(["flip-matrix", "--mode", "gdbf", "--theta", "-0.9", "--w", "0.5",
                      "--q", "4", "--ymax", "1.5", "--dv", "3"]) == 0
+
+    @pytest.mark.parametrize("dv", ["0", "-2"])
+    def test_symbol_degree_below_one_rejected(self, capsys, dv):
+        assert main(["flip-matrix", "--mode", "gdbf", "--theta", "-0.9", "--q", "4",
+                     "--ymax", "1.5", "--dv", dv]) == 1
+        assert "symbol degree" in capsys.readouterr().err
 
     def test_lml_missing_args(self, capsys):
         assert main(["flip-matrix", "--mode", "lml", "--q", "4", "--ymax", "1.5",
@@ -122,6 +132,26 @@ class TestSimulate:
         assert exc.value.code != 0
         assert "--workers" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    def test_directory_given_as_config(self, tmp_path, capsys):
+        rc = main(["simulate", "--config", str(tmp_path), "--seed", "1",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        assert f"cannot read {tmp_path} (Is a directory)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "flip-matrix"])
+    def test_unwritable_output_reported(self, tmp_path, capsys, command):
+        dest = tmp_path / "missing" / "x.csv"
+        cfg = write_config(tmp_path, frames=2)
+        argv = {"simulate": ["simulate", "--config", cfg, "--seed", "1", "--workers", "1"],
+                "sweep": ["sweep", "--config", cfg, "--seed", "1", "--workers", "1",
+                          "--param", "lam", "--grid", "0.99"],
+                "flip-matrix": ["flip-matrix", "--mode", "gdbf", "--theta", "-0.9",
+                                "--q", "4", "--ymax", "1.5", "--dv", "3"]}[command]
+        assert main(argv + ["--out", str(dest)]) == 1
+        err = capsys.readouterr().err
+        assert f"cannot write {dest} (No such file or directory)" in err
+        assert "cannot read" not in err
 
     def test_invalid_config_reports_and_fails(self, tmp_path, capsys):
         cfg = write_config(tmp_path, decoder="bogus")

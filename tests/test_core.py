@@ -3,7 +3,7 @@ import pytest
 
 from ngdbf.channel import saturate, transmit
 from ngdbf.core import decode, init_state, objective, smoothed_decision
-from ngdbf.gdbf import AdaptiveThresholdStepper, MultiFlipStepper, SingleFlipStepper, inversions
+from ngdbf.gdbf import BitFlipStepper, inversions, thresholds_by_count
 
 
 class TestInitState:
@@ -60,12 +60,12 @@ class TestObjective:
 class TestDecodeLoop:
     def test_noiseless_frame_zero_iterations(self, tiny_code):
         y = np.ones(6)
-        res = decode(SingleFlipStepper(tiny_code, y), init_state(tiny_code, y), 100)
+        res = decode(BitFlipStepper(tiny_code, y), init_state(tiny_code, y), 100)
         assert res.success and res.iterations == 0
 
     def test_single_step_fix(self, tiny_code):
         y = np.array([1, 1, 1, -0.1, 1, 1.0])
-        res = decode(SingleFlipStepper(tiny_code, y), init_state(tiny_code, y), 1)
+        res = decode(BitFlipStepper(tiny_code, y), init_state(tiny_code, y), 1)
         assert res.success and res.iterations == 1
         assert tiny_code.is_codeword(res.decisions)
 
@@ -73,15 +73,16 @@ class TestDecodeLoop:
         # three isolated weak errors against confident correct bits: every
         # trajectory needs three flips, so a budget of two must exhaust
         y = np.array([2, 2, 2, -0.1, -0.1, -0.1])
-        res = decode(SingleFlipStepper(tiny_code, y), init_state(tiny_code, y), 2)
+        res = decode(BitFlipStepper(tiny_code, y), init_state(tiny_code, y), 2)
         assert not res.success and res.iterations == 2
-        res3 = decode(SingleFlipStepper(tiny_code, y), init_state(tiny_code, y), 3)
+        res3 = decode(BitFlipStepper(tiny_code, y), init_state(tiny_code, y), 3)
         assert res3.success and res3.iterations == 3
 
     def test_stalled_multibit_frame_exhausts_budget(self, tiny_code):
         # confident single error: no inversion falls under the threshold
         y = np.array([-2.0, 1, 1, 1, 1, 1.0])
-        stepper = MultiFlipStepper(tiny_code, y, theta=-0.9, mode_switching=True)
+        stepper = BitFlipStepper(tiny_code, y, thresholds=thresholds_by_count(-0.9, 1.0, 2),
+                                 mode_switching=True)
         res = decode(stepper, init_state(tiny_code, y), 2)
         assert not res.success and res.iterations == 2
 
@@ -91,7 +92,8 @@ class TestDecodeLoop:
             c = np.ones(code.n, dtype=np.int8)
             for trial in range(10):
                 y = saturate(transmit(c, 0.7, rng), 2.5)
-                stepper = AdaptiveThresholdStepper(code, y, theta=-0.9, lam=0.99, w=0.75, t_max=40)
+                stepper = BitFlipStepper(code, y, w=0.75,
+                                         thresholds=thresholds_by_count(-0.9, 0.99, 40))
                 res = decode(stepper, init_state(code, y), 40)
                 if res.success:
                     assert code.is_codeword(res.decisions)
@@ -101,14 +103,14 @@ class TestDecodeLoop:
         y = saturate(transmit(c, 0.65, np.random.default_rng(4)), 2.5)
         runs = []
         for _ in range(2):
-            stepper = AdaptiveThresholdStepper(bench_code, y, theta=-0.9, lam=0.99, t_max=60)
+            stepper = BitFlipStepper(bench_code, y, thresholds=thresholds_by_count(-0.9, 0.99, 60))
             res = decode(stepper, init_state(bench_code, y), 60)
             runs.append((res.success, res.iterations, res.decisions.tobytes()))
         assert runs[0] == runs[1]
 
     def test_objective_trace(self, tiny_code):
         y = np.array([1, 1, 1, -0.1, -0.2, 1.0])
-        stepper = SingleFlipStepper(tiny_code, y)
+        stepper = BitFlipStepper(tiny_code, y)
         res = decode(stepper, init_state(tiny_code, y), 5, trace_objective=True)
         assert res.success
         assert len(res.objective_trace) == res.iterations + 1
@@ -119,7 +121,7 @@ class TestDecodeLoop:
 
     def test_bad_budget(self, tiny_code):
         with pytest.raises(ValueError):
-            decode(SingleFlipStepper(tiny_code, np.ones(6)), init_state(tiny_code, np.ones(6)), 0)
+            decode(BitFlipStepper(tiny_code, np.ones(6)), init_state(tiny_code, np.ones(6)), 0)
 
 
 class TestSmoothedDecision:

@@ -3,9 +3,9 @@ import pytest
 
 from ngdbf.channel import saturate, transmit
 from ngdbf.core import DecoderState, decode, init_state
-from ngdbf.gdbf import AdaptiveThresholdStepper, MultiFlipStepper, SingleFlipStepper, inversions
+from ngdbf.gdbf import BitFlipStepper, inversions, thresholds_by_count
 
-from .support.oracles import inversion
+from .support.oracles import PlainBitFlip, inversion
 
 
 class TestInversion:
@@ -33,7 +33,7 @@ class TestSingleFlip:
     def test_flips_unique_argmin(self, tiny_code):
         y = np.array([1, 1, 1, -0.1, 1, 1.0])
         st = init_state(tiny_code, y)
-        SingleFlipStepper(tiny_code, y).step(st)
+        BitFlipStepper(tiny_code, y).step(st)
         assert list(st.x) == [1, 1, 1, 1, 1, 1]
 
     def test_tie_breaks_to_lowest_index(self, tiny_code):
@@ -42,13 +42,13 @@ class TestSingleFlip:
         st = init_state(tiny_code, y)
         e = inversions(tiny_code, st, y)
         assert e[3] == e[4] == min(e)
-        SingleFlipStepper(tiny_code, y).step(st)
+        BitFlipStepper(tiny_code, y).step(st)
         assert st.x[3] == 1 and st.x[4] == -1
 
     def test_syndrome_kept_consistent(self, tiny_code):
         y = np.array([1, 1, -0.4, -0.1, 1, 1.0])
         st = init_state(tiny_code, y)
-        stepper = SingleFlipStepper(tiny_code, y)
+        stepper = BitFlipStepper(tiny_code, y)
         for _ in range(4):
             stepper.step(st)
             assert np.array_equal(st.s, tiny_code.syndrome(st.x))
@@ -59,11 +59,11 @@ class TestMultiFlip:
         # metrics: E_3 = -0.7 and E_4 = -0.75, all other symbols >= 0
         y = np.array([2, 2, 2, -0.3, -0.25, 2.0])
         st = init_state(tiny_code, y)
-        deep = MultiFlipStepper(tiny_code, y, theta=-0.9, mode_switching=False)
+        deep = BitFlipStepper(tiny_code, y, thresholds=thresholds_by_count(-0.9, 1.0, 1))
         deep.step(st)
         assert list(st.x) == [1, 1, 1, -1, -1, 1]     # nothing under -0.9: no-op
         assert st.t == 0                               # loop owns the counter
-        stepper = MultiFlipStepper(tiny_code, y, theta=-0.5, mode_switching=False)
+        stepper = BitFlipStepper(tiny_code, y, thresholds=thresholds_by_count(-0.5, 1.0, 1))
         stepper.step(st)
         assert list(st.x) == [1, 1, 1, 1, 1, 1]
 
@@ -72,7 +72,7 @@ class TestMultiFlip:
         # flipping bit 0 alone would lift bit 1 far above it; both must flip.
         y = np.array([-0.2, 0.35, 1, 1, 1, 1.0])
         st = init_state(tiny_code, y)
-        stepper = MultiFlipStepper(tiny_code, y, theta=0.4, mode_switching=False)
+        stepper = BitFlipStepper(tiny_code, y, thresholds=thresholds_by_count(0.4, 1.0, 1))
         e = inversions(tiny_code, st, y)
         assert e[0] < 0.4 and e[1] < 0.4
         stepper.step(st)
@@ -82,7 +82,7 @@ class TestMultiFlip:
     def test_single_bit_mode_when_flag_low(self, tiny_code):
         y = np.array([1, 1, 1, -0.3, -0.25, 1.0])
         st = init_state(tiny_code, y)
-        stepper = MultiFlipStepper(tiny_code, y, theta=-0.1, mode_switching=False)
+        stepper = BitFlipStepper(tiny_code, y, thresholds=thresholds_by_count(-0.1, 1.0, 1))
         stepper.mu = 0
         stepper.step(st)
         assert int((st.x != init_state(tiny_code, y).x).sum()) == 1
@@ -91,7 +91,8 @@ class TestMultiFlip:
         # aggressive threshold flips five bits at once and the objective drops
         y = np.array([-0.2, -0.2, 1, 1, 1, 1.0])
         st = init_state(tiny_code, y)
-        stepper = MultiFlipStepper(tiny_code, y, theta=0.5, mode_switching=True)
+        stepper = BitFlipStepper(tiny_code, y, thresholds=thresholds_by_count(0.5, 1.0, 2),
+                                 mode_switching=True)
         stepper.start(st)
         assert stepper.mu == 1
         stepper.step(st)
@@ -102,7 +103,7 @@ class TestMultiFlip:
     def test_mode_flag_untouched_without_switching(self, tiny_code):
         y = np.array([-0.2, -0.2, 1, 1, 1, 1.0])
         st = init_state(tiny_code, y)
-        stepper = MultiFlipStepper(tiny_code, y, theta=0.5, mode_switching=False)
+        stepper = BitFlipStepper(tiny_code, y, thresholds=thresholds_by_count(0.5, 1.0, 1))
         stepper.start(st)
         stepper.step(st)
         assert stepper.mu == 1
@@ -116,19 +117,18 @@ class TestAdaptiveThreshold:
             y = saturate(transmit(c, 0.63, rng), 2.5)
             st_a = init_state(bench_code, y)
             st_b = init_state(bench_code, y)
-            a = AdaptiveThresholdStepper(bench_code, y, theta=-0.9, lam=1.0, t_max=30)
-            b = MultiFlipStepper(bench_code, y, theta=-0.9, mode_switching=False)
+            a = BitFlipStepper(bench_code, y, thresholds=thresholds_by_count(-0.9, 1.0, 30))
+            b = PlainBitFlip(bench_code, y, theta=-0.9)
             a.start(st_a)
-            b.start(st_b)
             for _ in range(30):
                 a.step(st_a)
-                b.step(st_b)
-                assert np.array_equal(st_a.x, st_b.x)
+                b.step()
+                assert np.array_equal(st_a.x, b.x)
 
     def test_no_flip_decays_threshold(self, tiny_code):
         y = np.ones(6)
         st = init_state(tiny_code, y)
-        stepper = AdaptiveThresholdStepper(tiny_code, y, theta=-0.9, lam=0.99, t_max=1)
+        stepper = BitFlipStepper(tiny_code, y, thresholds=thresholds_by_count(-0.9, 0.99, 1))
         stepper.start(st)
         stepper.step(st)
         assert np.allclose(stepper.thresholds[stepper.u], -0.891)
@@ -137,7 +137,7 @@ class TestAdaptiveThreshold:
         # weak wrong bit with both checks violated: E_0 = 0.2 - 2 = -1.8
         y = np.array([-0.2, 1, 1, 1, 1, 1.0])
         st = init_state(tiny_code, y)
-        stepper = AdaptiveThresholdStepper(tiny_code, y, theta=-0.9, lam=0.99, t_max=1)
+        stepper = BitFlipStepper(tiny_code, y, thresholds=thresholds_by_count(-0.9, 0.99, 1))
         stepper.start(st)
         e = inversions(tiny_code, st, y)
         assert e[0] < -0.9
@@ -151,7 +151,7 @@ class TestAdaptiveThreshold:
         c = np.ones(bench_code.n, dtype=np.int8)
         y = saturate(transmit(c, 0.7, rng), 2.5)
         st = init_state(bench_code, y)
-        stepper = AdaptiveThresholdStepper(bench_code, y, theta=-0.9, lam=0.98, t_max=50)
+        stepper = BitFlipStepper(bench_code, y, thresholds=thresholds_by_count(-0.9, 0.98, 50))
         stepper.start(st)
         prev = np.abs(stepper.thresholds[stepper.u])
         for _ in range(50):
@@ -167,7 +167,7 @@ class TestAdaptiveThreshold:
         # steps each threshold is theta multiplied by lam u times in turn.
         y = np.ones(6)
         st = init_state(tiny_code, y)
-        stepper = AdaptiveThresholdStepper(tiny_code, y, theta=theta, lam=lam, t_max=400)
+        stepper = BitFlipStepper(tiny_code, y, thresholds=thresholds_by_count(theta, lam, 400))
         expected = theta
         for u in range(1, 401):
             stepper.step(st)
@@ -177,4 +177,4 @@ class TestAdaptiveThreshold:
 
     def test_invalid_lambda(self, tiny_code):
         with pytest.raises(ValueError):
-            AdaptiveThresholdStepper(tiny_code, np.ones(6), theta=-0.9, lam=0.0, t_max=10)
+            thresholds_by_count(-0.9, 0.0, 10)

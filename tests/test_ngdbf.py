@@ -3,8 +3,8 @@ import pytest
 
 from ngdbf.channel import QuantizerSpec, saturate, transmit
 from ngdbf.core import DecoderState, decode, init_state
-from ngdbf.gdbf import MultiFlipStepper, SingleFlipStepper
-from ngdbf.harness import VARIANTS, DecoderSetup
+from ngdbf.gdbf import BitFlipStepper, thresholds_by_count
+from ngdbf.harness import DecoderSetup, build_stepper
 from ngdbf.noisy import (AdaptationTable, NgdbfParams, NoiseSource,
                          QuantizedAdaptiveStepper, build_adaptation_table)
 
@@ -78,9 +78,9 @@ class TestDegeneration:
             y = saturate(transmit(c, 0.63, rng), 2.5)
             st_a = init_state(bench_code, y)
             st_b = init_state(bench_code, y)
-            noisy = VARIANTS["mngdbf"].build(bench_code, DecoderSetup("mngdbf", params),
-                                             params, y, None)
-            plain = MultiFlipStepper(bench_code, y, theta=-0.9, w=1.0, mode_switching=False)
+            noisy = build_stepper(bench_code, DecoderSetup("mngdbf", params), y, None)
+            plain = build_stepper(bench_code, DecoderSetup("mgdbf", params, mode_switching=False),
+                                  y, None)
             noisy.start(st_a)
             plain.start(st_b)
             for _ in range(30):
@@ -96,8 +96,7 @@ class TestDegeneration:
         for _ in range(2):
             noise = NoiseSource(bench_code.n, params.eta * 0.63, params.noise_policy,
                                 np.random.default_rng(123))
-            stepper = VARIANTS["mngdbf"].build(bench_code, DecoderSetup("mngdbf", params),
-                                               params, y, noise)
+            stepper = build_stepper(bench_code, DecoderSetup("mngdbf", params), y, noise)
             res = decode(stepper, init_state(bench_code, y), 40)
             outs.append((res.iterations, res.decisions.tobytes()))
         assert outs[0] == outs[1]
@@ -106,14 +105,14 @@ class TestDegeneration:
 class TestSmoothing:
     def test_early_success_skips_smoothing(self, tiny_code):
         y = np.ones(6)
-        stepper = MultiFlipStepper(tiny_code, y, theta=-0.9, mode_switching=False)
+        stepper = BitFlipStepper(tiny_code, y, thresholds=thresholds_by_count(-0.9, 1.0, 100))
         res = decode(stepper, init_state(tiny_code, y), 100, smoothing_window=64)
         assert res.success and not res.smoothing_engaged
 
     def test_constant_tail_reproduces_the_constant(self, tiny_code):
         # stalled frame: decisions never change, smoothing must return them
         y = np.array([-2.0, 1, 1, 1, 1, 1.0])
-        stepper = MultiFlipStepper(tiny_code, y, theta=-0.9, mode_switching=False)
+        stepper = BitFlipStepper(tiny_code, y, thresholds=thresholds_by_count(-0.9, 1.0, 100))
         st = init_state(tiny_code, y)
         res = decode(stepper, st, 10, smoothing_window=4)
         assert not res.success and res.smoothing_engaged
@@ -122,7 +121,7 @@ class TestSmoothing:
 
     def test_window_length_counts_final_iterations(self, tiny_code):
         y = np.array([-2.0, 1, 1, 1, 1, 1.0])
-        stepper = MultiFlipStepper(tiny_code, y, theta=-0.9, mode_switching=False)
+        stepper = BitFlipStepper(tiny_code, y, thresholds=thresholds_by_count(-0.9, 1.0, 100))
         st = init_state(tiny_code, y)
         decode(stepper, st, 12, smoothing_window=5)
         assert abs(int(st.smooth[1])) == 5
@@ -277,7 +276,7 @@ class TestQuantizedDatapath:
 class TestSingleBitNoisy:
     def test_argmin_semantics_with_zero_noise(self, tiny_code):
         y = np.array([1, 1, 1, -0.1, 1, 1.0])
-        stepper = SingleFlipStepper(tiny_code, y, w=1.0)
+        stepper = BitFlipStepper(tiny_code, y, w=1.0)
         st = init_state(tiny_code, y)
         stepper.step(st)
         assert list(st.x) == [1] * 6

@@ -7,8 +7,12 @@ default) untraced once per seed 1, 2 and 3 and traced once with seed 1,
 each for ``run.py``'s default 30 s, through the checkout's own
 ``perfbench/run.py``.  Per workload the record holds each end-to-end
 metric's median, quartiles and spread, the same for the unscaled timings,
-every run's values, the traced per-layer split and the run environment.  ``--tier1`` also runs the checkout's tier-1 suite once
-and records its wall time and its passed and failed counts.  The record is
+every run's values, the traced per-layer split and the run environment.
+``--tier1`` also runs the checkout's tier-1 suite once and records its
+wall time and its passed and failed counts; the wall time is also given
+scaled by the checkout's ``perfbench/calibrate.py`` kernel, timed right
+before and right after the run, as perfbench scales its timings, so that
+records made while the machine ran slower compare.  The record is
 written to ``--out`` (this repository's root by default), named after the
 checkout's commit, so the records of two commits measured on the same
 machine can be compared side by side.  A checkout with uncommitted changes
@@ -23,6 +27,7 @@ import argparse
 import json
 import os
 import re
+import statistics
 import subprocess
 import sys
 import time
@@ -58,17 +63,30 @@ def workload_record(runs: list, traced: dict, summarize) -> dict:
 
 
 def tier1(checkout: Path) -> dict:
-    """Wall time and outcome counts of one tier-1 run in ``checkout``."""
+    """Wall time and outcome counts of one tier-1 run in ``checkout``.
+
+    ``scaled_wall_s`` is ``wall_s * REFERENCE_S / mean kernel time`` over 20
+    runs of the calibration kernel before and 20 after the suite.  Call it
+    after the checkout's ``perfbench`` directory is on ``sys.path``.
+    """
+    from calibrate import REFERENCE_S, calibrate
+
     paths = [str(checkout / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    before = calibrate(20)
     started = time.monotonic()
     done = subprocess.run([sys.executable, *TIER1], cwd=checkout, env=env,
                           capture_output=True, text=True)
     wall = time.monotonic() - started
+    after = calibrate(20)
     summary = done.stdout.strip().splitlines()[-1] if done.stdout.strip() else ""
     counts = {kind: int(n) for n, kind in re.findall(r"(\d+) (passed|failed|errors?|skipped)",
                                                      summary)}
-    return {"wall_s": round(wall, 1), "summary": summary, **counts,
+    return {"wall_s": round(wall, 1),
+            "scaled_wall_s": round(wall * REFERENCE_S / statistics.mean(before + after), 1),
+            "kernel_s": {"before": [round(k, 6) for k in before],
+                         "after": [round(k, 6) for k in after]},
+            "summary": summary, **counts,
             "failed_tests": re.findall(r"^FAILED (\S+)", done.stdout, re.MULTILINE),
             "cpus_usable": len(os.sched_getaffinity(0))}
 
