@@ -11,7 +11,6 @@ from .harness import (CampaignConfig, CampaignResult, ConfigError, DecoderSetup,
                       decode_frame, load_config, run_campaign, run_convergence,
                       run_sweep, wilson_interval)
 from .minsum import decode_minsum
-from .noisy import (AdaptationTable, NgdbfParams, NoiseSource,
-                    QuantizedAdaptiveStepper, build_adaptation_table)
+from .noisy import NgdbfParams, NoiseSource, QuantizedAdaptiveStepper, adaptation_events
 
 __version__ = "0.1.0"

@@ -50,6 +50,9 @@ def saturate(y: np.ndarray, y_max: float) -> np.ndarray:
     return np.clip(y, -y_max, y_max)
 
 
+MAX_Q_BITS = 16     # the analysis tools build tables over all 2**q_bits levels
+
+
 @dataclass(frozen=True)
 class QuantizerSpec:
     """Uniform symmetric quantizer with 2**q_bits levels on [-y_max, y_max].
@@ -64,8 +67,8 @@ class QuantizerSpec:
     y_max: float
 
     def __post_init__(self):
-        if self.q_bits < 1:
-            raise ValueError("need at least one quantizer bit")
+        if not 1 <= self.q_bits <= MAX_Q_BITS:
+            raise ValueError(f"q_bits must lie in 1..{MAX_Q_BITS}, not {self.q_bits}")
         if self.y_max <= 0:
             raise ValueError("y_max must be positive")
 

@@ -17,7 +17,7 @@ from .channel import QuantizerSpec
 from .codes import load_alist
 from .harness import (SWEEPABLE, ConfigError, DecoderSetup, NgdbfParams, load_config,
                       run_campaign, run_convergence, run_sweep)
-from .noisy import build_adaptation_table
+from .noisy import adaptation_events
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -31,7 +31,7 @@ def _write_or_print(text: str, out: str | None) -> None:
         raise ValueError(f"cannot write {out} ({exc.strerror})") from exc
 
 
-def _workers(text: str) -> int:
+def _at_least_one(text: str) -> int:
     if int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, not {text}")
     return int(text)
@@ -51,9 +51,9 @@ def _cmd_code_info(args) -> int:
 
 def _cmd_adapt_table(args) -> int:
     quantizer = QuantizerSpec(q_bits=args.q, y_max=args.ymax)
-    table = build_adaptation_table(args.theta, args.lam, quantizer, args.t)
     lines = ["i,theta_level,tau"]
-    lines += [f"{i},{lvl:.10g},{tau}" for i, lvl, tau in table.rows()]
+    lines += [f"{i},{lvl:.10g},{tau}"
+              for i, lvl, tau in adaptation_events(args.theta, args.lam, quantizer, args.t)]
     _write_or_print("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -137,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--q", type=int, required=True, help="quantizer bits")
     p.add_argument("--ymax", type=float, required=True)
-    p.add_argument("--t", type=int, default=300, help="iteration limit scanned")
+    p.add_argument("--t", type=_at_least_one, default=300, help="iteration limit scanned")
     p.add_argument("--out", help="CSV destination (default: stdout)")
     p.set_defaults(func=_cmd_adapt_table)
 
@@ -159,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, help="CSV destination")
     p.add_argument("--json-out", help="optional JSON mirror of the statistics")
-    p.add_argument("--workers", type=_workers, default=os.cpu_count() or 1)
+    p.add_argument("--workers", type=_at_least_one, default=os.cpu_count() or 1)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("sweep", help="sweep one parameter over a grid")
@@ -168,14 +168,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", choices=SWEEPABLE, required=True)
     p.add_argument("--grid", required=True, help="comma-separated values")
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=_workers, default=os.cpu_count() or 1)
+    p.add_argument("--workers", type=_at_least_one, default=os.cpu_count() or 1)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("convergence",
                        help="terminal objective deficit per decoder over shared frames")
     p.add_argument("--code", required=True)
     p.add_argument("--ebn0", type=float, required=True)
-    p.add_argument("--frames", type=int, default=100)
+    p.add_argument("--frames", type=_at_least_one, default=100)
     p.add_argument("--t", type=int, default=100)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--theta", type=float, default=-0.9)

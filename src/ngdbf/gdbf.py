@@ -37,6 +37,8 @@ def thresholds_by_count(theta: float, lam: float, t_max: int) -> np.ndarray:
     """
     if not (0.0 < lam <= 1.0):
         raise ValueError("adaptation parameter must lie in (0, 1]")
+    if t_max < 1:
+        raise ValueError("iteration limit must be at least 1")
     return np.cumprod(np.concatenate(([float(theta)], np.full(t_max, float(lam)))))
 
 

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .analysis import convergence_error
-from .channel import QuantizerSpec, ebn0_to_sigma, saturate, transmit
+from .channel import MAX_Q_BITS, QuantizerSpec, ebn0_to_sigma, saturate, transmit
 from .codes import ParityCheckCode, load_alist
 from .core import decode, init_state, objective
 from .gdbf import BitFlipStepper, thresholds_by_count
@@ -439,12 +439,14 @@ _CONFIG_KEYS = {"code", "decoder", "params", "ebn0_db", "frames", "seed", "error
                 "y_max", "quantizer", "mode_switching", "schedules"}
 
 
-def _integer(value, key: str, minimum: int | None = None) -> int:
-    """A JSON integer, not a boolean, at least ``minimum`` when one is given."""
+def _integer(value, key: str, minimum: int | None = None, maximum: int | None = None) -> int:
+    """A JSON integer, not a boolean, within the bounds that are given."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{key!r} must be an integer, not {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{key!r} must be at least {minimum}, not {value}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"{key!r} must be at most {maximum}, not {value}")
     return value
 
 
@@ -520,7 +522,8 @@ def load_config(path, master_seed: int | None = None) -> CampaignConfig:
         for key in ("q_bits", "y_max"):
             if key not in qd:
                 raise ConfigError(f"{path}: missing required key 'quantizer.{key}'")
-        quantizer = QuantizerSpec(q_bits=_integer(qd["q_bits"], "quantizer.q_bits", minimum=1),
+        quantizer = QuantizerSpec(q_bits=_integer(qd["q_bits"], "quantizer.q_bits", minimum=1,
+                                                  maximum=MAX_Q_BITS),
                                   y_max=_number(qd["y_max"], "quantizer.y_max", positive=True))
 
     mode_switching = doc.get("mode_switching", True)

@@ -1,18 +1,17 @@
 """Noise-perturbed bit-flip decoding: parameters, noise policies, and the
-quantized datapath with precomputed threshold-adaptation events.
+quantized datapath.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
 from .channel import QuantizerSpec
 from .codes import ParityCheckCode
 from .core import DecoderState
-from .gdbf import BitFlipStepper, inversions
+from .gdbf import BitFlipStepper, inversions, thresholds_by_count
 
 NOISE_POLICIES = ("iid", "shift_chain", "uniform")
 
@@ -37,14 +36,14 @@ class NgdbfParams:
     noise_policy: str = "iid"
 
     def __post_init__(self):
-        if self.theta >= 0:
-            raise ValueError("inversion threshold must be negative")
+        if not -np.inf < self.theta < 0:
+            raise ValueError("inversion threshold must be finite and negative")
         if not (0.0 < self.lam <= 1.0):
             raise ValueError("adaptation parameter must lie in (0, 1]")
         if not (0.0 <= self.eta <= 1.0):
             raise ValueError("noise scale must lie in [0, 1]")
-        if self.w <= 0:
-            raise ValueError("syndrome weight must be positive")
+        if not 0 < self.w < np.inf:
+            raise ValueError("syndrome weight must be finite and positive")
         if self.t_max < 1:
             raise ValueError("iteration limit must be at least 1")
         if not (0 <= self.smoothing_window <= self.t_max):
@@ -100,65 +99,28 @@ class NoiseSource:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AdaptationTable:
-    """Precomputed threshold-adaptation events (theta_level, tau).
+def adaptation_events(theta: float, lam: float, quantizer: QuantizerSpec,
+                      t_max: int) -> list:
+    """(i, theta_level, tau) rows at each count tau where the quantized threshold changes.
 
-    The threshold active at non-flip count u is the level of the last event
-    with tau <= u.  Events are strictly increasing in tau and the levels
-    move strictly toward zero.
+    The quantized threshold after u non-flips is theta * lam**u through the
+    quantizer, as the quantized stepper uses it; the first row is at tau = 0
+    and lam = 1 gives that row alone.
     """
-
-    levels: tuple
-    taus: tuple
-
-    def __post_init__(self):
-        if len(self.levels) != len(self.taus) or not self.levels:
-            raise ValueError("events must be a non-empty list of (level, tau) pairs")
-        if self.taus[0] != 0:
-            raise ValueError("first adaptation event must occur at tau = 0")
-        if any(b <= a for a, b in zip(self.taus, self.taus[1:])):
-            raise ValueError("event counts must be strictly increasing")
-        if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
-            raise ValueError("threshold levels must move strictly toward zero")
-
-    def rows(self):
-        return [(i, lvl, tau) for i, (lvl, tau) in enumerate(zip(self.levels, self.taus))]
-
-
-@lru_cache(maxsize=128)
-def build_adaptation_table(theta: float, lam: float, quantizer: QuantizerSpec,
-                           t_max: int) -> AdaptationTable:
-    """Scan u = 0..t_max and record every change of the quantized threshold.
-
-    The threshold trajectory is theta * lam**u pushed through the quantizer;
-    lam = 1 degenerates to the single event at u = 0.  The table is
-    immutable and a pure function of the arguments, so recently used tables
-    are cached and shared instead of being rebuilt for every frame.
-    """
-    if theta >= 0:
-        raise ValueError("inversion threshold must be negative")
-    if not (0.0 < lam <= 1.0):
-        raise ValueError("adaptation parameter must lie in (0, 1]")
-    levels = [quantizer.quantize(theta)]
-    taus = [0]
-    if lam < 1.0:
-        for u in range(1, t_max + 1):
-            v = quantizer.quantize(theta * lam ** u)
-            if v != levels[-1]:
-                levels.append(v)
-                taus.append(u)
-    return AdaptationTable(levels=tuple(levels), taus=tuple(taus))
+    if not -np.inf < theta < 0:
+        raise ValueError("inversion threshold must be finite and negative")
+    idx = quantizer.to_index(thresholds_by_count(theta, lam, t_max))
+    taus = np.flatnonzero(np.diff(idx, prepend=0))     # levels are odd, so row 0 is kept
+    return [(i, float(quantizer.from_index(idx[tau])), int(tau)) for i, tau in enumerate(taus)]
 
 
 class QuantizedAdaptiveStepper(BitFlipStepper):
     """The adaptive rule on the quantized integer datapath.
 
     Samples, syndrome weight, perturbation and thresholds are signed odd
-    integers in units of step/2.  The threshold after u non-flips is the
-    level of the last adaptation event with tau <= u, expanded once per
-    stepper from the event table.  A metric exactly on the threshold does
-    not flip.
+    integers in units of step/2.  The threshold after u non-flips is
+    theta * lam**u through the quantizer.  A metric exactly on the threshold
+    does not flip.
     """
 
     def __init__(self, code: ParityCheckCode, quantizer: QuantizerSpec, y: np.ndarray,
@@ -166,9 +128,8 @@ class QuantizedAdaptiveStepper(BitFlipStepper):
         self.quantizer = quantizer
         self.y_idx = quantizer.to_index(y)
         self.w_idx = int(quantizer.to_index(params.w))
-        table = build_adaptation_table(params.theta, params.lam, quantizer, params.t_max)
-        thresholds = np.repeat(quantizer.to_index(np.asarray(table.levels)),
-                               np.diff((*table.taus, params.t_max + 1)))
+        thresholds = quantizer.to_index(thresholds_by_count(params.theta, params.lam,
+                                                            params.t_max))
         super().__init__(code, quantizer.from_index(self.y_idx), params.w, noise, thresholds)
 
     def step(self, state: DecoderState) -> None:

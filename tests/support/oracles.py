@@ -11,22 +11,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from ngdbf.noisy import build_adaptation_table
-
 
 def inversion(x_k: float, y_k: float, adj_syndromes, w: float = 1.0, q_k: float = 0.0) -> float:
     """Scalar inversion metric for one symbol."""
     return float(x_k * y_k + w * sum(adj_syndromes) + q_k)
-
-
-def threshold_for(table, u):
-    """Active threshold level(s) of an adaptation table at non-flip count(s) u.
-
-    The level of the last event with tau <= u.
-    """
-    event = np.searchsorted(np.asarray(table.taus), np.asarray(u), side="right") - 1
-    out = np.asarray(table.levels)[event]
-    return float(out) if np.isscalar(u) else out
 
 
 def flip_decisions_direct(x, y_idx, q_idx, theta_idx, w_idx, syndrome_sums) -> np.ndarray:
@@ -84,13 +72,12 @@ class PlainBitFlip:
       (lam = 1 is the fixed-threshold rule).  With ``mode_switching``, the
       first iteration that lowers the objective sum_k x_k y_k + sum_i s_i
       switches to minimum-E_k flips for good.
-    - ``quantizer``: samples, weight and perturbation become signed integers
-      in half-step units, and the threshold after u non-flips is the level of
-      the adaptation table's last event with tau <= u, in the same units.
+    - ``quantizer``: samples, weight, perturbation and each symbol's running
+      threshold are compared as signed integers in half-step units.
     """
 
     def __init__(self, code, y, w=1.0, noise=None, theta=None, lam=1.0,
-                 mode_switching=False, quantizer=None, t_max=None):
+                 mode_switching=False, quantizer=None):
         self.edge_sym = np.concatenate([np.full(len(col), k)
                                         for k, col in enumerate(code.col_neighbors)])
         self.edge_chk = np.concatenate(code.col_neighbors)
@@ -98,11 +85,9 @@ class PlainBitFlip:
         self.y, self.w = np.asarray(y, dtype=np.float64), w
         if quantizer is not None:
             self.y, self.w = quantizer.to_index(y), int(quantizer.to_index(w))
-            self.table = build_adaptation_table(theta, lam, quantizer, t_max)
         self.x = np.where(self.y >= 0, 1, -1)
         self.multi = theta is not None
         self.theta = np.full(code.n, theta if self.multi else 0.0)     # float thresholds
-        self.u = np.zeros(code.n, dtype=np.int64)                       # non-flip counts
         self.mode_switching = mode_switching
         self.s = self.syndromes()
         self.f = self.objective()
@@ -124,13 +109,10 @@ class PlainBitFlip:
             k = int(np.argmin(e))
             self.x[k] = -self.x[k]
         else:
-            if self.quantizer is None:
-                flip = e < self.theta
-            else:
-                flip = e < self.quantizer.to_index(threshold_for(self.table, self.u))
+            theta = self.theta if self.quantizer is None else self.quantizer.to_index(self.theta)
+            flip = e < theta
             self.x[flip] *= -1
             self.theta = np.where(flip, self.theta, self.theta * self.lam)
-            self.u += ~flip
         self.s = self.syndromes()
         if self.multi and self.mode_switching:
             f = self.objective()

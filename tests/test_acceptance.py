@@ -46,7 +46,7 @@ from ngdbf.core import decode, init_state, objective
 from ngdbf.gdbf import inversions
 from ngdbf.harness import (CampaignConfig, DecoderSetup, NgdbfParams, build_stepper,
                            run_campaign, run_convergence)
-from ngdbf.noisy import build_adaptation_table
+from ngdbf.noisy import adaptation_events
 
 from .conftest import TINY_ALIST
 from .support.lml_oracle import all_neighbour_pe, lml_flip_pattern
@@ -89,8 +89,8 @@ class TestCriterion01:
         }
         ok = True
         for q_bits, events in expected.items():
-            table = build_adaptation_table(-0.9, 0.99, QuantizerSpec(q_bits, 2.5), 300)
-            ok = ok and list(zip(table.levels, table.taus)) == events
+            rows = adaptation_events(-0.9, 0.99, QuantizerSpec(q_bits, 2.5), 300)
+            ok = ok and [(lvl, tau) for _, lvl, tau in rows] == events
         check(1, "threshold adaptation events exact for Q=3/4/5", ok)
 
 

@@ -106,5 +106,7 @@ class TestQuantizer:
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
             QuantizerSpec(0, 2.5)
+        with pytest.raises(ValueError, match="q_bits"):
+            QuantizerSpec(17, 2.5)
         with pytest.raises(ValueError):
             QuantizerSpec(3, -1.0)

@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -61,6 +63,15 @@ class TestAdaptTable:
                      "--q", "3", "--ymax", "2.5", "--t", "300", "--out", str(dest)]) == 0
         assert dest.read_text().splitlines()[1] == "0,-0.9375,0"
 
+    @pytest.mark.parametrize("t", ["0", "-1"])
+    def test_iteration_limit_below_one_rejected(self, capsys, t):
+        with pytest.raises(SystemExit) as exc:
+            main(["adapt-table", "--theta", "-0.9", "--lambda", "0.99",
+                  "--q", "4", "--ymax", "2.5", "--t", t])
+        assert exc.value.code != 0
+        captured = capsys.readouterr()
+        assert "--t" in captured.err and captured.out == ""
+
 
 class TestFlipMatrix:
     def test_lml_mode(self, tmp_path, capsys):
@@ -84,6 +95,19 @@ class TestFlipMatrix:
         assert main(["flip-matrix", "--mode", "gdbf", "--theta", "-0.9", "--q", "4",
                      "--ymax", "1.5", "--dv", dv]) == 1
         assert "symbol degree" in capsys.readouterr().err
+
+    def test_quantizer_bits_bounded_before_allocating(self, capsys):
+        tracemalloc.start()
+        try:
+            rc = main(["flip-matrix", "--mode", "lml", "--sigma", "0.6", "--q", "40",
+                       "--ymax", "1.5", "--dv", "3", "--dc", "6", "--pe", "0.1"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "q_bits" in err
+        assert peak < 1 << 20
 
     def test_lml_missing_args(self, capsys):
         assert main(["flip-matrix", "--mode", "lml", "--q", "4", "--ymax", "1.5",
@@ -173,7 +197,34 @@ class TestSweep:
         assert len(lines) == 3
 
 
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("command", ["sweep", "convergence", "adapt-table"])
+    @pytest.mark.parametrize("theta", ["nan", "-inf"])
+    def test_rejected(self, tmp_path, capsys, command, theta):
+        dest = tmp_path / "x.csv"
+        argv = {"sweep": ["sweep", "--config", write_config(tmp_path, frames=8), "--seed", "1",
+                          "--workers", "1", "--param", "theta", f"--grid={theta},-0.9"],
+                "convergence": ["convergence", "--code", CODE, "--ebn0", "3.0", "--frames",
+                                "2", "--seed", "1", f"--theta={theta}"],
+                "adapt-table": ["adapt-table", f"--theta={theta}", "--lambda", "0.99",
+                                "--q", "4", "--ymax", "2.5"]}[command]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--out", str(dest)]) == 1
+        assert "finite and negative" in capsys.readouterr().err
+        assert not dest.exists()
+
+
 class TestConvergence:
+    @pytest.mark.parametrize("frames", ["0", "-3"])
+    def test_frames_below_one_rejected(self, tmp_path, capsys, frames):
+        with pytest.raises(SystemExit) as exc:
+            main(["convergence", "--code", CODE, "--ebn0", "5.0", "--frames", frames,
+                  "--seed", "4", "--out", str(tmp_path / "eps.csv")])
+        assert exc.value.code != 0
+        assert "--frames" in capsys.readouterr().err
+        assert not (tmp_path / "eps.csv").exists()
+
     def test_reports_all_decoders(self, tmp_path):
         out = tmp_path / "eps.csv"
         rc = main(["convergence", "--code", CODE, "--ebn0", "5.0", "--frames", "10",

@@ -178,3 +178,8 @@ class TestAdaptiveThreshold:
     def test_invalid_lambda(self, tiny_code):
         with pytest.raises(ValueError):
             thresholds_by_count(-0.9, 0.0, 10)
+
+    @pytest.mark.parametrize("t_max", [0, -1])
+    def test_iteration_limit_below_one(self, t_max):
+        with pytest.raises(ValueError, match="iteration limit"):
+            thresholds_by_count(-0.9, 0.99, t_max)

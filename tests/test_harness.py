@@ -396,6 +396,7 @@ class TestConfigLoading:
         ("code", 5, "code"),
         ("code", ".", "code"),
         ("code", "missing.alist", "code"),
+        ("quantizer", {"q_bits": 17, "y_max": 1.75}, "quantizer.q_bits"),
     ])
     def test_malformed_value_names_its_key(self, tmp_path, key, value, named):
         doc = self.base_doc()

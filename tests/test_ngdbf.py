@@ -5,11 +5,9 @@ from ngdbf.channel import QuantizerSpec, saturate, transmit
 from ngdbf.core import DecoderState, decode, init_state
 from ngdbf.gdbf import BitFlipStepper, thresholds_by_count
 from ngdbf.harness import DecoderSetup, build_stepper
-from ngdbf.noisy import (AdaptationTable, NgdbfParams, NoiseSource,
-                         QuantizedAdaptiveStepper, build_adaptation_table)
+from ngdbf.noisy import NgdbfParams, NoiseSource, QuantizedAdaptiveStepper, adaptation_events
 
-from .support.oracles import (flip_decisions_direct, flip_decisions_prescaled, inversion,
-                              threshold_for)
+from .support.oracles import flip_decisions_direct, flip_decisions_prescaled, inversion
 
 
 class TestParams:
@@ -20,6 +18,7 @@ class TestParams:
         dict(theta=0.1), dict(lam=0.0), dict(lam=1.1), dict(eta=-0.1),
         dict(eta=1.5), dict(w=0.0), dict(t_max=0),
         dict(smoothing_window=200, t_max=100), dict(noise_policy="weird"),
+        dict(theta=float("nan")), dict(theta=-np.inf), dict(w=float("nan")), dict(w=np.inf),
     ])
     def test_invalid_rejected(self, kw):
         with pytest.raises(ValueError):
@@ -138,8 +137,8 @@ class TestAdaptationTable:
 
     @pytest.mark.parametrize("q_bits", [3, 4, 5])
     def test_reference_events(self, q_bits):
-        table = build_adaptation_table(-0.9, 0.99, QuantizerSpec(q_bits, 2.5), 300)
-        assert list(zip(table.levels, table.taus)) == self.REFERENCE[q_bits]
+        rows = adaptation_events(-0.9, 0.99, QuantizerSpec(q_bits, 2.5), 300)
+        assert rows == [(i, lvl, tau) for i, (lvl, tau) in enumerate(self.REFERENCE[q_bits])]
 
     def test_invariants_across_parameters(self):
         rng = np.random.default_rng(10)
@@ -147,32 +146,42 @@ class TestAdaptationTable:
             theta = -float(rng.uniform(0.1, 2.4))
             lam = float(rng.uniform(0.9, 0.999))
             q = QuantizerSpec(int(rng.integers(2, 7)), float(rng.choice([1.5, 1.75, 2.5])))
-            table = build_adaptation_table(theta, lam, q, 400)
-            assert table.taus[0] == 0
-            assert all(b > a for a, b in zip(table.taus, table.taus[1:]))
-            assert all(b > a for a, b in zip(table.levels, table.levels[1:]))
-            assert len(table.levels) <= q.n_levels // 2
-            level_set = set(q.levels())
-            assert all(lvl in level_set for lvl in table.levels)
+            rows = adaptation_events(theta, lam, q, 400)
+            i, levels, taus = zip(*rows)
+            assert list(i) == list(range(len(rows)))
+            assert taus[0] == 0
+            assert all(b > a for a, b in zip(taus, taus[1:]))
+            assert all(b > a for a, b in zip(levels, levels[1:]))
+            assert len(levels) <= q.n_levels // 2
+            # each level is theta * lam**tau quantized, and holds until the next event
+            u = np.arange(401)
+            assert np.array_equal(q.quantize(theta * lam ** u),
+                                  np.repeat(levels, np.diff((*taus, 401))))
 
     def test_lambda_one_single_event(self):
-        table = build_adaptation_table(-0.9, 1.0, QuantizerSpec(4, 2.5), 300)
-        assert table.rows() == [(0, -0.78125, 0)]
+        assert adaptation_events(-0.9, 1.0, QuantizerSpec(4, 2.5), 300) == [(0, -0.78125, 0)]
 
-    def test_threshold_lookup_switch_point(self):
-        table = build_adaptation_table(-0.9, 0.99, QuantizerSpec(3, 2.5), 300)
-        assert threshold_for(table, 36) == pytest.approx(-0.9375)
-        assert threshold_for(table, 37) == pytest.approx(-0.3125)
-        assert list(threshold_for(table, np.array([0, 36, 37, 200]))) == \
-            pytest.approx([-0.9375, -0.9375, -0.3125, -0.3125])
+    def test_threshold_lookup_switch_point(self, tiny_code):
+        # The stepper holds each reference level from its tau up to the next one.
+        params = NgdbfParams(theta=-0.9, lam=0.99, eta=0.0, t_max=300)
+        for q_bits, events in self.REFERENCE.items():
+            q = QuantizerSpec(q_bits, 2.5)
+            stepper = QuantizedAdaptiveStepper(tiny_code, q, np.ones(tiny_code.n), params)
+            levels, taus = zip(*events)
+            expected = np.repeat(levels, np.diff((*taus, params.t_max + 1)))
+            assert np.array_equal(q.from_index(stepper.thresholds), expected)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            AdaptationTable(levels=(-0.9,), taus=(1,))
-        with pytest.raises(ValueError):
-            AdaptationTable(levels=(-0.9, -0.95), taus=(0, 5))
-        with pytest.raises(ValueError):
-            build_adaptation_table(0.5, 0.99, QuantizerSpec(3, 2.5), 100)
+        q = QuantizerSpec(3, 2.5)
+        for theta in (0.5, 0.0, float("nan"), -np.inf):
+            with pytest.raises(ValueError, match="finite and negative"):
+                adaptation_events(theta, 0.99, q, 100)
+        for lam in (0.0, 1.01):
+            with pytest.raises(ValueError, match="adaptation parameter"):
+                adaptation_events(-0.9, lam, q, 100)
+        for t_max in (0, -1):
+            with pytest.raises(ValueError, match="iteration limit"):
+                adaptation_events(-0.9, 0.99, q, t_max)
 
 
 class TestQuantizedDatapath:
@@ -229,10 +238,9 @@ class TestQuantizedDatapath:
     def test_flip_set_matches_direct_oracle(self, bench_code):
         # Random decisions and counters; each step's flips must be exactly the
         # oracle's delta = -1 set, from the same decisions, samples,
-        # perturbation, syndrome sums and the table's active thresholds.
+        # perturbation, syndrome sums and thresholds theta * lam**u.
         q = QuantizerSpec(4, 1.75)
         params = NgdbfParams(theta=-0.7, lam=0.97, eta=0.95, w=0.75, t_max=80)
-        table = build_adaptation_table(params.theta, params.lam, q, params.t_max)
         rng = np.random.default_rng(61)
         n = bench_code.n
         c = np.ones(n, dtype=np.int8)
@@ -249,7 +257,7 @@ class TestQuantizedDatapath:
                 x_before, u_before = st.x.copy(), stepper.u.copy()
                 sums = bench_code.syndrome_sums(st.s)
                 q_idx = q.to_index(twin.draw())
-                theta_idx = q.to_index(threshold_for(table, u_before))
+                theta_idx = q.to_index(params.theta * params.lam ** u_before)
                 delta = flip_decisions_direct(x_before, stepper.y_idx, q_idx, theta_idx,
                                               stepper.w_idx, sums)
                 boundary += int((x_before * stepper.y_idx + stepper.w_idx * sums + q_idx
