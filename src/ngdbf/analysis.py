@@ -111,8 +111,8 @@ class LmlParams:
     p_e: float
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError("sigma must be finite and positive")
         if self.d_c < 2 or self.d_v < 1:
             raise ValueError("need d_c >= 2 and d_v >= 1")
         if not (0.0 < self.p_e < 1.0):
@@ -184,10 +184,10 @@ def gdbf_flip_matrix(theta: float, w: float, quantizer: QuantizerSpec,
 
     A +1 decision with level v and syndrome sum S flips iff v + w S < theta.
     """
-    if theta > 0:
-        raise ValueError("threshold must be non-positive")
-    if w <= 0:
-        raise ValueError("syndrome weight must be positive")
+    if not -math.inf < theta <= 0:
+        raise ValueError("threshold must be finite and non-positive")
+    if not 0 < w < math.inf:
+        raise ValueError("syndrome weight must be finite and positive")
     if d_v < 1:
         raise ValueError("need symbol degree d_v >= 1")
     q = quantizer

@@ -45,8 +45,8 @@ def transmit(codeword: np.ndarray, sigma: float, rng: np.random.Generator) -> np
 
 def saturate(y: np.ndarray, y_max: float) -> np.ndarray:
     """Clip samples to [-y_max, +y_max] (applied on every decoder input path)."""
-    if y_max <= 0:
-        raise ValueError("y_max must be positive")
+    if not 0 < y_max < math.inf:
+        raise ValueError("y_max must be finite and positive")
     return np.clip(y, -y_max, y_max)
 
 
@@ -69,8 +69,8 @@ class QuantizerSpec:
     def __post_init__(self):
         if not 1 <= self.q_bits <= MAX_Q_BITS:
             raise ValueError(f"q_bits must lie in 1..{MAX_Q_BITS}, not {self.q_bits}")
-        if self.y_max <= 0:
-            raise ValueError("y_max must be positive")
+        if not 0 < self.y_max < math.inf:
+            raise ValueError("y_max must be finite and positive")
 
     @property
     def n_levels(self) -> int:

@@ -192,7 +192,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()      # a closed stdout shows here, not at interpreter exit
+        return status
+    except BrokenPipeError:     # the reader stopped early; the exit flush must not fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141              # 128 + SIGPIPE, as the shell reports a tool it ended
     except OSError as exc:      # writes are reported by _write_or_print
         print(f"error: cannot read {exc.filename} ({exc.strerror})", file=sys.stderr)
         return 1

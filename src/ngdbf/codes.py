@@ -106,41 +106,33 @@ class ParityCheckCode:
         return (dict(Counter(len(c) for c in self.col_neighbors)),
                 dict(Counter(len(r) for r in self.row_neighbors)))
 
-    # -- flat edge arrays for vectorized decoding --------------------------
+    # -- slot tables: one gather per degree slot --------------------------
 
     @cached_property
-    def _row_ptr(self) -> np.ndarray:
-        degs = [len(r) for r in self.row_neighbors]
-        return np.concatenate(([0], np.cumsum(degs))).astype(np.int64)
+    def row_slots(self) -> np.ndarray:
+        """(max_dc, m): column i lists N(i), padded with n, a symbol held at +1."""
+        table = np.full((self.max_dc, self.m), self.n, dtype=np.int64)
+        for i, row in enumerate(self.row_neighbors):
+            table[:len(row), i] = row
+        return table
 
     @cached_property
-    def _row_sym(self) -> np.ndarray:
-        """Symbol index per edge, edges grouped by check (row-major)."""
-        return np.concatenate(self.row_neighbors).astype(np.int64)
+    def edge_slots(self) -> np.ndarray:
+        """(max_dv, n): for each check of M(k) in ascending order, the flat position
+        of symbol k's slot in a (max_dc, m) table, padded with max_dc * m."""
+        flat = self.row_slots.ravel()
+        pos = np.flatnonzero(flat < self.n)
+        pos = pos[np.lexsort((pos % self.m, flat[pos]))]   # by symbol, then check
+        sym = flat[pos]
+        table = np.full((self.max_dv, self.n), flat.size, dtype=np.int64)
+        table[np.arange(pos.size) - np.searchsorted(sym, sym), sym] = pos
+        return table
 
     @cached_property
-    def _col_ptr(self) -> np.ndarray:
-        degs = [len(c) for c in self.col_neighbors]
-        return np.concatenate(([0], np.cumsum(degs))).astype(np.int64)
-
-    @cached_property
-    def _col_chk(self) -> np.ndarray:
-        """Check index per edge, edges grouped by symbol (column-major)."""
-        return np.concatenate(self.col_neighbors).astype(np.int64)
-
-    @cached_property
-    def _row_deg(self) -> np.ndarray:
-        return np.diff(self._row_ptr)
-
-    @cached_property
-    def _col_deg(self) -> np.ndarray:
-        return np.diff(self._col_ptr)
-
-    @cached_property
-    def _row_to_col_perm(self) -> np.ndarray:
-        """Permutation mapping row-major edge ids to column-major order."""
-        chk_per_edge = np.repeat(np.arange(self.m, dtype=np.int64), self._row_deg)
-        return np.lexsort((chk_per_edge, self._row_sym))
+    def col_slots(self) -> np.ndarray:
+        """(max_dv, n): column k lists M(k) ascending, padded with m, a check held at 0."""
+        edges = self.edge_slots
+        return np.where(edges < self.max_dc * self.m, edges % self.m, self.m)
 
     # -- syndrome operations ------------------------------------------------
 
@@ -151,7 +143,7 @@ class ParityCheckCode:
         """
         if len(x) != self.n:
             raise ValueError(f"decision vector has length {len(x)}, code needs {self.n}")
-        return np.multiply.reduceat(x[self._row_sym], self._row_ptr[:-1]).astype(np.int8)
+        return np.append(x, np.int8(1))[self.row_slots].prod(axis=0, dtype=np.int8)
 
     def is_codeword(self, x: np.ndarray) -> bool:
         """True iff every bipolar syndrome component equals +1."""
@@ -161,7 +153,7 @@ class ParityCheckCode:
         """Per-symbol sum of adjacent syndrome components, sum over M(k)."""
         if len(s) != self.m:
             raise ValueError(f"syndrome vector has length {len(s)}, code needs {self.m}")
-        return np.add.reduceat(s[self._col_chk].astype(np.int32), self._col_ptr[:-1])
+        return np.append(s, np.int8(0))[self.col_slots].sum(axis=0, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

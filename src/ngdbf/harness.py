@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analysis import convergence_error
+from .analysis import convergence_error, f_max
 from .channel import MAX_Q_BITS, QuantizerSpec, ebn0_to_sigma, saturate, transmit
 from .codes import ParityCheckCode, load_alist
 from .core import decode, init_state, objective
@@ -424,8 +424,7 @@ def run_convergence(code: ParityCheckCode, setups: dict, ebn0_db: float, frames:
         for fi in range(frames):
             result, y_seen = _transmit_and_decode(code, setup, sigma, y_max, master_seed, 0, fi)
             finals.append(objective(code, result.decisions, y_seen))
-            # The transmitted all-ones word satisfies every check: its syndrome is all ones.
-            maxes.append(objective(code, ones, y_seen, ones[:code.m]))
+            maxes.append(f_max(code, ones, y_seen))
         out[name] = convergence_error(finals, maxes)
     return out
 

@@ -28,15 +28,14 @@ def decode_minsum(code: ParityCheckCode, y: np.ndarray, t_max: int) -> DecodeRes
     if y.shape[0] != code.n:
         raise ValueError(f"sample vector has length {y.shape[0]}, code needs {code.n}")
 
-    row_ptr = code._row_ptr
-    row_sym = code._row_sym
-    row_deg = code._row_deg
-    col_ptr = code._col_ptr
-    col_deg = code._col_deg
-    perm = code._row_to_col_perm
-    sym_per_col_edge = np.repeat(np.arange(code.n), col_deg)
-
-    v2c = y[row_sym].copy()          # variable-to-check, row-major edge order
+    # Variable-to-check messages sit in a (max_dc, m) table laid out as
+    # code.row_slots, with +inf in padded slots, which never wins a minimum
+    # or flips a sign.  Padded column slots read the 0 past the end of the
+    # check-to-variable table and write into the cell past the end of this one.
+    slots = code.edge_slots
+    v2c = np.append(np.append(y, np.inf)[code.row_slots], 0.0)
+    table = v2c[:-1].reshape(code.row_slots.shape)
+    c2v = np.zeros_like(v2c)
     x = bipolar_sign(y)
 
     for t in range(t_max + 1):
@@ -45,23 +44,21 @@ def decode_minsum(code: ParityCheckCode, y: np.ndarray, t_max: int) -> DecodeRes
         if t == t_max:
             break
 
-        # Check pass: extrinsic sign product and min magnitude per edge.
-        signs = np.where(v2c >= 0, 1.0, -1.0)
-        mags = np.abs(v2c)
-        sign_prod = np.multiply.reduceat(signs, row_ptr[:-1])
-        m1 = np.minimum.reduceat(mags, row_ptr[:-1])
-        m1e = np.repeat(m1, row_deg)
-        at_min = mags == m1e
-        n_min = np.repeat(np.add.reduceat(at_min.astype(np.int32), row_ptr[:-1]), row_deg)
-        m2 = np.minimum.reduceat(np.where(at_min, np.inf, mags), row_ptr[:-1])
-        ext_mag = np.where(at_min & (n_min == 1), np.repeat(m2, row_deg), m1e)
-        c2v = np.repeat(sign_prod, row_deg) * signs * ext_mag
+        # Check pass: extrinsic sign product and min magnitude per slot.
+        signs = np.where(table >= 0, 1.0, -1.0)
+        mags = np.abs(table)
+        m1 = mags.min(axis=0)
+        at_min = mags == m1
+        m2 = np.where(at_min, np.inf, mags).min(axis=0)
+        ext_mag = np.where(at_min & (at_min.sum(axis=0) == 1), m2, m1)
+        c2v[:-1] = (signs.prod(axis=0) * signs * ext_mag).ravel()
 
-        # Variable pass: posteriors, extrinsic messages, hard decisions.
-        c2v_col = c2v[perm]
-        posterior = y + np.add.reduceat(c2v_col, col_ptr[:-1])
-        v2c_col = posterior[sym_per_col_edge] - c2v_col
-        v2c[perm] = v2c_col
+        # Variable pass: posteriors, extrinsic messages, hard decisions.  Slot
+        # 0 (the lowest-index check) is added last: the recorded outputs were
+        # made with that order, and another one changes some decisions.
+        c2v_col = c2v[slots]
+        posterior = y + (c2v_col[0] + c2v_col[1:].sum(axis=0))
+        v2c[slots] = posterior - c2v_col
         x = bipolar_sign(posterior)
 
     return DecodeResult(False, t_max, x.copy())

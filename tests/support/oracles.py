@@ -118,3 +118,51 @@ class PlainBitFlip:
             f = self.objective()
             self.multi = f >= self.f
             self.f = f
+
+
+class PlainMinSum:
+    """Reference flooding min-sum for one frame, written one edge at a time.
+
+    It reads the Tanner graph from ``code.row_neighbors`` and
+    ``code.col_neighbors`` alone and keeps one message per (check, symbol)
+    edge in a dict.  Each pass sends check i to symbol k the sign product
+    times the minimum magnitude of the messages from N(i) \\ {k} (sign(0) is
+    +1); then symbol k sums y_k and the messages from M(k), and sends each
+    check that sum less the check's own message.  The sum is taken in one
+    fixed order: the messages from every check of M(k) but the lowest-index
+    one are added in ascending check order, the lowest-index check's
+    message is added last, and y_k after that.  Decisions are the signs of
+    the sums, and decoding stops before any pass whose decisions satisfy
+    every check.
+    """
+
+    def __init__(self, code, y):
+        self.rows = [[int(k) for k in row] for row in code.row_neighbors]
+        self.cols = [sorted(int(i) for i in col) for col in code.col_neighbors]
+        self.y = [float(v) for v in y]
+        self.v2c = {(i, k): self.y[k] for i, row in enumerate(self.rows) for k in row}
+
+    def satisfied(self, x) -> bool:
+        return all(sum(x[k] < 0 for k in row) % 2 == 0 for row in self.rows)
+
+    def decode(self, t_max: int) -> tuple:
+        """Returns (success, iterations, decisions)."""
+        x = [1 if v >= 0 else -1 for v in self.y]
+        for t in range(t_max + 1):
+            if self.satisfied(x):
+                return True, t, np.array(x, dtype=np.int8)
+            if t == t_max:
+                break
+            c2v = {}
+            for i, row in enumerate(self.rows):
+                for k in row:
+                    others = [self.v2c[i, j] for j in row if j != k]
+                    sign = 1 - 2 * (sum(v < 0 for v in others) % 2)
+                    c2v[i, k] = sign * min(abs(v) for v in others)
+            for k, col in enumerate(self.cols):
+                msgs = [c2v[i, k] for i in col]
+                total = self.y[k] + (msgs[0] + sum(msgs[1:]))
+                for i in col:
+                    self.v2c[i, k] = total - c2v[i, k]
+                x[k] = 1 if total >= 0 else -1
+        return False, t_max, np.array(x, dtype=np.int8)

@@ -223,6 +223,9 @@ class TestLmlFlipMatrix:
             LmlParams(sigma=0.668, quantizer=BENCH_Q, d_v=3, d_c=6, p_e=0.0)
         with pytest.raises(ValueError):
             LmlParams(sigma=-1.0, quantizer=BENCH_Q, d_v=3, d_c=6, p_e=0.1)
+        for sigma in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite and positive"):
+                LmlParams(sigma=sigma, quantizer=BENCH_Q, d_v=3, d_c=6, p_e=0.1)
 
 
 class TestGdbfFlipMatrix:
@@ -259,6 +262,12 @@ class TestGdbfFlipMatrix:
             gdbf_flip_matrix(0.5, 0.75, BENCH_Q, 3)
         with pytest.raises(ValueError):
             gdbf_flip_matrix(-0.5, 0.0, BENCH_Q, 3)
+        for theta in (math.nan, -math.inf):
+            with pytest.raises(ValueError, match="finite and non-positive"):
+                gdbf_flip_matrix(theta, 0.75, BENCH_Q, 3)
+        for w in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite and positive"):
+                gdbf_flip_matrix(-0.5, w, BENCH_Q, 3)
 
     @pytest.mark.parametrize("d_v", [0, -2])
     def test_symbol_degree_below_one_rejected(self, d_v):

@@ -103,6 +103,11 @@ class TestQuantizer:
         y = np.array([-4.0, -1.0, 0.0, 3.1])
         assert list(saturate(y, 2.5)) == [-2.5, -1.0, 0.0, 2.5]
 
+    @pytest.mark.parametrize("y_max", [0.0, -1.0, math.nan, math.inf])
+    def test_saturate_rejects_bad_limit(self, y_max):
+        with pytest.raises(ValueError, match="finite and positive"):
+            saturate(np.zeros(3), y_max)
+
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
             QuantizerSpec(0, 2.5)
@@ -110,3 +115,6 @@ class TestQuantizer:
             QuantizerSpec(17, 2.5)
         with pytest.raises(ValueError):
             QuantizerSpec(3, -1.0)
+        for y_max in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite and positive"):
+                QuantizerSpec(3, y_max)

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
 
 import pytest
 
+import ngdbf
 from ngdbf.cli import main
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -115,6 +119,25 @@ class TestFlipMatrix:
         assert "required" in capsys.readouterr().err
 
 
+class TestClosedStdout:
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    def test_reader_closing_early_exits_quietly(self, unbuffered):
+        # About 140 kB of grid, more than a pipe holds, so writes must
+        # continue after the reader has gone, buffered or not.
+        src = str(Path(ngdbf.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONUNBUFFERED": unbuffered,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ngdbf.cli", "flip-matrix", "--mode", "gdbf", "--theta",
+             "-0.9", "--q", "12", "--ymax", "1.5", "--dv", "3"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline().startswith(b"level")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141      # 128 + SIGPIPE
+        assert err == b""
+
+
 class TestSimulate:
     def test_csv_and_json(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -213,6 +236,36 @@ class TestNonFiniteParameters:
             assert main(argv + ["--out", str(dest)]) == 1
         assert "finite and negative" in capsys.readouterr().err
         assert not dest.exists()
+
+
+class TestNonFiniteInputs:
+    ADAPT = ["adapt-table", "--theta", "-0.9", "--lambda", "0.99", "--q", "4"]
+    CONVERGENCE = ["convergence", "--code", CODE, "--ebn0", "3.0", "--frames", "2",
+                   "--seed", "1"]
+    GDBF = ["flip-matrix", "--mode", "gdbf", "--q", "4", "--dv", "3"]
+    LML = ["flip-matrix", "--mode", "lml", "--q", "4", "--ymax", "1.5", "--dv", "3",
+           "--dc", "6", "--pe", "0.0336"]
+
+    @pytest.mark.parametrize("argv", [
+        ADAPT + ["--ymax", "nan"],
+        ADAPT + ["--ymax", "inf"],
+        CONVERGENCE + ["--ymax", "nan"],
+        CONVERGENCE + ["--ymax", "inf"],
+        GDBF + ["--ymax", "1.5", "--theta", "nan"],
+        GDBF + ["--ymax", "1.5", "--theta", "-0.9", "--w", "nan"],
+        GDBF + ["--ymax", "nan", "--theta", "-0.9"],
+        LML + ["--sigma", "nan"],
+    ], ids=["adapt-ymax-nan", "adapt-ymax-inf", "convergence-ymax-nan",
+            "convergence-ymax-inf", "gdbf-theta-nan", "gdbf-w-nan", "gdbf-ymax-nan",
+            "lml-sigma-nan"])
+    def test_rejected_with_one_line(self, tmp_path, capsys, argv):
+        dest = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--out", str(dest)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and "must be finite" in captured.err
+        assert captured.out == "" and not dest.exists()
 
 
 class TestConvergence:

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ngdbf.codes import AlistError, ParityCheckCode, parse_alist, serialize_alist
 
-from .conftest import TINY_ALIST, brute_syndrome
+from .conftest import TINY_ALIST, brute_syndrome, dense_h
+from .support.irregular import irregular_codes
 
 
 class TestParse:
@@ -134,3 +137,30 @@ class TestConstruction:
         cols, rows = tiny_code.degree_histograms()
         assert cols == {2: 3, 1: 3}
         assert rows == {3: 3}
+
+
+class TestSlotTables:
+    """Codes with shuffled lists and both tables padded."""
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(code=irregular_codes())
+    def test_tables_describe_the_graph(self, code):
+        for i, row in enumerate(code.row_neighbors):
+            pad = [code.n] * (code.max_dc - len(row))
+            assert list(code.row_slots[:, i]) == list(row) + pad
+        for k, col in enumerate(code.col_neighbors):
+            pad = code.max_dv - len(col)
+            assert list(code.col_slots[:, k]) == sorted(col) + [code.m] * pad
+            edges = code.edge_slots[:len(col), k]
+            assert list(edges % code.m) == sorted(col)
+            assert list(code.row_slots.ravel()[edges]) == [k] * len(col)
+            assert list(code.edge_slots[len(col):, k]) == [code.max_dc * code.m] * pad
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(code=irregular_codes(), seed=st.integers(0, 2**32 - 1))
+    def test_syndrome_and_sums_against_dense_oracle(self, code, seed):
+        x = np.random.default_rng(seed).choice([-1, 1], size=code.n).astype(np.int8)
+        s = code.syndrome(x)
+        assert s.dtype == np.int8 and np.array_equal(s, brute_syndrome(code, x))
+        sums = code.syndrome_sums(s)
+        assert sums.dtype == np.int64 and np.array_equal(sums, dense_h(code).T @ s)

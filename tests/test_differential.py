@@ -4,8 +4,9 @@ Each variant is built through ``harness.build_stepper``, as a campaign
 builds it, and stepped in lockstep with ``PlainBitFlip`` on the same
 saturated samples and an identically seeded perturbation stream; decisions
 and syndromes must agree after every step.  The fixed cases run the
-acceptance parameters on the bundled code; the property test draws small
-codes, variants, parameters and seeds.
+acceptance parameters on the bundled code and on an irregular code; the
+property test draws small regular and irregular codes, variants,
+parameters and seeds.
 """
 
 import numpy as np
@@ -19,6 +20,7 @@ from ngdbf.harness import VARIANTS, DecoderSetup, build_stepper, frame_rng
 from ngdbf.noisy import NOISE_POLICIES, NgdbfParams, NoiseSource
 
 from .support.gen_regular_code import peg_regular_code
+from .support.irregular import irregular_codes, random_irregular_code
 from .support.oracles import PlainBitFlip
 
 FRAMES = 3
@@ -81,6 +83,15 @@ def test_stepper_matches_plain_rule_at_every_step(bench_code, name):
     assert steps >= 2 * FRAMES
 
 
+@pytest.mark.parametrize("name", CASES)
+def test_irregular_code_matches_plain_rule(name):
+    """Padded slots of both tables, stepped on every variant, float and Q4."""
+    code = random_irregular_code(240, 100, 8, seed=11)
+    setup, rule = CASES[name]
+    for frame in range(FRAMES):
+        run_lockstep(code, setup, rule, 0.6, SEED, frame)
+
+
 # The reference rule's arguments per variant, beyond w and the quantizer.
 RULE_ARGS = {"sgdbf": (), "sngdbf": (), "mgdbf": ("theta", "mode_switching"),
              "atgdbf": ("theta", "lam"), "mngdbf": ("theta", "lam"), "smngdbf": ("theta", "lam")}
@@ -88,11 +99,14 @@ RULE_ARGS = {"sgdbf": (), "sngdbf": (), "mgdbf": ("theta", "mode_switching"),
 
 @st.composite
 def random_cases(draw):
-    """A small regular code, a bit-flip variant with random parameters, and
-    the same rule written out for the reference decoder."""
-    dv, dc = draw(st.sampled_from([(3, 6), (2, 4), (4, 8), (3, 4)]))
-    n = draw(st.integers(24 // dc, 96 // dc)) * dc
-    code = peg_regular_code(n, n * dv // dc, dv, dc, seed=draw(st.integers(0, 2**16)))
+    """A small regular or irregular code, a bit-flip variant with random
+    parameters, and the same rule written out for the reference decoder."""
+    if draw(st.booleans()):
+        code = draw(irregular_codes(max_n=96))
+    else:
+        dv, dc = draw(st.sampled_from([(3, 6), (2, 4), (4, 8), (3, 4)]))
+        n = draw(st.integers(24 // dc, 96 // dc)) * dc
+        code = peg_regular_code(n, n * dv // dc, dv, dc, seed=draw(st.integers(0, 2**16)))
     variant = draw(st.sampled_from(sorted(RULE_ARGS)))
     params = NgdbfParams(theta=-draw(st.floats(0.05, 2.0)), lam=draw(st.floats(0.8, 1.0)),
                          eta=draw(st.floats(0.0, 1.0)), w=draw(st.floats(0.25, 1.5)), t_max=100,

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ngdbf.channel import transmit
+from ngdbf.channel import ebn0_to_sigma, transmit
+from ngdbf.harness import frame_rng
 from ngdbf.minsum import decode_minsum
+
+from .support.irregular import irregular_codes
+from .support.oracles import PlainMinSum
 
 
 class TestMinSum:
@@ -56,3 +62,35 @@ class TestMinSum:
     def test_length_validation(self, tiny_code):
         with pytest.raises(ValueError):
             decode_minsum(tiny_code, np.ones(5), 5)
+
+
+def assert_matches_plain_min_sum(code, y, t_max):
+    result = decode_minsum(code, y, t_max)
+    success, iterations, decisions = PlainMinSum(code, y).decode(t_max)
+    assert (result.success, result.iterations) == (success, iterations)
+    assert np.array_equal(result.decisions, decisions)
+
+
+class TestAgainstPlainMinSum:
+    """Success, iterations and decisions equal the per-edge reference's."""
+
+    @pytest.mark.parametrize("ebn0_db", [3.0, 4.0])
+    def test_bundled_code(self, bench_code, ebn0_db):
+        sigma = ebn0_to_sigma(ebn0_db, float(bench_code.rate))
+        for frame in range(12):
+            y = transmit(np.ones(bench_code.n), sigma, frame_rng(41, 0, frame, 0))
+            assert_matches_plain_min_sum(bench_code, y, 10)
+
+    def test_tiny_code(self, tiny_code):
+        rng = np.random.default_rng(42)
+        for _ in range(100):
+            assert_matches_plain_min_sum(tiny_code, transmit(np.ones(6), 0.8, rng), 10)
+
+    # 2000 frames at sigma up to 1.0: enough to catch a posterior summed in
+    # another order.
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(code=irregular_codes(), sigma=st.floats(0.5, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_irregular_codes(self, code, sigma, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            assert_matches_plain_min_sum(code, transmit(np.ones(code.n), sigma, rng), 20)
