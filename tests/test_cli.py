@@ -120,7 +120,7 @@ class TestFlipMatrix:
 
 
 class TestClosedStdout:
-    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
     def test_reader_closing_early_exits_quietly(self, unbuffered):
         # About 140 kB of grid, more than a pipe holds, so writes must
         # continue after the reader has gone, buffered or not.
