@@ -42,8 +42,8 @@ def pe_initial(sigma: float) -> float:
 
     For unit-mean BPSK this is the Gaussian CDF at zero with mean +1.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not 0 < sigma < math.inf:
+        raise ValueError("sigma must be finite and positive")
     return _norm_cdf(-1.0 / sigma)
 
 
@@ -92,8 +92,8 @@ def bin_probability(level_index: int, mean: float, sigma: float,
     The outermost bins integrate to +-infinity, absorbing the saturated
     tails, so the masses over all levels sum to one.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not 0 < sigma < math.inf:
+        raise ValueError("sigma must be finite and positive")
     lo, hi = quantizer.bin_bounds(level_index)
     a = (lo - mean) / (sigma * math.sqrt(2.0))
     b = (hi - mean) / (sigma * math.sqrt(2.0))

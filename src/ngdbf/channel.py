@@ -26,9 +26,11 @@ def ebn0_to_sigma(ebn0_db: float, rate) -> float:
 def sigma_to_ebn0(sigma: float, rate) -> float:
     """Inverse of :func:`ebn0_to_sigma`."""
     rate = float(rate)
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    return 10.0 * math.log10(1.0 / (2.0 * rate * sigma * sigma))
+    if not (0.0 < rate < 1.0):
+        raise ValueError(f"code rate must lie in (0, 1), got {rate}")
+    if not 0 < sigma < math.inf:
+        raise ValueError("sigma must be finite and positive")
+    return -10.0 * math.log10(2.0 * rate) - 20.0 * math.log10(sigma)   # sigma**2 can under/overflow
 
 
 def transmit(codeword: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
@@ -37,8 +39,8 @@ def transmit(codeword: np.ndarray, sigma: float, rng: np.random.Generator) -> np
     Deterministic for a given generator state; numpy's PCG64/ziggurat
     sampler is the named algorithm, the contract is distributional.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not 0 < sigma < math.inf:
+        raise ValueError("sigma must be finite and positive")
     c = np.asarray(codeword, dtype=np.float64)
     return c + sigma * rng.standard_normal(c.shape[0])
 

@@ -74,7 +74,6 @@ class DecoderSetup:
     variant: str
     params: NgdbfParams
     quantizer: QuantizerSpec | None = None
-    mode_switching: bool = True     # only mgdbf can turn it off
 
     def __post_init__(self):
         if not isinstance(self.variant, str) or self.variant not in VARIANTS:
@@ -86,8 +85,6 @@ class DecoderSetup:
             names = "/".join(n for n, v in VARIANTS.items() if v.smoothing_window)
             raise ConfigError(f"'params.smoothing_window' applies only to {names}, "
                               f"not {self.variant}")
-        if not self.mode_switching and self.variant != "mgdbf":
-            raise ConfigError(f"'mode_switching' can be false only for mgdbf, not {self.variant}")
         if self.smoothing_window > self.params.t_max:
             raise ConfigError(f"'params.smoothing_window' is not given and the {self.variant} "
                               f"default of {self.smoothing_window} exceeds params.t_max = "
@@ -111,7 +108,7 @@ def build_stepper(code: ParityCheckCode, setup: DecoderSetup, y_sat: np.ndarray,
     thresholds = None if rule == "single" else thresholds_by_count(
         params.theta, params.lam if rule == "adaptive" else 1.0, params.t_max)
     return BitFlipStepper(code, y_sat, params.w, noise, thresholds,
-                          mode_switching=rule == "multi" and setup.mode_switching)
+                          mode_switching=rule == "multi")
 
 
 @dataclass(frozen=True)
@@ -130,9 +127,15 @@ class CampaignConfig:
             raise ConfigError("frame budget must be at least 1")
         if not self.ebn0_db:
             raise ConfigError("need at least one Eb/N0 point")
+        variant = VARIANTS[self.setup.variant]     # does it read each of SWEEPABLE?
+        reads = {"theta": variant.rule in ("multi", "adaptive"),
+                 "lam": variant.rule == "adaptive", "eta": variant.stochastic}
         for name in self.schedules:
-            if name not in SWEEPABLE:
+            if name not in reads:
                 raise ConfigError(f"unknown schedule parameter {name!r}")
+            if not reads[name]:
+                raise ConfigError(f"{self.setup.variant} does not read {name!r}, so it "
+                                  "cannot be scheduled or swept")
 
     def params_at(self, ebn0_db: float) -> NgdbfParams:
         """Base parameters with any per-SNR schedule overrides applied."""
@@ -339,9 +342,9 @@ def _run(configs: list, workers: int, chunk_size: int) -> list:
     each point's stop rule.  With more than one worker, one process pool
     decodes every round in ranges of about an eighth of a chunk per worker,
     so that a point that stops at its first chunk keeps every worker busy;
-    with one, this process decodes whole chunks.  The code, the variant, the
-    quantizer and the mode switch are those of the first config; the
-    configs differ at most in parameters.
+    with one, this process decodes whole chunks.  The code, the variant and
+    the quantizer are those of the first config; the configs differ at most
+    in parameters.
     """
     results, running = [], []       # running: (config, SNR index, point, parameters)
     for cfg in configs:
@@ -435,7 +438,7 @@ def run_convergence(code: ParityCheckCode, setups: dict, ebn0_db: float, frames:
 
 
 _CONFIG_KEYS = {"code", "decoder", "params", "ebn0_db", "frames", "seed", "error_target",
-                "y_max", "quantizer", "mode_switching", "schedules"}
+                "y_max", "quantizer", "schedules"}
 
 
 def _integer(value, key: str, minimum: int | None = None, maximum: int | None = None) -> int:
@@ -525,15 +528,8 @@ def load_config(path, master_seed: int | None = None) -> CampaignConfig:
                                                   maximum=MAX_Q_BITS),
                                   y_max=_number(qd["y_max"], "quantizer.y_max", positive=True))
 
-    mode_switching = doc.get("mode_switching", True)
-    if not isinstance(mode_switching, bool):
-        raise ConfigError(f"'mode_switching' must be true or false, not {mode_switching!r}")
-    setup = DecoderSetup(
-        variant=doc["decoder"],
-        params=params_from_dict(doc.get("params", {})),
-        quantizer=quantizer,
-        mode_switching=mode_switching,
-    )
+    setup = DecoderSetup(variant=doc["decoder"], params=params_from_dict(doc.get("params", {})),
+                         quantizer=quantizer)
     schedules = {}
     for name, table in _object(doc.get("schedules", {}), "schedules").items():
         key = f"schedules.{name}"

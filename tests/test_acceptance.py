@@ -63,11 +63,10 @@ def check(num, desc, ok, detail=""):
     assert ok, line
 
 
-def campaign(code, variant, ebn0, frames, seed, error_target=None, quantizer=None,
-             mode_switching=True, **params):
+def campaign(code, variant, ebn0, frames, seed, error_target=None, quantizer=None, **params):
     cfg = CampaignConfig(
         code=code,
-        setup=DecoderSetup(variant, NgdbfParams(**params), quantizer, mode_switching),
+        setup=DecoderSetup(variant, NgdbfParams(**params), quantizer),
         ebn0_db=(ebn0,), frames=frames, master_seed=seed, error_target=error_target)
     # Statistics do not depend on the worker count (criterion 12 and
     # tests/test_harness.py check this); two workers only shorten the run.
@@ -248,6 +247,7 @@ class TestCriterion07:
         check(7, "(a) noisy single-bit beats plain single-bit at 4.0 dB",
               ok, f"BER {sn.ber:.3e} vs {sg.ber:.3e}")
 
+    @pytest.mark.slow
     def test_b_multi_bit_pair_at_4db(self, bench_code):
         mg = campaign(bench_code, "mgdbf", 4.0, 100_000, seed=702, error_target=400,
                       theta=-0.5, w=1.0, t_max=100)
@@ -257,6 +257,7 @@ class TestCriterion07:
         check(7, "(b) adaptive noisy multi-bit beats mode-switching multi-bit at 4.0 dB",
               ok, f"BER {mn.ber:.3e} vs {mg.ber:.3e}")
 
+    @pytest.mark.slow
     def test_c_smoothing_gain_at_3_25db(self, bench_code):
         mn = campaign(bench_code, "mngdbf", 3.25, 100_000, seed=703, error_target=400,
                       theta=-0.9, lam=0.99, eta=0.95, w=0.75, t_max=100)
@@ -290,6 +291,7 @@ class TestCriterion08:
 
 
 class TestCriterion09:
+    @pytest.mark.slow
     def test_smoothing_engagement_fraction(self, bench_code):
         pt = campaign(bench_code, "smngdbf", 3.0, 20_000, seed=901,
                       theta=-0.9, lam=0.99, eta=0.95, w=0.75, t_max=300,

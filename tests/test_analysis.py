@@ -87,6 +87,11 @@ class TestErrorProbabilities:
     def test_pe_unit_sigma(self):
         assert pe_initial(1.0) == pytest.approx(0.158655, abs=1e-6)
 
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
+    def test_pe_rejects_bad_sigma(self, sigma):
+        with pytest.raises(ValueError, match="finite and positive"):
+            pe_initial(sigma)
+
     def test_pc_endpoints(self):
         assert pc_from_pe(0.0, 6) == 0.0
         for dc in (2, 3, 6, 9):
@@ -163,6 +168,11 @@ class TestBinProbability:
     def test_index_validation(self):
         with pytest.raises(ValueError):
             QuantizerSpec(3, 1.5).bin_bounds(8)
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
+    def test_sigma_validation(self, sigma):
+        with pytest.raises(ValueError, match="finite and positive"):
+            bin_probability(8, 1.0, sigma, QuantizerSpec(4, 1.5))
 
 
 class TestLmlFlipMatrix:

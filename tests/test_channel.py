@@ -29,6 +29,19 @@ class TestSnrConversion:
             ebn0_to_sigma(3.0, 1.0)
         with pytest.raises(ValueError):
             ebn0_to_sigma(math.inf, 0.5)
+        for rate in (0, 1.5, math.nan):     # the inverse checks the rate too
+            with pytest.raises(ValueError, match="code rate"):
+                sigma_to_ebn0(0.8, rate)
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
+    def test_sigma_to_ebn0_rejects_bad_sigma(self, sigma):
+        with pytest.raises(ValueError, match="finite and positive"):
+            sigma_to_ebn0(sigma, 0.5)
+
+    def test_sigma_to_ebn0_over_the_float_range(self):
+        # sigma**2 underflows to 0 or overflows to inf at these sigmas
+        assert sigma_to_ebn0(1e-200, 0.5) == pytest.approx(4000.0)
+        assert sigma_to_ebn0(1e200, 0.5) == pytest.approx(-4000.0)
 
 
 class TestTransmit:
@@ -50,6 +63,11 @@ class TestTransmit:
         z = transmit(c, sigma, np.random.default_rng(1234)) - c
         assert abs(z.mean()) <= 0.004
         assert abs(z.var() - sigma * sigma) <= 0.01 * sigma * sigma
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_sigma(self, sigma):
+        with pytest.raises(ValueError, match="finite and positive"):
+            transmit(np.ones(4, dtype=np.int8), sigma, np.random.default_rng(0))
 
 
 class TestQuantizer:

@@ -220,6 +220,25 @@ class TestSweep:
         assert len(lines) == 3
 
 
+class TestOneWayToAskForEachDecoder:
+    @pytest.mark.parametrize("command, overrides, message", [
+        ("sweep", {"decoder": "atgdbf"}, "atgdbf does not read 'eta'"),
+        ("simulate", {"decoder": "mgdbf", "mode_switching": False},
+         "unknown key(s) ['mode_switching']"),
+    ], ids=["sweep-unread-eta", "simulate-mode-switching"])
+    def test_refused_with_one_line(self, tmp_path, capsys, command, overrides, message):
+        dest = tmp_path / "x.csv"
+        argv = [command, "--config", write_config(tmp_path, frames=2, **overrides), "--seed", "1",
+                "--workers", "1", "--out", str(dest)]
+        if command == "sweep":
+            argv += ["--param", "eta", "--grid", "0.2,0.9"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+        assert message in captured.err
+        assert captured.out == "" and not dest.exists()
+
+
 class TestNonFiniteParameters:
     @pytest.mark.parametrize("command", ["sweep", "convergence", "adapt-table"])
     @pytest.mark.parametrize("theta", ["nan", "-inf"])

@@ -114,9 +114,12 @@ def random_cases(draw):
     quantizer = None
     if VARIANTS[variant].quantizable and draw(st.booleans()):
         quantizer = QuantizerSpec(draw(st.integers(2, 6)), draw(st.floats(1.5, 2.5)))
-    mode_switching = variant != "mgdbf" or draw(st.booleans())
-    setup = DecoderSetup(variant, params, quantizer, mode_switching)
-    values = dict(theta=params.theta, lam=params.lam, mode_switching=mode_switching)
+    if variant == "mgdbf" and not draw(st.booleans()):
+        # The multi-bit rule without the mode switch is atgdbf's at lam = 1;
+        # the reference rule gets theta and lam, and no mode switch.
+        variant, params = "atgdbf", params.replace(lam=1.0)
+    setup = DecoderSetup(variant, params, quantizer)
+    values = dict(theta=params.theta, lam=params.lam, mode_switching=True)
     rule = dict(w=params.w, quantizer=quantizer, **{k: values[k] for k in RULE_ARGS[variant]})
     return code, setup, rule, draw(st.floats(0.4, 1.0)), draw(st.integers(0, 2**32 - 1))
 

@@ -4,8 +4,8 @@ The CSV files under ``tests/data/golden/`` pin decoder behaviour
 independently of the implementation.  They cover paths the benchmark's
 reference points do not reach: the default smoothing window, the uniform
 and shift-chain noise policies on the float datapath, the quantized
-datapath with iid noise, multi-bit GDBF without mode switching, a per-SNR
-parameter schedule and the convergence report.
+datapath with iid noise, the fixed-threshold multi-bit rule (``atgdbf`` at
+lam = 1), a per-SNR parameter schedule and the convergence report.
 
 A deliberate change of results re-records them with
 
@@ -41,9 +41,9 @@ CAMPAIGNS = {
                                  "t_max": 100, "noise_policy": "iid"},
                       "quantizer": {"q_bits": 4, "y_max": 1.75},
                       "ebn0_db": [3.5], "frames": 24},
-    "mgdbf_no_mode_switching": {"decoder": "mgdbf", "mode_switching": False,
-                                "params": {"theta": -0.5, "w": 1.0, "t_max": 100},
-                                "ebn0_db": [3.0], "frames": 24},
+    # lam defaults to 1: the fixed-threshold multi-bit rule, without mgdbf's mode switch
+    "atgdbf_lam_one": {"decoder": "atgdbf", "params": {"theta": -0.5, "w": 1.0, "t_max": 100},
+                       "ebn0_db": [3.0], "frames": 24},
     "mngdbf_lam_schedule": {"decoder": "mngdbf", "params": _MN,
                             "schedules": {"lam": {"3.0": 0.99, "3.5": 0.97}},
                             "ebn0_db": [3.0, 3.5], "frames": 16},

@@ -2,6 +2,7 @@ import json
 import pickle
 import re
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +49,6 @@ NEAR_SHAPE = {
     "y_max": st.floats(-1, 3),
     "quantizer": st.fixed_dictionaries({"q_bits": mostly(st.integers(0, 5)),
                                         "y_max": mostly(st.floats(-1, 3))}),
-    "mode_switching": st.booleans(),
     "schedules": st.dictionaries(
         st.sampled_from(SWEEPABLE + ("gamma",)),
         mostly(st.dictionaries(st.sampled_from(["3.0", "3.5", "x"]),
@@ -60,8 +60,8 @@ NEAR_SHAPE = {
 def config_documents(draw):
     """The bundled code, the required keys and some optional ones."""
     keys = ["decoder", "ebn0_db", "frames", "seed"] + draw(st.lists(
-        st.sampled_from(["params", "error_target", "y_max", "quantizer", "mode_switching",
-                         "schedules"]), unique=True))
+        st.sampled_from(["params", "error_target", "y_max", "quantizer", "schedules"]),
+        unique=True))
     return {"code": ALIST, **{key: draw(mostly(NEAR_SHAPE[key])) for key in keys}}
 
 
@@ -200,6 +200,32 @@ class TestSchedules:
         with pytest.raises(ConfigError, match="unknown schedule"):
             make_config(bench_code, frames=10, schedules={"gamma": {3.0: 1.0}},
                         theta=-0.9, t_max=10)
+
+
+# Which of theta, lam and eta each variant's decoder reads, written out.
+READS = {"sgdbf": (), "mgdbf": ("theta",), "atgdbf": ("theta", "lam"), "sngdbf": ("eta",),
+         "mngdbf": ("theta", "lam", "eta"), "smngdbf": ("theta", "lam", "eta"), "minsum": ()}
+GRID = {"theta": [-0.5, -0.7], "lam": [0.99, 0.98], "eta": [0.5, 0.9]}
+
+
+@pytest.mark.parametrize("parameter", SWEEPABLE)
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_schedule_and_sweep_only_of_a_parameter_the_variant_reads(bench_code, variant,
+                                                                  parameter):
+    assert set(READS) == set(VARIANTS)
+    cfg = make_config(bench_code, variant, ebn0=(5.0,), frames=2, theta=-0.9, lam=0.99,
+                      eta=0.95, w=0.75, t_max=64)
+    grid = GRID[parameter]
+    schedule = {parameter: {5.0: grid[0]}}
+    if parameter in READS[variant]:
+        assert getattr(replace(cfg, schedules=schedule).params_at(5.0), parameter) == grid[0]
+        assert [value for value, _ in run_sweep(cfg, parameter, grid)] == grid
+        return
+    named = re.escape(f"{variant} does not read {parameter!r}")
+    with pytest.raises(ConfigError, match=named):
+        replace(cfg, schedules=schedule)
+    with pytest.raises(ConfigError, match=named):
+        run_sweep(cfg, parameter, grid)
 
 
 class TestSweep:
@@ -358,14 +384,14 @@ class TestConfigLoading:
         cfg = load_config(self._write(tmp_path, doc), master_seed=1)
         assert cfg.setup.quantizer.n_levels == 16
 
-    def test_mode_switching_must_be_a_boolean(self, tmp_path):
+    def test_mode_switching_is_refused_as_unknown(self, tmp_path):
+        # mgdbf always switches; the fixed-threshold rule is atgdbf at lam = 1.
         doc = self.base_doc()
         doc["decoder"] = "mgdbf"
-        doc["mode_switching"] = False
-        assert load_config(self._write(tmp_path, doc), master_seed=1).setup.mode_switching is False
-        doc["mode_switching"] = "false"
-        with pytest.raises(ConfigError, match="'mode_switching'"):
-            load_config(self._write(tmp_path, doc), master_seed=1)
+        for value in (True, False, "false"):
+            doc["mode_switching"] = value
+            with pytest.raises(ConfigError, match=re.escape("unknown key(s) ['mode_switching']")):
+                load_config(self._write(tmp_path, doc), master_seed=1)
 
     def test_default_smoothing_window_must_fit_t_max(self, tmp_path):
         doc = self.base_doc()
@@ -392,7 +418,7 @@ class TestConfigLoading:
         ("y_max", -1, "y_max"),
         ("params", {"t_max": 1.5}, "params.t_max"),
         ("params", {"smoothing_window": 30}, "params.smoothing_window"),   # mngdbf: no smoothing
-        ("mode_switching", False, "mode_switching"),    # only mgdbf switches modes
+        ("mode_switching", False, "mode_switching"),    # an unknown key is named too
         ("code", 5, "code"),
         ("code", ".", "code"),
         ("code", "missing.alist", "code"),

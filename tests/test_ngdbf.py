@@ -78,8 +78,7 @@ class TestDegeneration:
             st_a = init_state(bench_code, y)
             st_b = init_state(bench_code, y)
             noisy = build_stepper(bench_code, DecoderSetup("mngdbf", params), y, None)
-            plain = build_stepper(bench_code, DecoderSetup("mgdbf", params, mode_switching=False),
-                                  y, None)
+            plain = build_stepper(bench_code, DecoderSetup("atgdbf", params), y, None)
             noisy.start(st_a)
             plain.start(st_b)
             for _ in range(30):
