@@ -96,13 +96,15 @@ class QuantizerSpec:
         """Map samples to signed odd integers (units of step/2).
 
         The magnitude bin is floor(|y| / step) clamped to the top bin, the
-        level value is index * step / 2.  sign(0) is taken as +1.
+        level value is index * step / 2.  sign(+-0.0) is taken as +1.  Huge
+        and infinite inputs land on the outermost level.
         """
         y = np.asarray(y, dtype=np.float64)
-        sign = np.where(y >= 0, 1, -1)
-        bins = np.floor(np.abs(y) / self.step).astype(np.int64)
-        bins = np.minimum(bins, self.n_levels // 2 - 1)
-        return sign * (2 * bins + 1)
+        idx = np.divide(np.abs(y), self.step, out=np.empty(y.shape))  # an array if y is 0-d
+        np.floor(idx, out=idx)
+        np.minimum(idx, self.n_levels // 2 - 1, out=idx)     # before the cast to int64
+        np.copysign(2.0 * idx + 1.0, y + 0.0, out=idx)      # -0.0 + 0.0 is +0.0
+        return idx.astype(np.int64)
 
     def from_index(self, idx) -> np.ndarray:
         return np.asarray(idx, dtype=np.float64) * (self.step / 2.0)

@@ -31,10 +31,12 @@ def _write_or_print(text: str, out: str | None) -> None:
         raise ValueError(f"cannot write {out} ({exc.strerror})") from exc
 
 
-def _at_least_one(text: str) -> int:
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, not {text}")
-    return int(text)
+def _at_least(minimum: int):     # an argparse type
+    def integer(text: str) -> int:
+        if int(text) < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, not {text}")
+        return int(text)
+    return integer
 
 
 def _cmd_code_info(args) -> int:
@@ -137,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--q", type=int, required=True, help="quantizer bits")
     p.add_argument("--ymax", type=float, required=True)
-    p.add_argument("--t", type=_at_least_one, default=300, help="iteration limit scanned")
+    p.add_argument("--t", type=_at_least(1), default=300, help="iteration limit scanned")
     p.add_argument("--out", help="CSV destination (default: stdout)")
     p.set_defaults(func=_cmd_adapt_table)
 
@@ -156,28 +158,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run a Monte Carlo campaign from a JSON config")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_at_least(0), required=True)
     p.add_argument("--out", required=True, help="CSV destination")
     p.add_argument("--json-out", help="optional JSON mirror of the statistics")
-    p.add_argument("--workers", type=_at_least_one, default=os.cpu_count() or 1)
+    p.add_argument("--workers", type=_at_least(1), default=os.cpu_count() or 1)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("sweep", help="sweep one parameter over a grid")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_at_least(0), required=True)
     p.add_argument("--param", choices=SWEEPABLE, required=True)
     p.add_argument("--grid", required=True, help="comma-separated values")
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=_at_least_one, default=os.cpu_count() or 1)
+    p.add_argument("--workers", type=_at_least(1), default=os.cpu_count() or 1)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("convergence",
                        help="terminal objective deficit per decoder over shared frames")
     p.add_argument("--code", required=True)
     p.add_argument("--ebn0", type=float, required=True)
-    p.add_argument("--frames", type=_at_least_one, default=100)
+    p.add_argument("--frames", type=_at_least(1), default=100)
     p.add_argument("--t", type=int, default=100)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_at_least(0), required=True)
     p.add_argument("--theta", type=float, default=-0.9)
     p.add_argument("--lambda", dest="lam", type=float, default=0.99)
     p.add_argument("--eta", type=float, default=0.95)

@@ -24,6 +24,9 @@ class AlistError(ValueError):
         self.line = line
 
 
+_PAD_SYMBOL, _PAD_CHECK = np.ones(1, dtype=np.int8), np.zeros(1, dtype=np.int8)
+
+
 def bipolar_sign(values) -> np.ndarray:
     """Hard decisions sign(v) with the convention sign(0) = +1."""
     v = np.asarray(values)
@@ -106,6 +109,11 @@ class ParityCheckCode:
         return (dict(Counter(len(c) for c in self.col_neighbors)),
                 dict(Counter(len(r) for r in self.row_neighbors)))
 
+    @cached_property
+    def zero_codeword(self) -> np.ndarray:
+        """The all-zero codeword in bipolar form: n entries of +1, int8."""
+        return np.ones(self.n, dtype=np.int8)
+
     # -- slot tables: one gather per degree slot --------------------------
 
     @cached_property
@@ -143,7 +151,7 @@ class ParityCheckCode:
         """
         if len(x) != self.n:
             raise ValueError(f"decision vector has length {len(x)}, code needs {self.n}")
-        return np.append(x, np.int8(1))[self.row_slots].prod(axis=0, dtype=np.int8)
+        return np.concatenate((x, _PAD_SYMBOL))[self.row_slots].prod(axis=0, dtype=np.int8)
 
     def is_codeword(self, x: np.ndarray) -> bool:
         """True iff every bipolar syndrome component equals +1."""
@@ -153,7 +161,7 @@ class ParityCheckCode:
         """Per-symbol sum of adjacent syndrome components, sum over M(k)."""
         if len(s) != self.m:
             raise ValueError(f"syndrome vector has length {len(s)}, code needs {self.m}")
-        return np.append(s, np.int8(0))[self.col_slots].sum(axis=0, dtype=np.int64)
+        return np.concatenate((s, _PAD_CHECK))[self.col_slots].sum(axis=0, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -96,7 +96,7 @@ def decode(stepper: Stepper, state: DecoderState, t_max: int, *,
         raise ValueError("smoothing window must lie in [0, t_max]")
 
     stepper.start(state)
-    code, y = stepper.code, stepper.y
+    code, y, step = stepper.code, stepper.y, stepper.step
     trace = [objective(code, state.x, y, state.s)] if trace_objective else None
     engaged = False
     if smoothing_window:
@@ -105,7 +105,7 @@ def decode(stepper: Stepper, state: DecoderState, t_max: int, *,
     for _ in range(t_max):
         if state.s.min() == 1:
             break
-        stepper.step(state)
+        step(state)
         state.t += 1
         if smoothing_window and state.t > t_max - smoothing_window:
             state.smooth += state.x

@@ -24,9 +24,10 @@ from .core import DecoderState, Stepper, objective
 def inversions(code: ParityCheckCode, state: DecoderState, y: np.ndarray,
                w: float = 1.0, q: np.ndarray | None = None) -> np.ndarray:
     """Vector of E_k over all symbols from the current syndrome snapshot."""
-    e = state.x * y + w * code.syndrome_sums(state.s)
+    e = state.x * y
+    e += w * code.syndrome_sums(state.s)
     if q is not None:
-        e = e + q
+        e += q
     return e
 
 
@@ -76,15 +77,16 @@ class BitFlipStepper(Stepper):
     def flip(self, state: DecoderState, e: np.ndarray) -> None:
         """Apply the rule to this iteration's metrics ``e``."""
         if not self.mu:     # the argmin flips; ties break to the lowest index
-            k = int(np.argmin(e))
+            k = int(e.argmin())
+            checks = self.code.col_neighbors[k]
             state.x[k] = -state.x[k]
-            state.s[self.code.col_neighbors[k]] *= -1
+            state.s[checks] = -state.s[checks]
             return
         mask = e < self.thresholds[self.u]
-        if mask.any():      # a no-op mask still counts as an iteration
-            state.x[mask] = -state.x[mask]
+        if np.count_nonzero(mask):      # a no-op mask still counts as an iteration
+            np.negative(state.x, out=state.x, where=mask)
             state.s = self.code.syndrome(state.x)
-        self.u[~mask] += 1
+        self.u += ~mask
         if self.mode_switching:
             f = objective(self.code, state.x, self.y, state.s)
             if f < self.prev_objective:

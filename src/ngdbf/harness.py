@@ -16,6 +16,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -94,6 +95,17 @@ class DecoderSetup:
     def smoothing_window(self) -> int:
         return self.params.smoothing_window or VARIANTS[self.variant].smoothing_window
 
+    @cached_property
+    def weight_and_thresholds(self) -> tuple:
+        """(w, thresholds by non-flip count) for :func:`build_stepper`, in the
+        quantizer's units if any; built once, for every frame of this setup."""
+        params, rule, quantizer = self.params, VARIANTS[self.variant].rule, self.quantizer
+        thresholds = None if rule == "single" else thresholds_by_count(
+            params.theta, params.lam if rule == "adaptive" else 1.0, params.t_max)
+        if quantizer is None:
+            return params.w, thresholds
+        return int(quantizer.to_index(params.w)), quantizer.to_index(thresholds)
+
 
 def build_stepper(code: ParityCheckCode, setup: DecoderSetup, y_sat: np.ndarray,
                   noise: NoiseSource | None) -> BitFlipStepper:
@@ -102,13 +114,11 @@ def build_stepper(code: ParityCheckCode, setup: DecoderSetup, y_sat: np.ndarray,
     A "single" rule has no thresholds, "multi" has theta at every count and
     the mode switch, and "adaptive" decays theta by lam on each non-flip.
     """
-    params, rule = setup.params, VARIANTS[setup.variant].rule
+    w, thresholds = setup.weight_and_thresholds
     if setup.quantizer is not None:
-        return QuantizedAdaptiveStepper(code, setup.quantizer, y_sat, params, noise)
-    thresholds = None if rule == "single" else thresholds_by_count(
-        params.theta, params.lam if rule == "adaptive" else 1.0, params.t_max)
-    return BitFlipStepper(code, y_sat, params.w, noise, thresholds,
-                          mode_switching=rule == "multi")
+        return QuantizedAdaptiveStepper(code, setup.quantizer, y_sat, w, thresholds, noise)
+    return BitFlipStepper(code, y_sat, w, noise, thresholds,
+                          mode_switching=VARIANTS[setup.variant].rule == "multi")
 
 
 @dataclass(frozen=True)
@@ -181,8 +191,7 @@ def _transmit_and_decode(code: ParityCheckCode, setup: DecoderSetup, sigma: floa
     for min-sum, saturated or quantized for the bit-flip steppers).
     """
     params = setup.params
-    y_raw = transmit(np.ones(code.n, dtype=np.int8), sigma,
-                     frame_rng(master_seed, snr_index, frame_index, 0))
+    y_raw = transmit(code.zero_codeword, sigma, frame_rng(master_seed, snr_index, frame_index, 0))
     if setup.variant == "minsum":
         return decode_minsum(code, y_raw, params.t_max), y_raw
 
@@ -420,14 +429,13 @@ def run_convergence(code: ParityCheckCode, setups: dict, ebn0_db: float, frames:
     errors.  Returns {name: mean(f(x(T)) - f_max)}.
     """
     sigma = ebn0_to_sigma(ebn0_db, float(code.rate))
-    ones = np.ones(code.n, dtype=np.int8)
     out = {}
     for name, setup in setups.items():
         finals, maxes = [], []
         for fi in range(frames):
             result, y_seen = _transmit_and_decode(code, setup, sigma, y_max, master_seed, 0, fi)
             finals.append(objective(code, result.decisions, y_seen))
-            maxes.append(f_max(code, ones, y_seen))
+            maxes.append(f_max(code, code.zero_codeword, y_seen))
         out[name] = convergence_error(finals, maxes)
     return out
 

@@ -49,16 +49,18 @@ def decode_minsum(code: ParityCheckCode, y: np.ndarray, t_max: int) -> DecodeRes
         mags = np.abs(table)
         m1 = mags.min(axis=0)
         at_min = mags == m1
-        m2 = np.where(at_min, np.inf, mags).min(axis=0)
-        ext_mag = np.where(at_min & (at_min.sum(axis=0) == 1), m2, m1)
-        c2v[:-1] = (signs.prod(axis=0) * signs * ext_mag).ravel()
+        np.putmask(mags, at_min, np.inf)
+        m2 = mags.min(axis=0)
+        at_min &= at_min.sum(axis=0) == 1
+        signs *= signs.prod(axis=0)
+        np.multiply(signs, np.where(at_min, m2, m1), out=c2v[:-1].reshape(table.shape))
 
         # Variable pass: posteriors, extrinsic messages, hard decisions.  Slot
         # 0 (the lowest-index check) is added last: the recorded outputs were
         # made with that order, and another one changes some decisions.
         c2v_col = c2v[slots]
-        posterior = y + (c2v_col[0] + c2v_col[1:].sum(axis=0))
-        v2c[slots] = posterior - c2v_col
+        posterior = c2v_col[1:].sum(axis=0) + c2v_col[0] + y
+        v2c[slots] = np.subtract(posterior, c2v_col, out=c2v_col)
         x = bipolar_sign(posterior)
 
     return DecodeResult(False, t_max, x.copy())

@@ -67,6 +67,9 @@ class NoiseSource:
       q(t+1)[k] = q(t)[k-1] for k >= 1.
     - ``uniform``: i.i.d. uniform on [-sqrt(3)*sigma, +sqrt(3)*sigma],
       which matches the Gaussian variance.
+
+    Later draws leave a drawn array unchanged.  The shift register is a window sliding down
+    a buffer of 2n samples, moved to a new buffer when it reaches the start.
     """
 
     def __init__(self, n: int, sigma: float, policy: str, rng: np.random.Generator):
@@ -78,20 +81,26 @@ class NoiseSource:
         self.sigma = float(sigma)
         self.policy = policy
         self.rng = rng
-        self._chain: np.ndarray | None = None
+        self._chain: np.ndarray | None = None   # shift_chain buffer; register at _start
 
     def draw(self) -> np.ndarray:
+        n = self.n
         if self.policy == "iid":
-            return self.sigma * self.rng.standard_normal(self.n)
+            q = self.rng.standard_normal(n)
+            q *= self.sigma
+            return q
         if self.policy == "uniform":
             a = np.sqrt(3.0) * self.sigma
-            return self.rng.uniform(-a, a, self.n)
+            return self.rng.uniform(-a, a, n)
         if self._chain is None:
-            self._chain = self.sigma * self.rng.standard_normal(self.n)
-        else:
-            fresh = self.sigma * self.rng.standard_normal(1)
-            self._chain = np.concatenate((fresh, self._chain[:-1]))
-        return self._chain.copy()
+            self._chain, self._start = np.empty(2 * n), n
+            self._chain[n:] = self.sigma * self.rng.standard_normal(n)
+            return self._chain[n:]
+        if self._start == 0:
+            self._chain, self._start = np.concatenate((np.empty(n + 1), self._chain[:n - 1])), n + 1
+        self._start -= 1
+        self._chain[self._start] = self.sigma * self.rng.standard_normal(1)[0]
+        return self._chain[self._start:self._start + n]
 
 
 # ---------------------------------------------------------------------------
@@ -117,20 +126,18 @@ def adaptation_events(theta: float, lam: float, quantizer: QuantizerSpec,
 class QuantizedAdaptiveStepper(BitFlipStepper):
     """The adaptive rule on the quantized integer datapath.
 
-    Samples, syndrome weight, perturbation and thresholds are signed odd
-    integers in units of step/2.  The threshold after u non-flips is
-    theta * lam**u through the quantizer.  A metric exactly on the threshold
-    does not flip.
+    Samples, syndrome weight ``w_idx``, perturbation and ``thresholds`` are
+    signed odd integers in units of step/2.  The threshold after u non-flips
+    is theta * lam**u through the quantizer.  A metric exactly on the
+    threshold does not flip.
     """
 
     def __init__(self, code: ParityCheckCode, quantizer: QuantizerSpec, y: np.ndarray,
-                 params: NgdbfParams, noise: NoiseSource | None = None):
+                 w_idx: int, thresholds: np.ndarray, noise: NoiseSource | None = None):
         self.quantizer = quantizer
         self.y_idx = quantizer.to_index(y)
-        self.w_idx = int(quantizer.to_index(params.w))
-        thresholds = quantizer.to_index(thresholds_by_count(params.theta, params.lam,
-                                                            params.t_max))
-        super().__init__(code, quantizer.from_index(self.y_idx), params.w, noise, thresholds)
+        self.w_idx = w_idx
+        super().__init__(code, quantizer.from_index(self.y_idx), w_idx, noise, thresholds)
 
     def step(self, state: DecoderState) -> None:
         q_idx = self.quantizer.to_index(self.noise.draw()) if self.noise is not None else None

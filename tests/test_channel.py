@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -70,6 +71,14 @@ class TestTransmit:
             transmit(np.ones(4, dtype=np.int8), sigma, np.random.default_rng(0))
 
 
+def reference_index(q, y: float) -> int:
+    """to_index for one float: floor(|y| / step) clamped to the top bin, as an
+    odd level index, with sign(+-0.0) = +1."""
+    top, ratio = q.n_levels // 2 - 1, abs(y) / q.step
+    bins = top if math.isinf(ratio) else min(math.floor(ratio), top)
+    return (-1 if y < 0 else 1) * (2 * bins + 1)
+
+
 class TestQuantizer:
     def test_interior_example(self):
         q = QuantizerSpec(4, 2.5)
@@ -116,6 +125,33 @@ class TestQuantizer:
         idx = q.to_index(q.levels())
         assert list(idx) == list(range(-15, 16, 2))
         assert np.allclose(q.from_index(idx), q.levels())
+
+    @given(st.floats(-1e300, 1e300) | st.sampled_from([math.inf, -math.inf]),
+           st.integers(1, 8), st.floats(0.01, 100))
+    @settings(max_examples=400)
+    def test_to_index_matches_reference(self, y, q_bits, y_max):
+        q = QuantizerSpec(q_bits, y_max)
+        expected = reference_index(q, y)
+        assert int(q.to_index(y)) == expected
+        assert q.to_index(np.array([y, -y])).tolist() == [expected, reference_index(q, -y)]
+
+    @pytest.mark.parametrize("q_bits", range(1, 9))
+    @pytest.mark.parametrize("y_max", [0.3, 1.75, 2.5, 7.0])
+    def test_to_index_at_bin_edges(self, q_bits, y_max):
+        # k * step and its two float neighbours, for every edge and two past the top
+        q = QuantizerSpec(q_bits, y_max)
+        edges = np.arange(-(q.n_levels // 2 + 2), q.n_levels // 2 + 3) * q.step
+        y = np.concatenate((edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)))
+        assert q.to_index(y).tolist() == [reference_index(q, v) for v in y.tolist()]
+
+    def test_huge_and_infinite_inputs_land_on_the_outer_levels(self):
+        q = QuantizerSpec(4, 1.75)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            idx = q.to_index([1e300, -1e300, math.inf, -math.inf, 0.0, -0.0])
+            assert idx.tolist() == [15, -15, 15, -15, 1, 1]
+            assert q.quantize(-math.inf) == -q.y_max + q.step / 2
+            assert int(q.to_index(1e20)) == 15
 
     def test_saturate(self):
         y = np.array([-4.0, -1.0, 0.0, 3.1])

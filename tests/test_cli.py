@@ -180,6 +180,18 @@ class TestSimulate:
         assert "--workers" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "convergence"])
+    def test_negative_seed_names_the_flag(self, tmp_path, capsys, command):
+        argv = {"simulate": ["simulate", "--config", write_config(tmp_path)],
+                "sweep": ["sweep", "--config", write_config(tmp_path), "--param", "lam",
+                          "--grid", "0.99"],
+                "convergence": ["convergence", "--code", CODE, "--ebn0", "3"]}[command]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "-1", "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert "argument --seed: must be at least 0, not -1" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_directory_given_as_config(self, tmp_path, capsys):
         rc = main(["simulate", "--config", str(tmp_path), "--seed", "1",
                    "--out", str(tmp_path / "x.csv")])

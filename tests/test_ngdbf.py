@@ -5,7 +5,7 @@ from ngdbf.channel import QuantizerSpec, saturate, transmit
 from ngdbf.core import DecoderState, decode, init_state
 from ngdbf.gdbf import BitFlipStepper, thresholds_by_count
 from ngdbf.harness import DecoderSetup, build_stepper
-from ngdbf.noisy import NgdbfParams, NoiseSource, QuantizedAdaptiveStepper, adaptation_events
+from ngdbf.noisy import NOISE_POLICIES, NgdbfParams, NoiseSource, adaptation_events
 
 from .support.oracles import flip_decisions_direct, flip_decisions_prescaled, inversion
 
@@ -40,6 +40,27 @@ class TestNoiseSource:
         assert q1[0] not in q0
         q2 = src.draw()
         assert np.array_equal(q2[1:], q1[:-1])
+
+    def test_shift_chain_matches_the_register_recurrence(self):
+        # Enough draws to move the register to a new buffer several times.
+        n, sigma = 16, 0.7
+        src = NoiseSource(n, sigma, "shift_chain", np.random.default_rng(8))
+        twin = np.random.default_rng(8)
+        chain = sigma * twin.standard_normal(n)
+        drawn = []
+        for _ in range(3 * n + 300):
+            q = src.draw()
+            if drawn:
+                chain = np.concatenate((sigma * twin.standard_normal(1), chain[:-1]))
+            assert np.array_equal(q, chain)
+            drawn.append((q, chain))
+        assert all(np.array_equal(q, chain) for q, chain in drawn)
+
+    @pytest.mark.parametrize("policy", NOISE_POLICIES)
+    def test_draws_are_not_changed_by_later_draws(self, policy):
+        src = NoiseSource(16, 1.0, policy, np.random.default_rng(9))
+        drawn = [(q, q.copy()) for q in (src.draw() for _ in range(100))]
+        assert all(np.array_equal(q, kept) for q, kept in drawn)
 
     def test_uniform_variance_matched(self):
         sigma = 0.668 * 0.9   # eta^2 N0/2 with eta = 0.9
@@ -165,7 +186,8 @@ class TestAdaptationTable:
         params = NgdbfParams(theta=-0.9, lam=0.99, eta=0.0, t_max=300)
         for q_bits, events in self.REFERENCE.items():
             q = QuantizerSpec(q_bits, 2.5)
-            stepper = QuantizedAdaptiveStepper(tiny_code, q, np.ones(tiny_code.n), params)
+            stepper = build_stepper(tiny_code, DecoderSetup("mngdbf", params, q), np.ones(tiny_code.n),
+                                    None)
             levels, taus = zip(*events)
             expected = np.repeat(levels, np.diff((*taus, params.t_max + 1)))
             assert np.array_equal(q.from_index(stepper.thresholds), expected)
@@ -204,6 +226,10 @@ class TestQuantizedDatapath:
             scaled = flip_decisions_prescaled(w_idx=w_idx, **sym)
             assert np.array_equal(direct, scaled)
 
+    def test_huge_weight_takes_the_outer_level(self, tiny_code):
+        setup = DecoderSetup("mngdbf", NgdbfParams(w=1e20), QuantizerSpec(4, 1.75))
+        assert build_stepper(tiny_code, setup, np.ones(tiny_code.n), None).w_idx == 15
+
     def test_exact_threshold_boundary_does_not_flip(self):
         # E == theta: delta = sign(0) = +1, counter increments, no flip
         one = np.array([1])
@@ -220,7 +246,7 @@ class TestQuantizedDatapath:
         q = QuantizerSpec(3, 2.5)
         params = NgdbfParams(theta=-0.9, lam=0.99, eta=0.0, w=0.75, t_max=300)
         y = np.array([-2.0, 1, 1, 1, 1, 1.0])
-        stepper = QuantizedAdaptiveStepper(tiny_code, q, y, params, None)
+        stepper = build_stepper(tiny_code, DecoderSetup("mngdbf", params, q), y, None)
         st = init_state(tiny_code, stepper.y)
         for _ in range(36):
             stepper.step(st)
@@ -248,7 +274,7 @@ class TestQuantizedDatapath:
             y = transmit(c, 0.8, rng)
             noise, twin = (NoiseSource(n, params.eta * 0.8, "iid", np.random.default_rng(trial))
                            for _ in range(2))
-            stepper = QuantizedAdaptiveStepper(bench_code, q, y, params, noise)
+            stepper = build_stepper(bench_code, DecoderSetup("mngdbf", params, q), y, noise)
             x = rng.choice(np.array([-1, 1], dtype=np.int8), size=n)
             st = DecoderState(x=x, s=bench_code.syndrome(x))
             stepper.u[:] = rng.integers(0, params.t_max - 10, size=n)
@@ -274,7 +300,7 @@ class TestQuantizedDatapath:
         y = transmit(c, 0.6, np.random.default_rng(2))
         noise = NoiseSource(bench_code.n, params.eta * 0.6, params.noise_policy,
                             np.random.default_rng(3))
-        stepper = QuantizedAdaptiveStepper(bench_code, q, y, params, noise)
+        stepper = build_stepper(bench_code, DecoderSetup("mngdbf", params, q), y, noise)
         res = decode(stepper, init_state(bench_code, stepper.y), 100)
         assert res.success
         assert bench_code.is_codeword(res.decisions)
