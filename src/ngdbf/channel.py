@@ -97,10 +97,13 @@ class QuantizerSpec:
 
         The magnitude bin is floor(|y| / step) clamped to the top bin, the
         level value is index * step / 2.  sign(+-0.0) is taken as +1.  Huge
-        and infinite inputs land on the outermost level.
+        and infinite inputs land on the outermost level: |y| is clamped to
+        y_max, whose bin is already past the top, so the divide cannot overflow.
         """
         y = np.asarray(y, dtype=np.float64)
-        idx = np.divide(np.abs(y), self.step, out=np.empty(y.shape))  # an array if y is 0-d
+        idx = np.abs(y, out=np.empty(y.shape))     # an array if y is 0-d
+        np.minimum(idx, self.y_max, out=idx)
+        np.divide(idx, self.step, out=idx)
         np.floor(idx, out=idx)
         np.minimum(idx, self.n_levels // 2 - 1, out=idx)     # before the cast to int64
         np.copysign(2.0 * idx + 1.0, y + 0.0, out=idx)      # -0.0 + 0.0 is +0.0

@@ -15,10 +15,12 @@ flip set is exactly {k : E_k < threshold} of the pre-step state.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .codes import ParityCheckCode
-from .core import DecoderState, Stepper, objective
+from .codes import ParityCheckCode, bipolar_sign
+from .core import DecoderState, Stepper, objective, smoothed_decision
 
 
 def inversions(code: ParityCheckCode, state: DecoderState, y: np.ndarray,
@@ -92,3 +94,107 @@ class BitFlipStepper(Stepper):
             if f < self.prev_objective:
                 self.mu = 0
             self.prev_objective = f
+
+
+def decode_batch(code: ParityCheckCode, y: np.ndarray, t_max: int, w=1.0,
+                 thresholds: np.ndarray | None = None, mode_switching: bool = False,
+                 smoothing_window: int = 0) -> tuple:
+    """Decode one frame per row of ``y`` by :class:`BitFlipStepper`'s rule without
+    perturbation, under :func:`core.decode`'s stop rule and smoothing.
+
+    ``y`` holds the samples the rule compares: saturated floats, or quantizer
+    indices with an integer ``w`` and integer ``thresholds``.  Decisions and
+    syndromes are (n+1, B) and (m+1, B) int8, one column a frame, so that one
+    gather per slot table serves the batch; their last rows are the dummy
+    symbol (+1) and dummy check (0) that pad the tables.  Metrics, x*y and flip
+    counts are (B, n), one row a frame.  Every running frame has taken the
+    same t steps, so a symbol's non-flip count under the threshold rule is t
+    minus its flips; a frame leaves the batch once it satisfies every check.
+    Returns int32 arrays of bit errors, iterations and the smoothing-engaged
+    flag, one entry a frame.
+    """
+    n, m, frames = code.n, code.m, len(y)
+    cols = np.arange(frames)                    # the running frames' rows of y
+    X = np.ones((n + 1, frames), dtype=np.int8)
+    X[:n] = bipolar_sign(y.T)
+    xy = np.multiply(X[:n].T, y, order="C")     # x*y, negated with each flip
+    S = np.zeros((m + 1, frames), dtype=np.int8)
+    S[:m] = np.take(X, code.row_slots, axis=0).prod(axis=0, dtype=np.int8)
+    flips = np.zeros((frames, n), dtype=np.min_scalar_type(t_max))
+    mu = np.full(frames, thresholds is not None)        # mode flags
+    if mu.any():
+        top = thresholds.max()      # no metric at or above it flips
+    if mode_switching:
+        prev = np.array([objective(code, X[:n, j].copy(), y[j], S[:m, j]) for j in cols])
+    smooth = np.zeros((n, frames), dtype=np.int32) if smoothing_window else None
+    out = np.zeros((3, frames), dtype=np.int32)
+    # Work arrays, made once: b running frames use the first b/B of each.
+    sum_type = np.min_scalar_type(-len(code.col_slots) - 1)    # holds +-max_dv
+    work = [np.empty(frames * size, dtype) for size, dtype in (
+        (n, xy.dtype), (n, sum_type), (code.col_slots.size, np.int8),
+        (code.row_slots.size, np.int8))]
+    t, e = 0, None
+    while cols.size:
+        ok = S[:m].min(axis=0) == 1
+        done = ok | (t == t_max)
+        if done.any():
+            engaged = bool(smoothing_window) and t > t_max - smoothing_window
+            x = X[:n, done]
+            if engaged:
+                x = np.where(ok[done], x, smoothed_decision(smooth[:, done], x))
+            out[0, cols[done]] = np.count_nonzero(x != 1, axis=0)
+            out[1:, cols[done]] = [[t], [engaged]]
+            keep = ~done        # the arrays stay C-contiguous, for ravel() views
+            cols, mu, xy, flips = cols[keep], mu[keep], xy[keep], flips[keep]
+            X, S = np.compress(keep, X, axis=1), np.compress(keep, S, axis=1)
+            if mode_switching:
+                prev = prev[keep]
+            if smoothing_window:
+                smooth = np.compress(keep, smooth, axis=1)
+            e = None
+            continue
+        if e is None:
+            b = cols.size
+            shapes = ((b, n), (n, b), (*code.col_slots.shape, b), (*code.row_slots.shape, b))
+            e, sums, adj, members = (buf[:math.prod(shape)].reshape(shape)
+                                     for buf, shape in zip(work, shapes))
+        # E = x*y + w*sums from the syndromes at step start; the sums are cast
+        # to the metric's type before w multiplies them
+        np.take(S, code.col_slots, axis=0, out=adj)
+        np.sum(adj, axis=0, dtype=sum_type, out=sums)
+        np.multiply(sums.T, w, out=e, dtype=e.dtype)
+        np.add(xy, e, out=e)
+        if not mu.all():        # the argmin flips; ties break to the lowest index
+            js = np.flatnonzero(~mu)
+            ks = (e[js] if mu.any() else e).argmin(axis=1)
+        recompute = False
+        if mu.any():    # every symbol below its own threshold flips
+            cand = np.flatnonzero(e < top)
+            if not mu.all():
+                cand = cand[mu[cand // n]]
+            cand = cand[e.ravel()[cand] < thresholds[t - flips.ravel()[cand]]]
+            recompute = cand.size > 0
+            xy.ravel()[cand] *= -1
+            flips.ravel()[cand] += 1
+            jc, kc = np.divmod(cand, n)
+            X[kc, jc] *= -1
+        if not mu.all():
+            X[ks, js] *= -1
+            xy[js, ks] *= -1
+        if recompute:
+            np.take(X, code.row_slots, axis=0, out=members)
+            np.prod(members, axis=0, dtype=np.int8, out=S[:m])
+        elif not mu.all():
+            checks = code.col_slots[:, ks]
+            S[checks, js] *= -1
+        if mode_switching and mu.any():
+            jm = np.flatnonzero(mu)
+            x, s_sum = np.ascontiguousarray(X[:n, jm].T), S[:m, jm].sum(axis=0)
+            for i, j in enumerate(jm):
+                f = np.dot(x[i], y[cols[j]]) + s_sum[i]
+                mu[j] = not f < prev[j]
+                prev[j] = f
+        t += 1
+        if smoothing_window and t > t_max - smoothing_window:
+            smooth += X[:n]
+    return tuple(out)

@@ -26,7 +26,7 @@ from .analysis import convergence_error, f_max
 from .channel import MAX_Q_BITS, QuantizerSpec, ebn0_to_sigma, saturate, transmit
 from .codes import ParityCheckCode, load_alist
 from .core import decode, init_state, objective
-from .gdbf import BitFlipStepper, thresholds_by_count
+from .gdbf import BitFlipStepper, decode_batch, thresholds_by_count
 from .minsum import decode_minsum
 from .noisy import NgdbfParams, NoiseSource, QuantizedAdaptiveStepper
 
@@ -94,6 +94,11 @@ class DecoderSetup:
     @property
     def smoothing_window(self) -> int:
         return self.params.smoothing_window or VARIANTS[self.variant].smoothing_window
+
+    @property
+    def perturbed(self) -> bool:
+        """The decoder draws a perturbation stream (a stochastic variant at eta > 0)."""
+        return VARIANTS[self.variant].stochastic and self.params.eta > 0
 
     @cached_property
     def weight_and_thresholds(self) -> tuple:
@@ -196,7 +201,7 @@ def _transmit_and_decode(code: ParityCheckCode, setup: DecoderSetup, sigma: floa
         return decode_minsum(code, y_raw, params.t_max), y_raw
 
     noise = None
-    if VARIANTS[setup.variant].stochastic and params.eta > 0:
+    if setup.perturbed:
         noise = NoiseSource(code.n, params.eta * sigma, params.noise_policy,
                             frame_rng(master_seed, snr_index, frame_index, 1))
     stepper = build_stepper(code, setup, saturate(y_raw, y_max), noise)
@@ -218,12 +223,24 @@ def decode_chunk(code: ParityCheckCode, setup: DecoderSetup, sigma: float, y_max
                  master_seed: int, snr_index: int, start: int, stop: int) -> FrameStats:
     """Decode frames ``start`` to ``stop - 1`` of one SNR point.
 
-    Each frame goes through :func:`decode_frame`, looked up as this module's
-    global so that a wrapper installed on it sees every frame.
+    A bit-flip decoder that draws no perturbation decodes the range as one
+    batch (:func:`gdbf.decode_batch`).  Min-sum and perturbed frames go one by
+    one through :func:`decode_frame`, looked up as this module's global so
+    that a wrapper installed on it sees each of them.
     """
-    frames = [decode_frame(code, setup, sigma, y_max, master_seed, snr_index, fi)
-              for fi in range(start, stop)]
-    return FrameStats(*np.array(frames, dtype=np.int32).reshape(-1, 3).T)
+    if setup.variant == "minsum" or setup.perturbed:
+        frames = [decode_frame(code, setup, sigma, y_max, master_seed, snr_index, fi)
+                  for fi in range(start, stop)]
+        return FrameStats(*np.array(frames, dtype=np.int32).reshape(-1, 3).T)
+    y = saturate(np.array([transmit(code.zero_codeword, sigma,
+                                    frame_rng(master_seed, snr_index, fi, 0))
+                           for fi in range(start, stop)]).reshape(-1, code.n), y_max)
+    if setup.quantizer is not None:
+        y = setup.quantizer.to_index(y)
+    w, thresholds = setup.weight_and_thresholds
+    return FrameStats(*decode_batch(code, y, setup.params.t_max, w, thresholds,
+                                    VARIANTS[setup.variant].rule == "multi",
+                                    setup.smoothing_window))
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,29 @@
-"""``tools/bench_record.py --tier1`` scales the suite's wall time by the
-calibration kernel timed right before and right after the run."""
+"""``tools/bench_record.py`` scales the tier-1 wall time and the traced
+per-layer times by the calibration kernel timed right before and right
+after each run."""
 
 import importlib.util
 import subprocess
 from pathlib import Path
 from types import SimpleNamespace
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_tier1_wall_time_is_scaled_by_the_kernel(monkeypatch):
+def load_bench_record(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-    import calibrate
     spec = importlib.util.spec_from_file_location("bench_record",
                                                   ROOT / "tools" / "bench_record.py")
     bench_record = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_record)
+    return bench_record
+
+
+def test_tier1_wall_time_is_scaled_by_the_kernel(monkeypatch):
+    bench_record = load_bench_record(monkeypatch)
+    import calibrate
 
     kernels = iter(([0.02] * 20, [0.03] * 20))
     clock = iter((100.0, 150.0))
@@ -31,3 +39,35 @@ def test_tier1_wall_time_is_scaled_by_the_kernel(monkeypatch):
     assert record["scaled_wall_s"] == 20.0     # 50 s * 0.010 s / mean(0.025 s)
     assert record["passed"] == 2 and record["failed"] == 1
     assert record["failed_tests"] == ["tests/test_x.py::test_y"]
+
+
+def test_per_layer_times_are_scaled_by_the_kernel_around_the_traced_run(monkeypatch):
+    bench_record = load_bench_record(monkeypatch)
+    import calibrate
+
+    events = []
+
+    def fake_calibrate(runs):
+        events.append("kernel")
+        return [0.02] * runs if len(events) == 1 else [0.03] * runs
+
+    def fake_run(workload, seed, seconds, trace):
+        events.append((workload, seed, seconds, trace))
+        return {"metrics": {"codes.syndrome.us_per_call": 5.0, "codes.syndrome.calls": 7,
+                            "gdbf.step.self_us_per_iter": 2.5, "codes.load_alist_s": 0.02,
+                            "harness.run_campaign.sgdbf.frames_per_s": 400.0,
+                            "trace.overhead_frac": 0.3}}
+
+    monkeypatch.setattr(calibrate, "calibrate", fake_calibrate)
+    layers = bench_record.per_layer("waterfall-float", fake_run, 1)
+    assert events == ["kernel", ("waterfall-float", 1, bench_record.SECONDS, 1), "kernel"]
+    assert layers["per_layer"] == fake_run("", 0, 0, 0)["metrics"]
+    assert layers["per_layer_kernel_s"] == {"before": [0.02] * 20, "after": [0.03] * 20}
+    # times go by 0.010 s / mean(0.025 s); counts, rates and ratios are left out
+    assert layers["per_layer_scaled"] == pytest.approx({"codes.syndrome.us_per_call": 2.0,
+                                                        "gdbf.step.self_us_per_iter": 1.0,
+                                                        "codes.load_alist_s": 0.008})
+    record = bench_record.workload_record([{"environment": {}, "seed": 1, "metrics": {"m": 1.0},
+                                            "unscaled": {}}] * 3, layers,
+                                          lambda values: sorted(values))
+    assert {"per_layer", "per_layer_kernel_s", "per_layer_scaled"} <= set(record)

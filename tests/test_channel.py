@@ -126,14 +126,16 @@ class TestQuantizer:
         assert list(idx) == list(range(-15, 16, 2))
         assert np.allclose(q.from_index(idx), q.levels())
 
-    @given(st.floats(-1e300, 1e300) | st.sampled_from([math.inf, -math.inf]),
-           st.integers(1, 8), st.floats(0.01, 100))
+    @given(st.floats(allow_nan=False), st.integers(1, 8), st.floats(0.01, 100))
     @settings(max_examples=400)
     def test_to_index_matches_reference(self, y, q_bits, y_max):
+        # the whole float range: |y| / step overflows above about 1e306
         q = QuantizerSpec(q_bits, y_max)
         expected = reference_index(q, y)
-        assert int(q.to_index(y)) == expected
-        assert q.to_index(np.array([y, -y])).tolist() == [expected, reference_index(q, -y)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert int(q.to_index(y)) == expected
+            assert q.to_index(np.array([y, -y])).tolist() == [expected, reference_index(q, -y)]
 
     @pytest.mark.parametrize("q_bits", range(1, 9))
     @pytest.mark.parametrize("y_max", [0.3, 1.75, 2.5, 7.0])
@@ -152,6 +154,9 @@ class TestQuantizer:
             assert idx.tolist() == [15, -15, 15, -15, 1, 1]
             assert q.quantize(-math.inf) == -q.y_max + q.step / 2
             assert int(q.to_index(1e20)) == 15
+            # |y| / step would overflow the float range
+            assert int(QuantizerSpec(4, 0.01).to_index(1e308)) == 15
+            assert int(QuantizerSpec(1, 0.5).to_index(-8.98e307)) == -1
 
     def test_saturate(self):
         y = np.array([-4.0, -1.0, 0.0, 3.1])

@@ -3,7 +3,7 @@ import pytest
 
 from ngdbf.channel import saturate, transmit
 from ngdbf.core import DecoderState, decode, init_state
-from ngdbf.gdbf import BitFlipStepper, inversions, thresholds_by_count
+from ngdbf.gdbf import BitFlipStepper, decode_batch, inversions, thresholds_by_count
 
 from .support.oracles import PlainBitFlip, inversion
 
@@ -52,6 +52,24 @@ class TestSingleFlip:
         for _ in range(4):
             stepper.step(st)
             assert np.array_equal(st.s, tiny_code.syndrome(st.x))
+
+
+class TestDecodeBatch:
+    def test_single_flip_ties_break_to_the_lowest_index(self, tiny_code):
+        # Symbols 1, 2 and 4 tie at the first minimum.  Flipping symbol 1 leads to
+        # a wrong codeword after 2 steps; flipping 4 would decode in 3.
+        y = np.array([[2, -0.1, -0.1, 2, -0.1, 0.1], [2, 2, 2, -0.1, -0.1, 2.0]])
+        bit_errors, iterations, engaged = decode_batch(tiny_code, y, 3)
+        for j, row in enumerate(y):
+            result = decode(BitFlipStepper(tiny_code, row), init_state(tiny_code, row), 3)
+            assert bit_errors[j] == np.count_nonzero(result.decisions != 1)
+            assert iterations[j] == result.iterations and not engaged[j]
+        assert (bit_errors[0], iterations[0]) == (3, 2)
+
+    def test_empty_batch(self, tiny_code):
+        stats = decode_batch(tiny_code, np.empty((0, tiny_code.n)), 5,
+                             thresholds=thresholds_by_count(-0.5, 1.0, 5), mode_switching=True)
+        assert [a.tolist() for a in stats] == [[], [], []]
 
 
 class TestMultiFlip:

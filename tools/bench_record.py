@@ -8,6 +8,10 @@ each for ``run.py``'s default 30 s, through the checkout's own
 ``perfbench/run.py``.  Per workload the record holds each end-to-end
 metric's median, quartiles and spread, the same for the unscaled timings,
 every run's values, the traced per-layer split and the run environment.
+The calibration kernel is timed 20 times right before and 20 times right
+after the traced run, and every per-layer time (a ``us_per_`` figure or
+one in seconds) is also given scaled by it, so that the layer figures of
+two records compare as their end-to-end figures do.
 ``--tier1`` also runs the checkout's tier-1 suite once and records its
 wall time and its passed and failed counts; the wall time is also given
 scaled by the checkout's ``perfbench/calibrate.py`` kernel, timed right
@@ -45,11 +49,11 @@ def git(checkout: Path, *args: str) -> str:
                           capture_output=True, text=True).stdout.strip()
 
 
-def workload_record(runs: list, traced: dict, summarize) -> dict:
-    """One workload's entry from its untraced ``runs`` and ``traced`` run.
+def workload_record(runs: list, layers: dict, summarize) -> dict:
+    """One workload's entry from its untraced ``runs`` and :func:`per_layer`.
 
-    The same record as a workload's entry in ``perfbench/baseline.json``,
-    which ``perfbench/baseline.py`` builds inline.
+    Beyond ``layers``, the same record as a workload's entry in
+    ``perfbench/baseline.json``, which ``perfbench/baseline.py`` builds inline.
     """
     return {
         "environment": runs[0]["environment"],
@@ -58,8 +62,31 @@ def workload_record(runs: list, traced: dict, summarize) -> dict:
         "unscaled": {metric: summarize([r["unscaled"][metric] for r in runs])
                      for metric in runs[0]["unscaled"]},
         "runs": [{"seed": r["seed"], **r["metrics"]} for r in runs],
-        "per_layer": traced["metrics"],
+        **layers,
     }
+
+
+def per_layer(workload: str, run, seed: int) -> dict:
+    """The traced split of one ``run``, raw and scaled by the calibration kernel.
+
+    ``per_layer_scaled`` holds each time (``us_per_`` or in seconds, not a
+    rate) times ``REFERENCE_S / mean kernel time`` over 20 kernel runs right
+    before and 20 right after the traced run, as :func:`tier1` scales.  Call
+    it after the checkout's ``perfbench`` directory is on ``sys.path``.
+    """
+    from calibrate import REFERENCE_S, calibrate
+
+    before = calibrate(20)
+    traced = run(workload, seed, SECONDS, 1)
+    after = calibrate(20)
+    scale = REFERENCE_S / statistics.mean(before + after)
+    layers = traced["metrics"]
+    return {"per_layer": layers,
+            "per_layer_kernel_s": {"before": [round(k, 6) for k in before],
+                                   "after": [round(k, 6) for k in after]},
+            "per_layer_scaled": {name: value * scale for name, value in layers.items()
+                                 if "us_per_" in name
+                                 or (name.endswith("_s") and not name.endswith("per_s"))}}
 
 
 def tier1(checkout: Path) -> dict:
@@ -113,7 +140,7 @@ def main() -> int:
     record = {"git_sha": sha, "seeds": list(SEEDS), "seconds": SECONDS, "workloads": {}}
     for name in sorted(WORKLOADS):
         runs = [run(name, seed, SECONDS, 0) for seed in SEEDS]
-        record["workloads"][name] = workload_record(runs, run(name, DEFAULT_SEED, SECONDS, 1),
+        record["workloads"][name] = workload_record(runs, per_layer(name, run, DEFAULT_SEED),
                                                     summarize)
         fps = record["workloads"][name]["end_to_end"]["frames_per_s"]
         print(f"{name}: frames_per_s median {fps['median']:.6g} "
