@@ -164,30 +164,31 @@ def decode_batch(code: ParityCheckCode, y: np.ndarray, t_max: int, w=1.0,
         np.sum(adj, axis=0, dtype=sum_type, out=sums)
         np.multiply(sums.T, w, out=e, dtype=e.dtype)
         np.add(xy, e, out=e)
-        if not mu.all():        # the argmin flips; ties break to the lowest index
+        multi, single = mu.any(), not mu.all()
+        if single:      # the argmin flips; ties break to the lowest index
             js = np.flatnonzero(~mu)
-            ks = (e[js] if mu.any() else e).argmin(axis=1)
-        recompute = False
-        if mu.any():    # every symbol below its own threshold flips
+            ks = (e[js] if multi else e).argmin(axis=1)
+        flipped = False
+        if multi:       # every symbol below its own threshold flips
             cand = np.flatnonzero(e < top)
-            if not mu.all():
+            if single:
                 cand = cand[mu[cand // n]]
             cand = cand[e.ravel()[cand] < thresholds[t - flips.ravel()[cand]]]
-            recompute = cand.size > 0
+            flipped = cand.size > 0
             xy.ravel()[cand] *= -1
             flips.ravel()[cand] += 1
             jc, kc = np.divmod(cand, n)
             X[kc, jc] *= -1
-        if not mu.all():
+        if single:
             X[ks, js] *= -1
             xy[js, ks] *= -1
-        if recompute:
+        if flipped:
             np.take(X, code.row_slots, axis=0, out=members)
             np.prod(members, axis=0, dtype=np.int8, out=S[:m])
-        elif not mu.all():
+        elif single:
             checks = code.col_slots[:, ks]
             S[checks, js] *= -1
-        if mode_switching and mu.any():
+        if mode_switching and multi:
             jm = np.flatnonzero(mu)
             x, s_sum = np.ascontiguousarray(X[:n, jm].T), S[:m, jm].sum(axis=0)
             for i, j in enumerate(jm):
