@@ -31,10 +31,12 @@ def _write_or_print(text: str, out: str | None) -> None:
         raise ValueError(f"cannot write {out} ({exc.strerror})") from exc
 
 
-def _at_least(minimum: int):     # an argparse type
+def _at_least(minimum: int, maximum: int | None = None):     # an argparse type
     def integer(text: str) -> int:
         if int(text) < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, not {text}")
+        if maximum is not None and int(text) > maximum:
+            raise argparse.ArgumentTypeError(f"must be at most {maximum}, not {text}")
         return int(text)
     return integer
 
@@ -129,6 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ngdbf",
         description="Bit-flip LDPC decoding lab: simulation campaigns and analysis tools")
     sub = parser.add_subparsers(dest="command", required=True)
+    workers = os.cpu_count() or 1   # a pool forks them all at once, so also the bound
 
     p = sub.add_parser("code-info", help="print block size, rate and degree histograms")
     p.add_argument("--code", required=True, help="alist file")
@@ -161,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_at_least(0), required=True)
     p.add_argument("--out", required=True, help="CSV destination")
     p.add_argument("--json-out", help="optional JSON mirror of the statistics")
-    p.add_argument("--workers", type=_at_least(1), default=os.cpu_count() or 1)
+    p.add_argument("--workers", type=_at_least(1, workers), default=workers)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("sweep", help="sweep one parameter over a grid")
@@ -170,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", choices=SWEEPABLE, required=True)
     p.add_argument("--grid", required=True, help="comma-separated values")
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=_at_least(1), default=os.cpu_count() or 1)
+    p.add_argument("--workers", type=_at_least(1, workers), default=workers)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("convergence",

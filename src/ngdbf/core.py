@@ -1,4 +1,5 @@
-"""Shared decode loop: state container, stopping rule, iteration accounting."""
+"""Per-frame decode loop of perturbed bit-flip frames: state container, stopping
+rule, iteration accounting.  Noise-free frames go through gdbf.decode_batch."""
 
 from __future__ import annotations
 
@@ -72,9 +73,6 @@ class Stepper:
     code: ParityCheckCode
     y: np.ndarray
 
-    def start(self, state: DecoderState) -> None:  # pragma: no cover - default no-op
-        pass
-
     def step(self, state: DecoderState) -> None:
         raise NotImplementedError
 
@@ -95,7 +93,6 @@ def decode(stepper: Stepper, state: DecoderState, t_max: int, *,
     if smoothing_window < 0 or smoothing_window > t_max:
         raise ValueError("smoothing window must lie in [0, t_max]")
 
-    stepper.start(state)
     code, y, step = stepper.code, stepper.y, stepper.step
     trace = [objective(code, state.x, y, state.s)] if trace_objective else None
     engaged = False

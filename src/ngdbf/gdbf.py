@@ -51,26 +51,21 @@ class BitFlipStepper(Stepper):
     While the mode flag ``mu`` is 1, every symbol whose E_k lies below
     ``thresholds[u_k]`` flips in parallel, and every other symbol's
     non-flip counter u_k advances.  While ``mu`` is 0, the symbol at the
-    minimum E_k flips alone.  ``mu`` starts at 1 when thresholds are given
-    and at 0 otherwise; with mode switching, the first iteration that lowers
-    the objective drops it to 0 for good.  A ``noise`` source perturbs the
-    metrics with one fresh draw per iteration.
+    minimum E_k flips alone.  ``mu`` is 1 when thresholds are given and 0
+    otherwise; mgdbf, never perturbed, switches modes in :func:`decode_batch`
+    alone.  A ``noise`` source perturbs the metrics with one fresh draw per
+    iteration.
     """
 
     def __init__(self, code: ParityCheckCode, y: np.ndarray, w: float = 1.0, noise=None,
-                 thresholds: np.ndarray | None = None, mode_switching: bool = False):
+                 thresholds: np.ndarray | None = None):
         self.code = code
         self.y = np.asarray(y, dtype=np.float64)
         self.w = float(w)
         self.noise = noise
         self.thresholds = thresholds
-        self.mode_switching = mode_switching
         self.mu = int(thresholds is not None)
         self.u = np.zeros(code.n, dtype=np.int64)
-
-    def start(self, state: DecoderState) -> None:
-        if self.mode_switching:
-            self.prev_objective = objective(self.code, state.x, self.y, state.s)
 
     def step(self, state: DecoderState) -> None:
         q = self.noise.draw() if self.noise is not None else None
@@ -89,18 +84,14 @@ class BitFlipStepper(Stepper):
             np.negative(state.x, out=state.x, where=mask)
             state.s = self.code.syndrome(state.x)
         self.u += ~mask
-        if self.mode_switching:
-            f = objective(self.code, state.x, self.y, state.s)
-            if f < self.prev_objective:
-                self.mu = 0
-            self.prev_objective = f
 
 
 def decode_batch(code: ParityCheckCode, y: np.ndarray, t_max: int, w=1.0,
                  thresholds: np.ndarray | None = None, mode_switching: bool = False,
                  smoothing_window: int = 0) -> tuple:
     """Decode one frame per row of ``y`` by :class:`BitFlipStepper`'s rule without
-    perturbation, under :func:`core.decode`'s stop rule and smoothing.
+    perturbation, under :func:`core.decode`'s stop rule and smoothing; with
+    ``mode_switching``, a step that lowers sum(x*y) + sum(s) ends multi-flips.
 
     ``y`` holds the samples the rule compares: saturated floats, or quantizer
     indices with an integer ``w`` and integer ``thresholds``.  Decisions and
@@ -110,8 +101,8 @@ def decode_batch(code: ParityCheckCode, y: np.ndarray, t_max: int, w=1.0,
     counts are (B, n), one row a frame.  Every running frame has taken the
     same t steps, so a symbol's non-flip count under the threshold rule is t
     minus its flips; a frame leaves the batch once it satisfies every check.
-    Returns int32 arrays of bit errors, iterations and the smoothing-engaged
-    flag, one entry a frame.
+    Returns the final decisions, an int8 row a frame, and int32 arrays of
+    iterations and the smoothing-engaged flag, one entry a frame.
     """
     n, m, frames = code.n, code.m, len(y)
     cols = np.arange(frames)                    # the running frames' rows of y
@@ -127,7 +118,8 @@ def decode_batch(code: ParityCheckCode, y: np.ndarray, t_max: int, w=1.0,
     if mode_switching:
         prev = np.array([objective(code, X[:n, j].copy(), y[j], S[:m, j]) for j in cols])
     smooth = np.zeros((n, frames), dtype=np.int32) if smoothing_window else None
-    out = np.zeros((3, frames), dtype=np.int32)
+    decisions = np.empty((frames, n), dtype=np.int8)
+    out = np.zeros((2, frames), dtype=np.int32)
     # Work arrays, made once: b running frames use the first b/B of each.
     sum_type = np.min_scalar_type(-len(code.col_slots) - 1)    # holds +-max_dv
     work = [np.empty(frames * size, dtype) for size, dtype in (
@@ -142,8 +134,8 @@ def decode_batch(code: ParityCheckCode, y: np.ndarray, t_max: int, w=1.0,
             x = X[:n, done]
             if engaged:
                 x = np.where(ok[done], x, smoothed_decision(smooth[:, done], x))
-            out[0, cols[done]] = np.count_nonzero(x != 1, axis=0)
-            out[1:, cols[done]] = [[t], [engaged]]
+            decisions[cols[done]] = x.T
+            out[:, cols[done]] = [[t], [engaged]]
             keep = ~done        # the arrays stay C-contiguous, for ravel() views
             cols, mu, xy, flips = cols[keep], mu[keep], xy[keep], flips[keep]
             X, S = np.compress(keep, X, axis=1), np.compress(keep, S, axis=1)
@@ -198,4 +190,4 @@ def decode_batch(code: ParityCheckCode, y: np.ndarray, t_max: int, w=1.0,
         t += 1
         if smoothing_window and t > t_max - smoothing_window:
             smooth += X[:n]
-    return tuple(out)
+    return decisions, out[0], out[1]

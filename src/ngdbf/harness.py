@@ -42,9 +42,9 @@ class ConfigError(ValueError):
 class Variant:
     """How one decoder variant is built and run.
 
-    ``rule`` picks the bit-flip stepper's thresholds (see
-    :func:`build_stepper`); it is None for min-sum, which is not a bit-flip
-    stepper.  A ``stochastic`` variant is its deterministic twin (same rule)
+    ``rule`` picks the bit-flip thresholds and mode switch (see
+    :func:`decode_noise_free`); it is None for min-sum, which is not a
+    bit-flip decoder.  A ``stochastic`` variant is its deterministic twin (same rule)
     given a perturbation stream, which it gets when eta > 0.  A positive
     ``smoothing_window`` turns output smoothing on, over that many final
     iterations unless the parameters give their own window; only such a
@@ -70,7 +70,7 @@ VARIANTS = {
 
 @dataclass(frozen=True)
 class DecoderSetup:
-    """A decoder variant plus everything needed to build its stepper."""
+    """A decoder variant plus everything needed to decode with it."""
 
     variant: str
     params: NgdbfParams
@@ -102,7 +102,7 @@ class DecoderSetup:
 
     @cached_property
     def weight_and_thresholds(self) -> tuple:
-        """(w, thresholds by non-flip count) for :func:`build_stepper`, in the
+        """(w, thresholds by non-flip count) of the bit-flip rule, in the
         quantizer's units if any; built once, for every frame of this setup."""
         params, rule, quantizer = self.params, VARIANTS[self.variant].rule, self.quantizer
         thresholds = None if rule == "single" else thresholds_by_count(
@@ -116,14 +116,23 @@ def build_stepper(code: ParityCheckCode, setup: DecoderSetup, y_sat: np.ndarray,
                   noise: NoiseSource | None) -> BitFlipStepper:
     """One frame's bit-flip stepper; ``noise`` is its perturbation stream or None.
 
-    A "single" rule has no thresholds, "multi" has theta at every count and
-    the mode switch, and "adaptive" decays theta by lam on each non-flip.
+    A "single" rule has no thresholds, "multi" has theta at every count, and
+    "adaptive" decays theta by lam on each non-flip.
     """
     w, thresholds = setup.weight_and_thresholds
     if setup.quantizer is not None:
         return QuantizedAdaptiveStepper(code, setup.quantizer, y_sat, w, thresholds, noise)
-    return BitFlipStepper(code, y_sat, w, noise, thresholds,
-                          mode_switching=VARIANTS[setup.variant].rule == "multi")
+    return BitFlipStepper(code, y_sat, w, noise, thresholds)
+
+
+def decode_noise_free(code: ParityCheckCode, setup: DecoderSetup, y_sat: np.ndarray) -> tuple:
+    """Decode one frame per row of saturated samples with a bit-flip setup that
+    draws no perturbation, by :func:`gdbf.decode_batch`: the final decisions,
+    one int8 row a frame, and int32 arrays of iterations and engaged flags."""
+    y = y_sat if setup.quantizer is None else setup.quantizer.to_index(y_sat)
+    w, thresholds = setup.weight_and_thresholds
+    return decode_batch(code, y, setup.params.t_max, w, thresholds,
+                        VARIANTS[setup.variant].rule == "multi", setup.smoothing_window)
 
 
 @dataclass(frozen=True)
@@ -190,33 +199,35 @@ class FrameStats(NamedTuple):
 def _transmit_and_decode(code: ParityCheckCode, setup: DecoderSetup, sigma: float,
                          y_max: float, master_seed: int, snr_index: int,
                          frame_index: int) -> tuple:
-    """Transmit one all-ones frame and decode it.
-
-    Returns the decode result and the samples the decoder decided on (raw
-    for min-sum, saturated or quantized for the bit-flip steppers).
-    """
+    """Transmit one all-ones frame and decode it, a noise-free bit-flip frame as
+    a batch of one.  Returns the decisions, iterations, smoothing-engaged flag
+    and the samples the decoder decided on (raw for min-sum, saturated or
+    quantizer levels for the bit-flip rule)."""
     params = setup.params
     y_raw = transmit(code.zero_codeword, sigma, frame_rng(master_seed, snr_index, frame_index, 0))
     if setup.variant == "minsum":
-        return decode_minsum(code, y_raw, params.t_max), y_raw
+        result = decode_minsum(code, y_raw, params.t_max)
+        return result.decisions, result.iterations, False, y_raw
+    y_sat = saturate(y_raw, y_max)
+    if not setup.perturbed:
+        (x,), (iterations,), (engaged,) = decode_noise_free(code, setup, y_sat[None])
+        y_seen = y_sat if setup.quantizer is None else setup.quantizer.quantize(y_sat)
+        return x, int(iterations), bool(engaged), y_seen
 
-    noise = None
-    if setup.perturbed:
-        noise = NoiseSource(code.n, params.eta * sigma, params.noise_policy,
-                            frame_rng(master_seed, snr_index, frame_index, 1))
-    stepper = build_stepper(code, setup, saturate(y_raw, y_max), noise)
+    noise = NoiseSource(code.n, params.eta * sigma, params.noise_policy,
+                        frame_rng(master_seed, snr_index, frame_index, 1))
+    stepper = build_stepper(code, setup, y_sat, noise)
     result = decode(stepper, init_state(code, stepper.y), params.t_max,
                     smoothing_window=setup.smoothing_window)
-    return result, stepper.y
+    return result.decisions, result.iterations, result.smoothing_engaged, stepper.y
 
 
 def decode_frame(code: ParityCheckCode, setup: DecoderSetup, sigma: float, y_max: float,
                  master_seed: int, snr_index: int, frame_index: int) -> FrameStats:
     """Transmit one all-ones frame, decode it, and score the outcome."""
-    result, _ = _transmit_and_decode(code, setup, sigma, y_max, master_seed, snr_index,
-                                     frame_index)
-    return FrameStats(int(np.count_nonzero(result.decisions != 1)), result.iterations,
-                      result.smoothing_engaged)
+    x, iterations, engaged, _ = _transmit_and_decode(code, setup, sigma, y_max, master_seed,
+                                                     snr_index, frame_index)
+    return FrameStats(int(np.count_nonzero(x != 1)), iterations, engaged)
 
 
 def decode_chunk(code: ParityCheckCode, setup: DecoderSetup, sigma: float, y_max: float,
@@ -224,7 +235,7 @@ def decode_chunk(code: ParityCheckCode, setup: DecoderSetup, sigma: float, y_max
     """Decode frames ``start`` to ``stop - 1`` of one SNR point.
 
     A bit-flip decoder that draws no perturbation decodes the range as one
-    batch (:func:`gdbf.decode_batch`).  Min-sum and perturbed frames go one by
+    batch (:func:`decode_noise_free`).  Min-sum and perturbed frames go one by
     one through :func:`decode_frame`, looked up as this module's global so
     that a wrapper installed on it sees each of them.
     """
@@ -235,12 +246,8 @@ def decode_chunk(code: ParityCheckCode, setup: DecoderSetup, sigma: float, y_max
     y = saturate(np.array([transmit(code.zero_codeword, sigma,
                                     frame_rng(master_seed, snr_index, fi, 0))
                            for fi in range(start, stop)]).reshape(-1, code.n), y_max)
-    if setup.quantizer is not None:
-        y = setup.quantizer.to_index(y)
-    w, thresholds = setup.weight_and_thresholds
-    return FrameStats(*decode_batch(code, y, setup.params.t_max, w, thresholds,
-                                    VARIANTS[setup.variant].rule == "multi",
-                                    setup.smoothing_window))
+    x, iterations, engaged = decode_noise_free(code, setup, y)
+    return FrameStats(np.count_nonzero(x != 1, axis=1).astype(np.int32), iterations, engaged)
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +457,8 @@ def run_convergence(code: ParityCheckCode, setups: dict, ebn0_db: float, frames:
     for name, setup in setups.items():
         finals, maxes = [], []
         for fi in range(frames):
-            result, y_seen = _transmit_and_decode(code, setup, sigma, y_max, master_seed, 0, fi)
-            finals.append(objective(code, result.decisions, y_seen))
+            x, _, _, y_seen = _transmit_and_decode(code, setup, sigma, y_max, master_seed, 0, fi)
+            finals.append(objective(code, x, y_seen))
             maxes.append(f_max(code, code.zero_codeword, y_seen))
         out[name] = convergence_error(finals, maxes)
     return out

@@ -1,8 +1,8 @@
 """Reference forms of the flip rule that the decoders are checked against.
 
-The package computes these quantities vectorised and per stepper; the
-forms here follow the paper's definitions one symbol or one event at a
-time, so a test can compare the two.
+The package computes these quantities vectorised, per stepper or per frame
+batch; the forms here follow the paper's definitions one symbol or one
+event at a time, so a test can compare the two.
 """
 
 from __future__ import annotations
@@ -118,6 +118,30 @@ class PlainBitFlip:
             f = self.objective()
             self.multi = f >= self.f
             self.f = f
+
+
+def plain_decode(code, y, t_max, smoothing_window=0, **rule) -> tuple:
+    """Decode one frame with :class:`PlainBitFlip` under the stop rule and smoothing.
+
+    ``rule`` holds :class:`PlainBitFlip`'s arguments.  Decoding stops before a
+    step once every check is satisfied, or after ``t_max`` steps.  A step that
+    leaves t > t_max - ``smoothing_window`` adds the decisions to a
+    per-symbol accumulator, and the frame counts as engaged; a frame that ends
+    with a check unsatisfied then decides the sign of its accumulator, where a
+    tie keeps the current bit.  Returns (decisions, iterations, engaged).
+    """
+    plain = PlainBitFlip(code, y, **rule)
+    votes, t, engaged = np.zeros(code.n, dtype=np.int64), 0, False
+    while t < t_max and plain.s.min() < 1:
+        plain.step()
+        t += 1
+        if t > t_max - smoothing_window:
+            votes += plain.x
+            engaged = True
+    x = plain.x
+    if engaged and plain.s.min() < 1:
+        x = np.where(votes > 0, 1, np.where(votes < 0, -1, x))
+    return x.astype(np.int8), t, engaged
 
 
 class PlainMinSum:

@@ -200,7 +200,6 @@ class TestCriterion06:
             st_a = init_state(bench_code, y)
             noisy = build_stepper(bench_code, DecoderSetup("mngdbf", params), y, None)
             plain = PlainBitFlip(bench_code, y, theta=-0.9, w=1.0)
-            noisy.start(st_a)
             for _ in range(100):
                 if st_a.s.min() == 1 and plain.s.min() == 1:
                     break

@@ -1,6 +1,6 @@
-"""``tools/bench_record.py`` scales the tier-1 wall time and the traced
-per-layer times by the calibration kernel timed right before and right
-after each run."""
+"""``tools/bench_record.py`` scales the tier-1 wall time, the traced
+per-layer times and the per-variant rates by the calibration kernel timed
+right before and right after each run."""
 
 import importlib.util
 import subprocess
@@ -56,17 +56,20 @@ def test_per_layer_times_are_scaled_by_the_kernel_around_the_traced_run(monkeypa
         return {"metrics": {"codes.syndrome.us_per_call": 5.0, "codes.syndrome.calls": 7,
                             "gdbf.step.self_us_per_iter": 2.5, "codes.load_alist_s": 0.02,
                             "harness.run_campaign.sgdbf.frames_per_s": 400.0,
-                            "trace.overhead_frac": 0.3}}
+                            "harness.run_campaign.mngdbf-q4.frames_per_s": 100.0,
+                            "sweep.frames_per_s": 50.0, "trace.overhead_frac": 0.3}}
 
     monkeypatch.setattr(calibrate, "calibrate", fake_calibrate)
     layers = bench_record.per_layer("waterfall-float", fake_run, 1)
     assert events == ["kernel", ("waterfall-float", 1, bench_record.SECONDS, 1), "kernel"]
     assert layers["per_layer"] == fake_run("", 0, 0, 0)["metrics"]
     assert layers["per_layer_kernel_s"] == {"before": [0.02] * 20, "after": [0.03] * 20}
-    # times go by 0.010 s / mean(0.025 s); counts, rates and ratios are left out
-    assert layers["per_layer_scaled"] == pytest.approx({"codes.syndrome.us_per_call": 2.0,
-                                                        "gdbf.step.self_us_per_iter": 1.0,
-                                                        "codes.load_alist_s": 0.008})
+    # times go by 0.010 s / mean(0.025 s) and per-variant rates by the inverse;
+    # counts, ratios and other rates are left out
+    assert layers["per_layer_scaled"] == pytest.approx({
+        "codes.syndrome.us_per_call": 2.0, "gdbf.step.self_us_per_iter": 1.0,
+        "codes.load_alist_s": 0.008, "harness.run_campaign.sgdbf.frames_per_s": 1000.0,
+        "harness.run_campaign.mngdbf-q4.frames_per_s": 250.0})
     record = bench_record.workload_record([{"environment": {}, "seed": 1, "metrics": {"m": 1.0},
                                             "unscaled": {}}] * 3, layers,
                                           lambda values: sorted(values))

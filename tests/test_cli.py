@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import ngdbf
+from ngdbf import harness
 from ngdbf.cli import main
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -178,6 +179,25 @@ class TestSimulate:
             main(argv)
         assert exc.value.code != 0
         assert "--workers" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_workers_above_cpu_count_rejected(self, tmp_path, capsys, monkeypatch, command):
+        # A pool starts all its workers at once; only the rejection is run here.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", refuse)
+        workers = (os.cpu_count() or 1) + 1
+        argv = [command, "--config", write_config(tmp_path), "--seed", "1",
+                "--out", str(tmp_path / "x.csv"), "--workers", str(workers)]
+        if command == "sweep":
+            argv += ["--param", "lam", "--grid", "0.99"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert (f"argument --workers: must be at most {workers - 1}, not {workers}"
+                in capsys.readouterr().err)
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "sweep", "convergence"])

@@ -3,7 +3,7 @@ import pytest
 
 from ngdbf.channel import saturate, transmit
 from ngdbf.core import decode, init_state, objective, smoothed_decision
-from ngdbf.gdbf import BitFlipStepper, inversions, thresholds_by_count
+from ngdbf.gdbf import BitFlipStepper, decode_batch, inversions, thresholds_by_count
 
 
 class TestInitState:
@@ -81,10 +81,13 @@ class TestDecodeLoop:
     def test_stalled_multibit_frame_exhausts_budget(self, tiny_code):
         # confident single error: no inversion falls under the threshold
         y = np.array([-2.0, 1, 1, 1, 1, 1.0])
-        stepper = BitFlipStepper(tiny_code, y, thresholds=thresholds_by_count(-0.9, 1.0, 2),
-                                 mode_switching=True)
-        res = decode(stepper, init_state(tiny_code, y), 2)
+        thresholds = thresholds_by_count(-0.9, 1.0, 2)
+        res = decode(BitFlipStepper(tiny_code, y, thresholds=thresholds), init_state(tiny_code, y), 2)
         assert not res.success and res.iterations == 2
+        # nor does the objective drop, so mgdbf's mode switch leaves the frame stalled
+        x, iterations, _ = decode_batch(tiny_code, y[None], 2, thresholds=thresholds,
+                                        mode_switching=True)
+        assert not tiny_code.is_codeword(x[0]) and iterations[0] == 2
 
     def test_success_implies_codeword(self, tiny_code, bench_code):
         rng = np.random.default_rng(17)

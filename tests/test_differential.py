@@ -1,15 +1,19 @@
-"""Every bit-flip variant steps exactly as the plain reference rule does,
-and the batch engine decodes exactly as the per-frame decoder does.
+"""The per-frame stepper steps exactly as the plain reference rule does,
+and the batch engine decodes whole frames exactly as the plain reference
+decoder does.
 
-Each variant is built through ``harness.build_stepper``, as a campaign
-builds it, and stepped in lockstep with ``PlainBitFlip`` on the same
-saturated samples and an identically seeded perturbation stream; decisions
-and syndromes must agree after every step.  The fixed cases run the
-acceptance parameters on the bundled code and on an irregular code; the
-property test draws small regular and irregular codes, variants,
-parameters and seeds.  The engine cases compare ``decode_chunk``'s
-statistics for noise-free setups, over ranges of several sizes, with
-``decode_frame`` called once per frame.
+Each variant the stepper decodes is built through ``harness.build_stepper``,
+as a perturbed frame builds it, and stepped in lockstep with
+``PlainBitFlip`` on the same saturated samples and an identically seeded
+perturbation stream; decisions and syndromes must agree after every step.
+mgdbf, whose mode switch only the engine applies, is checked whole-frame.
+The fixed cases run the acceptance parameters on the bundled code and on an
+irregular code; the property test draws small regular and irregular codes,
+variants, parameters and seeds.  The engine cases decode noise-free setups
+through ``decode_chunk``, over ranges of several sizes, and through
+``decode_frame``, and compare bit errors, iterations, engaged flags and
+final decisions with ``plain_decode``, ``PlainBitFlip`` run under the stop
+rule and output smoothing, one frame at a time.
 """
 
 import numpy as np
@@ -21,18 +25,19 @@ from ngdbf.channel import QuantizerSpec, ebn0_to_sigma, saturate, transmit
 from ngdbf.core import init_state
 from ngdbf import harness
 from ngdbf.harness import (VARIANTS, CampaignConfig, DecoderSetup, FrameStats, build_stepper,
-                           decode_chunk, decode_frame, frame_rng, run_campaign)
+                           decode_chunk, decode_frame, frame_rng, run_campaign,
+                           run_convergence)
 from ngdbf.noisy import NOISE_POLICIES, NgdbfParams, NoiseSource
 
 from .support.gen_regular_code import peg_regular_code
 from .support.irregular import irregular_codes, random_irregular_code
-from .support.oracles import PlainBitFlip
+from .support.oracles import PlainBitFlip, plain_decode
 
 FRAMES = 3
 SEED = 7
 
 # The parameters of acceptance criteria 07-08 and 11, and the reference rule
-# each variant must follow, written out without the variant table.
+# each variant's stepper must follow, written out without the variant table.
 SG = NgdbfParams(theta=-0.9, w=1.0, t_max=100)
 MG = NgdbfParams(theta=-0.5, w=1.0, t_max=100)
 AT = NgdbfParams(theta=-0.6, lam=0.99, w=1.0, t_max=100)
@@ -42,7 +47,6 @@ SMN = MN.replace(t_max=300, smoothing_window=64)
 Q4 = MN.replace(theta=-0.7, noise_policy="shift_chain")
 CASES = {
     "sgdbf": (DecoderSetup("sgdbf", SG), dict(w=1.0)),
-    "mgdbf": (DecoderSetup("mgdbf", MG), dict(w=1.0, theta=-0.5, mode_switching=True)),
     "atgdbf": (DecoderSetup("atgdbf", AT), dict(w=1.0, theta=-0.6, lam=0.99)),
     "sngdbf": (DecoderSetup("sngdbf", SN), dict(w=0.75)),
     "mngdbf": (DecoderSetup("mngdbf", MN), dict(w=0.75, theta=-0.9, lam=0.99)),
@@ -68,7 +72,6 @@ def run_lockstep(code, setup, rule, sigma, seed, frame) -> int:
     plain = PlainBitFlip(code, y, noise=twin, **rule)
     state = init_state(code, stepper.y)
     assert np.array_equal(state.x, plain.x)
-    stepper.start(state)
     for t in range(params.t_max):
         if state.s.min() == 1:
             return t
@@ -102,6 +105,14 @@ RULE_ARGS = {"sgdbf": (), "sngdbf": (), "mgdbf": ("theta", "mode_switching"),
              "atgdbf": ("theta", "lam"), "mngdbf": ("theta", "lam"), "smngdbf": ("theta", "lam")}
 
 
+def reference_rule(setup: DecoderSetup) -> dict:
+    """``PlainBitFlip``'s arguments for ``setup``, by RULE_ARGS."""
+    params = setup.params
+    values = dict(theta=params.theta, lam=params.lam, mode_switching=True)
+    return dict(w=params.w, quantizer=setup.quantizer,
+                **{k: values[k] for k in RULE_ARGS[setup.variant]})
+
+
 @st.composite
 def random_cases(draw):
     """A small regular or irregular code, a bit-flip variant with random
@@ -119,14 +130,13 @@ def random_cases(draw):
     quantizer = None
     if VARIANTS[variant].quantizable and draw(st.booleans()):
         quantizer = QuantizerSpec(draw(st.integers(2, 6)), draw(st.floats(1.5, 2.5)))
-    if variant == "mgdbf" and not draw(st.booleans()):
-        # The multi-bit rule without the mode switch is atgdbf's at lam = 1;
-        # the reference rule gets theta and lam, and no mode switch.
+    if variant == "mgdbf":
+        # The stepper has no mode switch: the multi-bit rule without it is
+        # atgdbf's at lam = 1, and mgdbf itself is checked whole-frame below.
         variant, params = "atgdbf", params.replace(lam=1.0)
     setup = DecoderSetup(variant, params, quantizer)
-    values = dict(theta=params.theta, lam=params.lam, mode_switching=True)
-    rule = dict(w=params.w, quantizer=quantizer, **{k: values[k] for k in RULE_ARGS[variant]})
-    return code, setup, rule, draw(st.floats(0.4, 1.0)), draw(st.integers(0, 2**32 - 1))
+    return code, setup, reference_rule(setup), draw(st.floats(0.4, 1.0)), draw(
+        st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -138,7 +148,7 @@ def test_random_codes_and_parameters_match_plain_rule(case):
 
 
 # ---------------------------------------------------------------------------
-# The batch engine against per-frame decoding
+# The batch engine against the plain whole-frame decoder
 # ---------------------------------------------------------------------------
 
 ENGINE_FRAMES = 40
@@ -157,16 +167,26 @@ ENGINE_CASES = {
 }
 
 
-def batched(code, setup, sigma, seed, frames, size, monkeypatch) -> FrameStats:
-    """decode_chunk over ranges of ``size`` frames, none of them through decode_frame."""
-    def refuse(*args):
-        raise AssertionError("a noise-free frame went through decode_frame")
+def refuse(*args, **kwargs):
+    raise AssertionError("a noise-free frame left the batch engine")
+
+
+def batched(code, setup, sigma, seed, frames, size, monkeypatch) -> tuple:
+    """decode_chunk over ranges of ``size`` frames, none of them through
+    decode_frame: the final decisions its batches reached, and its statistics."""
+    decided, engine = [], harness.decode_noise_free
+
+    def record(*args):
+        out = engine(*args)
+        decided.append(out[0])
+        return out
 
     with monkeypatch.context() as patch:
         patch.setattr(harness, "decode_frame", refuse)
+        patch.setattr(harness, "decode_noise_free", record)
         parts = [decode_chunk(code, setup, sigma, 2.5, seed, 0, start, min(start + size, frames))
                  for start in range(0, frames, size)]
-    return FrameStats(*(np.concatenate(column) for column in zip(*parts)))
+    return np.concatenate(decided), FrameStats(*(np.concatenate(c) for c in zip(*parts)))
 
 
 def per_frame(code, setup, sigma, seed, frames) -> FrameStats:
@@ -174,21 +194,50 @@ def per_frame(code, setup, sigma, seed, frames) -> FrameStats:
     return FrameStats(*np.array(stats, dtype=np.int32).T)
 
 
+def plain(code, setup, sigma, seed, frames) -> tuple:
+    """plain_decode on each frame's saturated channel samples: the final
+    decisions, and the statistics."""
+    ones = np.ones(code.n, dtype=np.int8)
+    decoded = [plain_decode(code, saturate(transmit(ones, sigma, frame_rng(seed, 0, fi, 0)), 2.5),
+                            setup.params.t_max, setup.smoothing_window, **reference_rule(setup))
+               for fi in range(frames)]
+    x = np.array([d[0] for d in decoded]).reshape(-1, code.n)
+    return x, FrameStats(np.count_nonzero(x != 1, axis=1).astype(np.int32),
+                         *np.array([d[1:] for d in decoded], dtype=np.int32).reshape(-1, 2).T)
+
+
 def assert_same_stats(got: FrameStats, want: FrameStats) -> None:
     for name, a, b in zip(FrameStats._fields, got, want):
         assert a.dtype == np.int32 and np.array_equal(a, b), name
 
 
+def assert_engine_matches_plain(code, setup, sigma, seed, frames, sizes,
+                                monkeypatch) -> FrameStats:
+    """decode_chunk over ranges of each of ``sizes`` frames, and decode_frame,
+    against plain_decode; returns the statistics."""
+    x, want = plain(code, setup, sigma, seed, frames)
+    for size in sizes:
+        decided, got = batched(code, setup, sigma, seed, frames, size, monkeypatch)
+        assert np.array_equal(decided, x)
+        assert_same_stats(got, want)
+    assert_same_stats(per_frame(code, setup, sigma, seed, frames), want)
+    return want
+
+
 @pytest.mark.parametrize("ebn0", [3.0, 4.0])
 @pytest.mark.parametrize("name", ENGINE_CASES)
 def test_engine_matches_per_frame_decoding(bench_code, monkeypatch, name, ebn0):
-    setup = ENGINE_CASES[name]
     sigma = ebn0_to_sigma(ebn0, float(bench_code.rate))
-    want = per_frame(bench_code, setup, sigma, SEED, ENGINE_FRAMES)
+    want = assert_engine_matches_plain(bench_code, ENGINE_CASES[name], sigma, SEED,
+                                       ENGINE_FRAMES, (1, 7, 32, 40), monkeypatch)
     assert np.count_nonzero(want.iterations) > ENGINE_FRAMES // 2
-    for size in (1, 7, 32, 40):
-        got = batched(bench_code, setup, sigma, SEED, ENGINE_FRAMES, size, monkeypatch)
-        assert_same_stats(got, want)
+
+
+@pytest.mark.parametrize("name", ENGINE_CASES)
+def test_engine_on_irregular_code_matches_plain_decoding(monkeypatch, name):
+    """Padded slots of both tables, decoded by every noise-free setup."""
+    code = random_irregular_code(240, 100, 8, seed=11)
+    assert_engine_matches_plain(code, ENGINE_CASES[name], 0.6, SEED, 8, (3,), monkeypatch)
 
 
 @st.composite
@@ -222,9 +271,21 @@ def noiseless_cases(draw):
 @given(case=noiseless_cases())
 def test_engine_matches_per_frame_decoding_on_random_codes(monkeypatch, case):
     code, setup, sigma, seed, frames = case
-    want = per_frame(code, setup, sigma, seed, frames)
-    for size in sorted({1, 3, frames}):
-        assert_same_stats(batched(code, setup, sigma, seed, frames, size, monkeypatch), want)
+    assert_engine_matches_plain(code, setup, sigma, seed, frames, sorted({1, 3, frames}),
+                                monkeypatch)
+
+
+def test_noise_free_setups_reach_no_stepper(bench_code, monkeypatch):
+    # float, eta = 0 and Q4 eta = 0 setups, through every per-frame entry point
+    monkeypatch.setattr(harness, "decode", refuse)
+    monkeypatch.setattr(harness, "build_stepper", refuse)
+    sigma = ebn0_to_sigma(3.0, float(bench_code.rate))
+    for setup in ENGINE_CASES.values():
+        assert not setup.perturbed
+        decode_frame(bench_code, setup, sigma, 2.5, SEED, 0, 0)
+        decode_chunk(bench_code, setup, sigma, 2.5, SEED, 0, 0, 3)
+    eps = run_convergence(bench_code, ENGINE_CASES, 3.0, 3, SEED)
+    assert list(eps) == list(ENGINE_CASES)
 
 
 @pytest.mark.parametrize("name", ["sgdbf", "mgdbf", "atgdbf", "mngdbf-eta0", "mngdbf-q4-eta0"])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ngdbf.channel import saturate, transmit
-from ngdbf.core import DecoderState, decode, init_state
+from ngdbf.core import DecoderState, decode, init_state, objective
 from ngdbf.gdbf import BitFlipStepper, decode_batch, inversions, thresholds_by_count
 
 from .support.oracles import PlainBitFlip, inversion
@@ -59,17 +59,18 @@ class TestDecodeBatch:
         # Symbols 1, 2 and 4 tie at the first minimum.  Flipping symbol 1 leads to
         # a wrong codeword after 2 steps; flipping 4 would decode in 3.
         y = np.array([[2, -0.1, -0.1, 2, -0.1, 0.1], [2, 2, 2, -0.1, -0.1, 2.0]])
-        bit_errors, iterations, engaged = decode_batch(tiny_code, y, 3)
+        x, iterations, engaged = decode_batch(tiny_code, y, 3)
+        assert x.dtype == np.int8 and x.shape == y.shape
         for j, row in enumerate(y):
             result = decode(BitFlipStepper(tiny_code, row), init_state(tiny_code, row), 3)
-            assert bit_errors[j] == np.count_nonzero(result.decisions != 1)
+            assert np.array_equal(x[j], result.decisions)
             assert iterations[j] == result.iterations and not engaged[j]
-        assert (bit_errors[0], iterations[0]) == (3, 2)
+        assert (np.count_nonzero(x[0] != 1), iterations[0]) == (3, 2)
 
     def test_empty_batch(self, tiny_code):
-        stats = decode_batch(tiny_code, np.empty((0, tiny_code.n)), 5,
-                             thresholds=thresholds_by_count(-0.5, 1.0, 5), mode_switching=True)
-        assert [a.tolist() for a in stats] == [[], [], []]
+        x, *stats = decode_batch(tiny_code, np.empty((0, tiny_code.n)), 5,
+                                 thresholds=thresholds_by_count(-0.5, 1.0, 5), mode_switching=True)
+        assert x.shape == (0, tiny_code.n) and [a.tolist() for a in stats] == [[], []]
 
 
 class TestMultiFlip:
@@ -105,26 +106,35 @@ class TestMultiFlip:
         stepper.step(st)
         assert int((st.x != init_state(tiny_code, y).x).sum()) == 1
 
+    # An aggressive threshold flips four bits at once and the objective drops;
+    # single flips then raise it and decode at step 3.
+    OVERSHOOT = np.array([0.3, 2, 2, -0.2, -0.2, 2])
+
     def test_overshoot_drops_mode_flag_permanently(self, tiny_code):
-        # aggressive threshold flips five bits at once and the objective drops
-        y = np.array([-0.2, -0.2, 1, 1, 1, 1.0])
+        y, thresholds = self.OVERSHOOT, thresholds_by_count(0.5, 1.0, 10)
         st = init_state(tiny_code, y)
-        stepper = BitFlipStepper(tiny_code, y, thresholds=thresholds_by_count(0.5, 1.0, 2),
-                                 mode_switching=True)
-        stepper.start(st)
-        assert stepper.mu == 1
-        stepper.step(st)
-        assert stepper.mu == 0
-        stepper.step(st)   # objective rises again, flag must stay low
-        assert stepper.mu == 0
+        stepper = BitFlipStepper(tiny_code, y, thresholds=thresholds)
+        f = [objective(tiny_code, st.x, y, st.s)]
+        for t in range(3):
+            if t == 2:      # had the rise brought the flag back, step 3 would multi-flip
+                multi = DecoderState(st.x.copy(), st.s.copy())
+                BitFlipStepper(tiny_code, y, thresholds=thresholds).step(multi)
+                assert not tiny_code.is_codeword(multi.x)
+            stepper.step(st)
+            stepper.mu = 0      # the flag drops after the first step, for good
+            f.append(objective(tiny_code, st.x, y, st.s))
+        assert f[1] < f[0] and f[2] > f[1] and tiny_code.is_codeword(st.x)
+        x, iterations, _ = decode_batch(tiny_code, y[None], 10, thresholds=thresholds,
+                                        mode_switching=True)
+        assert np.array_equal(x[0], st.x) and iterations[0] == 3
 
     def test_mode_flag_untouched_without_switching(self, tiny_code):
-        y = np.array([-0.2, -0.2, 1, 1, 1, 1.0])
-        st = init_state(tiny_code, y)
-        stepper = BitFlipStepper(tiny_code, y, thresholds=thresholds_by_count(0.5, 1.0, 1))
-        stepper.start(st)
-        stepper.step(st)
-        assert stepper.mu == 1
+        y, thresholds = self.OVERSHOOT, thresholds_by_count(0.5, 1.0, 10)
+        result = decode(BitFlipStepper(tiny_code, y, thresholds=thresholds),
+                        init_state(tiny_code, y), 10)
+        x, iterations, _ = decode_batch(tiny_code, y[None], 10, thresholds=thresholds)
+        assert np.array_equal(x[0], result.decisions) and iterations[0] == 10
+        assert not result.success
 
 
 class TestAdaptiveThreshold:
@@ -137,7 +147,6 @@ class TestAdaptiveThreshold:
             st_b = init_state(bench_code, y)
             a = BitFlipStepper(bench_code, y, thresholds=thresholds_by_count(-0.9, 1.0, 30))
             b = PlainBitFlip(bench_code, y, theta=-0.9)
-            a.start(st_a)
             for _ in range(30):
                 a.step(st_a)
                 b.step()
@@ -147,7 +156,6 @@ class TestAdaptiveThreshold:
         y = np.ones(6)
         st = init_state(tiny_code, y)
         stepper = BitFlipStepper(tiny_code, y, thresholds=thresholds_by_count(-0.9, 0.99, 1))
-        stepper.start(st)
         stepper.step(st)
         assert np.allclose(stepper.thresholds[stepper.u], -0.891)
 
@@ -156,7 +164,6 @@ class TestAdaptiveThreshold:
         y = np.array([-0.2, 1, 1, 1, 1, 1.0])
         st = init_state(tiny_code, y)
         stepper = BitFlipStepper(tiny_code, y, thresholds=thresholds_by_count(-0.9, 0.99, 1))
-        stepper.start(st)
         e = inversions(tiny_code, st, y)
         assert e[0] < -0.9
         stepper.step(st)
@@ -170,7 +177,6 @@ class TestAdaptiveThreshold:
         y = saturate(transmit(c, 0.7, rng), 2.5)
         st = init_state(bench_code, y)
         stepper = BitFlipStepper(bench_code, y, thresholds=thresholds_by_count(-0.9, 0.98, 50))
-        stepper.start(st)
         prev = np.abs(stepper.thresholds[stepper.u])
         for _ in range(50):
             stepper.step(st)

@@ -100,8 +100,6 @@ class TestDegeneration:
             st_b = init_state(bench_code, y)
             noisy = build_stepper(bench_code, DecoderSetup("mngdbf", params), y, None)
             plain = build_stepper(bench_code, DecoderSetup("atgdbf", params), y, None)
-            noisy.start(st_a)
-            plain.start(st_b)
             for _ in range(30):
                 noisy.step(st_a)
                 plain.step(st_b)

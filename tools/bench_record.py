@@ -10,8 +10,9 @@ metric's median, quartiles and spread, the same for the unscaled timings,
 every run's values, the traced per-layer split and the run environment.
 The calibration kernel is timed 20 times right before and 20 times right
 after the traced run, and every per-layer time (a ``us_per_`` figure or
-one in seconds) is also given scaled by it, so that the layer figures of
-two records compare as their end-to-end figures do.
+one in seconds) is also given scaled by it, and every per-variant rate by
+its inverse, so that the layer figures of two records compare as their
+end-to-end figures do.
 ``--tier1`` also runs the checkout's tier-1 suite once and records its
 wall time and its passed and failed counts; the wall time is also given
 scaled by the checkout's ``perfbench/calibrate.py`` kernel, timed right
@@ -71,8 +72,10 @@ def per_layer(workload: str, run, seed: int) -> dict:
 
     ``per_layer_scaled`` holds each time (``us_per_`` or in seconds, not a
     rate) times ``REFERENCE_S / mean kernel time`` over 20 kernel runs right
-    before and 20 right after the traced run, as :func:`tier1` scales.  Call
-    it after the checkout's ``perfbench`` directory is on ``sys.path``.
+    before and 20 right after the traced run, as :func:`tier1` scales, and
+    each per-variant rate ``harness.run_campaign.<variant>.frames_per_s``
+    times the inverse, ``mean kernel time / REFERENCE_S``.  Call it after the
+    checkout's ``perfbench`` directory is on ``sys.path``.
     """
     from calibrate import REFERENCE_S, calibrate
 
@@ -80,13 +83,16 @@ def per_layer(workload: str, run, seed: int) -> dict:
     traced = run(workload, seed, SECONDS, 1)
     after = calibrate(20)
     scale = REFERENCE_S / statistics.mean(before + after)
-    layers = traced["metrics"]
+    layers, scaled = traced["metrics"], {}
+    for name, value in layers.items():
+        if "us_per_" in name or (name.endswith("_s") and not name.endswith("per_s")):
+            scaled[name] = value * scale
+        elif re.fullmatch(r"harness\.run_campaign\..+\.frames_per_s", name):
+            scaled[name] = value / scale
     return {"per_layer": layers,
             "per_layer_kernel_s": {"before": [round(k, 6) for k in before],
                                    "after": [round(k, 6) for k in after]},
-            "per_layer_scaled": {name: value * scale for name, value in layers.items()
-                                 if "us_per_" in name
-                                 or (name.endswith("_s") and not name.endswith("per_s"))}}
+            "per_layer_scaled": scaled}
 
 
 def tier1(checkout: Path) -> dict:
