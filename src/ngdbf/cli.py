@@ -131,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ngdbf",
         description="Bit-flip LDPC decoding lab: simulation campaigns and analysis tools")
     sub = parser.add_subparsers(dest="command", required=True)
-    workers = os.cpu_count() or 1   # a pool forks them all at once, so also the bound
+    workers = os.cpu_count() or 1   # default and bound: a pool starts all its workers at once
 
     p = sub.add_parser("code-info", help="print block size, rate and degree histograms")
     p.add_argument("--code", required=True, help="alist file")
