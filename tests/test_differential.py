@@ -6,7 +6,8 @@ Each variant the stepper decodes is built through ``harness.build_stepper``,
 as a perturbed frame builds it, and stepped in lockstep with
 ``PlainBitFlip`` on the same saturated samples and an identically seeded
 perturbation stream; decisions and syndromes must agree after every step.
-mgdbf, whose mode switch only the engine applies, is checked whole-frame.
+mgdbf, whose mode switch only the engine applies, is stepped by decoding
+its frames through the engine afresh under a budget of each step count.
 The fixed cases run the acceptance parameters on the bundled code and on an
 irregular code; the property test draws small regular and irregular codes,
 variants, parameters and seeds.  The engine cases decode noise-free setups
@@ -82,12 +83,39 @@ def run_lockstep(code, setup, rule, sigma, seed, frame) -> int:
     return params.t_max
 
 
-@pytest.mark.parametrize("name", CASES)
+def run_engine_lockstep(code, setup, rule, sigma, seed, frame) -> int:
+    """Step one noise-free frame through the plain rule, and after each step t
+    decode it afresh through the engine with a budget of t steps: both must
+    hold the same decisions.
+
+    Returns the number of steps taken.
+    """
+    params = setup.params
+    ones = np.ones(code.n, dtype=np.int8)
+    y = saturate(transmit(ones, sigma, frame_rng(seed, 0, frame, 0)), 2.5)
+    plain = PlainBitFlip(code, y, **rule)
+    for t in range(params.t_max):
+        if plain.s.min() == 1:
+            return t
+        plain.step()
+        budget = DecoderSetup(setup.variant, params.replace(t_max=t + 1), setup.quantizer)
+        x, iterations, _ = harness.decode_noise_free(code, budget, y[None])
+        assert np.array_equal(x[0], plain.x), f"frame {frame}, step {t}: decisions differ"
+        assert iterations[0] == t + 1, f"frame {frame}, step {t}: iterations differ"
+    return params.t_max
+
+
+@pytest.mark.parametrize("name", [*CASES, "mgdbf"])
 def test_stepper_matches_plain_rule_at_every_step(bench_code, name):
-    setup, rule = CASES[name]
+    # mgdbf's mode switch lives only in the engine, so its steps are the
+    # engine's decisions under growing step budgets
+    if name == "mgdbf":
+        setup = DecoderSetup("mgdbf", MG)
+        lockstep, rule = run_engine_lockstep, reference_rule(setup)
+    else:
+        (setup, rule), lockstep = CASES[name], run_lockstep
     sigma = ebn0_to_sigma(3.0, float(bench_code.rate))
-    steps = sum(run_lockstep(bench_code, setup, rule, sigma, SEED, fi)
-                for fi in range(FRAMES))
+    steps = sum(lockstep(bench_code, setup, rule, sigma, SEED, fi) for fi in range(FRAMES))
     assert steps >= 2 * FRAMES
 
 
