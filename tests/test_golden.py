@@ -5,7 +5,8 @@ independently of the implementation.  They cover paths the benchmark's
 reference points do not reach: the default smoothing window, the uniform
 and shift-chain noise policies on the float datapath, the quantized
 datapath with iid noise, the fixed-threshold multi-bit rule (``atgdbf`` at
-lam = 1), a per-SNR parameter schedule and the convergence report.
+lam = 1), a per-SNR parameter schedule and the convergence report.  They
+also pin the benchmark's quantized shift-chain setup at a lower SNR.
 
 A deliberate change of results re-records them with
 
@@ -41,6 +42,12 @@ CAMPAIGNS = {
                                  "t_max": 100, "noise_policy": "iid"},
                       "quantizer": {"q_bits": 4, "y_max": 1.75},
                       "ebn0_db": [3.5], "frames": 24},
+    # the quantized-minsum-4db benchmark's Q4 setup, 0.5 dB lower
+    "mngdbf_q4_shift_chain": {"decoder": "mngdbf",
+                              "params": {"theta": -0.7, "lam": 0.99, "eta": 0.95, "w": 0.75,
+                                         "t_max": 100, "noise_policy": "shift_chain"},
+                              "quantizer": {"q_bits": 4, "y_max": 1.75},
+                              "ebn0_db": [3.5], "frames": 24},
     # lam defaults to 1: the fixed-threshold multi-bit rule, without mgdbf's mode switch
     "atgdbf_lam_one": {"decoder": "atgdbf", "params": {"theta": -0.5, "w": 1.0, "t_max": 100},
                        "ebn0_db": [3.0], "frames": 24},
