@@ -215,7 +215,8 @@ def _transmit_and_decode(code: ParityCheckCode, setup: DecoderSetup, sigma: floa
         return x, int(iterations), bool(engaged), y_seen
 
     noise = NoiseSource(code.n, params.eta * sigma, params.noise_policy,
-                        frame_rng(master_seed, snr_index, frame_index, 1))
+                        frame_rng(master_seed, snr_index, frame_index, 1), params.t_max,
+                        setup.quantizer)
     stepper = build_stepper(code, setup, y_sat, noise)
     result = decode(stepper, init_state(code, stepper.y), params.t_max,
                     smoothing_window=setup.smoothing_window)

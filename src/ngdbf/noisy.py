@@ -68,38 +68,51 @@ class NoiseSource:
     - ``uniform``: i.i.d. uniform on [-sqrt(3)*sigma, +sqrt(3)*sigma],
       which matches the Gaussian variance.
 
-    Later draws leave a drawn array unchanged.  The shift register is a window sliding down
-    a buffer of 2n samples, moved to a new buffer when it reaches the start.
+    With a ``quantizer``, each draw comes as its ``to_index``.  The first
+    shift-chain draw takes the register's n samples and the t_max that enter
+    after them as one block z, and lays out and quantizes w = z[n:][::-1]
+    then z[:n] once; draw j is the view w[t_max-j : t_max-j+n].  Draws past
+    the block move the register to a new chain.  Later draws leave a drawn
+    array unchanged.
     """
 
-    def __init__(self, n: int, sigma: float, policy: str, rng: np.random.Generator):
+    def __init__(self, n: int, sigma: float, policy: str, rng: np.random.Generator,
+                 t_max: int = NgdbfParams.t_max, quantizer: QuantizerSpec | None = None):
         if policy not in NOISE_POLICIES:
             raise ValueError(f"unknown noise policy {policy!r}")
         if sigma < 0:
             raise ValueError("sigma must be non-negative")
+        if t_max < 1:
+            raise ValueError("iteration limit must be at least 1")
         self.n = n
         self.sigma = float(sigma)
         self.policy = policy
         self.rng = rng
-        self._chain: np.ndarray | None = None   # shift_chain buffer; register at _start
+        self.t_max = t_max
+        self.quantizer = quantizer
+        self._chain: np.ndarray | None = None   # shift_chain's w; the register at _start
+
+    def _levels(self, q: np.ndarray) -> np.ndarray:
+        return q if self.quantizer is None else self.quantizer.to_index(q)
 
     def draw(self) -> np.ndarray:
-        n = self.n
+        n, t_max = self.n, self.t_max
         if self.policy == "iid":
             q = self.rng.standard_normal(n)
             q *= self.sigma
-            return q
+            return self._levels(q)
         if self.policy == "uniform":
             a = np.sqrt(3.0) * self.sigma
-            return self.rng.uniform(-a, a, n)
+            return self._levels(self.rng.uniform(-a, a, n))
         if self._chain is None:
-            self._chain, self._start = np.empty(2 * n), n
-            self._chain[n:] = self.sigma * self.rng.standard_normal(n)
-            return self._chain[n:]
-        if self._start == 0:
-            self._chain, self._start = np.concatenate((np.empty(n + 1), self._chain[:n - 1])), n + 1
-        self._start -= 1
-        self._chain[self._start] = self.sigma * self.rng.standard_normal(1)[0]
+            z = self.sigma * self.rng.standard_normal(n + t_max)
+            self._chain, self._start = self._levels(np.concatenate((z[n:][::-1], z[:n]))), t_max
+        elif self._start == 0:
+            z = self.sigma * self.rng.standard_normal(t_max)
+            self._chain = np.concatenate((self._levels(z[::-1]), self._chain[:n - 1]))
+            self._start = t_max - 1
+        else:
+            self._start -= 1
         return self._chain[self._start:self._start + n]
 
 
@@ -126,19 +139,18 @@ def adaptation_events(theta: float, lam: float, quantizer: QuantizerSpec,
 class QuantizedAdaptiveStepper(BitFlipStepper):
     """The adaptive rule on the quantized integer datapath.
 
-    Samples, syndrome weight ``w_idx``, perturbation and ``thresholds`` are
-    signed odd integers in units of step/2.  The threshold after u non-flips
-    is theta * lam**u through the quantizer.  A metric exactly on the
-    threshold does not flip.
+    Samples, syndrome weight ``w_idx``, perturbation (from a ``noise`` source
+    given the same quantizer) and ``thresholds`` are signed odd integers in
+    units of step/2.  The threshold after u non-flips is theta * lam**u
+    through the quantizer.  A metric exactly on the threshold does not flip.
     """
 
     def __init__(self, code: ParityCheckCode, quantizer: QuantizerSpec, y: np.ndarray,
                  w_idx: int, thresholds: np.ndarray, noise: NoiseSource | None = None):
-        self.quantizer = quantizer
         self.y_idx = quantizer.to_index(y)
         self.w_idx = w_idx
         super().__init__(code, quantizer.from_index(self.y_idx), w_idx, noise, thresholds)
 
     def step(self, state: DecoderState) -> None:
-        q_idx = self.quantizer.to_index(self.noise.draw()) if self.noise is not None else None
+        q_idx = self.noise.draw() if self.noise is not None else None
         self.flip(state, inversions(self.code, state, self.y_idx, self.w_idx, q_idx))

@@ -67,8 +67,10 @@ def run_lockstep(code, setup, rule, sigma, seed, frame) -> int:
     y = saturate(transmit(ones, sigma, frame_rng(seed, 0, frame, 0)), 2.5)
     noise = twin = None
     if VARIANTS[setup.variant].stochastic and params.eta > 0:
+        # the stepper's stream comes quantized, the reference quantizes its own
         noise, twin = (NoiseSource(code.n, params.eta * sigma, params.noise_policy,
-                                   frame_rng(seed, 0, frame, 1)) for _ in range(2))
+                                   frame_rng(seed, 0, frame, 1), params.t_max, quantizer)
+                       for quantizer in (setup.quantizer, None))
     stepper = build_stepper(code, setup, y, noise)
     plain = PlainBitFlip(code, y, noise=twin, **rule)
     state = init_state(code, stepper.y)

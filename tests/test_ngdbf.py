@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from ngdbf.channel import QuantizerSpec, saturate, transmit
+from ngdbf.channel import QuantizerSpec, ebn0_to_sigma, saturate, transmit
 from ngdbf.core import DecoderState, decode, init_state
 from ngdbf.gdbf import BitFlipStepper, thresholds_by_count
-from ngdbf.harness import DecoderSetup, build_stepper
+from ngdbf.harness import DecoderSetup, build_stepper, decode_frame
 from ngdbf.noisy import NOISE_POLICIES, NgdbfParams, NoiseSource, adaptation_events
 
 from .support.oracles import flip_decisions_direct, flip_decisions_prescaled, inversion
@@ -42,19 +42,33 @@ class TestNoiseSource:
         assert np.array_equal(q2[1:], q1[:-1])
 
     def test_shift_chain_matches_the_register_recurrence(self):
-        # Enough draws to move the register to a new buffer several times.
+        # Float and quantized chains, with enough draws to run past the first
+        # block of t_max + 1 registers and move the register to a new chain
+        # several times; t_max = 1 moves it on every other draw.
         n, sigma = 16, 0.7
-        src = NoiseSource(n, sigma, "shift_chain", np.random.default_rng(8))
-        twin = np.random.default_rng(8)
-        chain = sigma * twin.standard_normal(n)
-        drawn = []
-        for _ in range(3 * n + 300):
-            q = src.draw()
-            if drawn:
-                chain = np.concatenate((sigma * twin.standard_normal(1), chain[:-1]))
-            assert np.array_equal(q, chain)
-            drawn.append((q, chain))
-        assert all(np.array_equal(q, chain) for q, chain in drawn)
+        for t_max, quantizer in ((100, None), (100, QuantizerSpec(4, 1.75)),
+                                 (1, None), (7, QuantizerSpec(3, 1.0))):
+            src = NoiseSource(n, sigma, "shift_chain", np.random.default_rng(8), t_max, quantizer)
+            levels = (lambda q: q) if quantizer is None else quantizer.to_index
+            twin = np.random.default_rng(8)
+            chain = sigma * twin.standard_normal(n)
+            drawn = []
+            for _ in range(3 * n + 300):
+                q = src.draw()
+                if drawn:
+                    chain = np.concatenate((sigma * twin.standard_normal(1), chain[:-1]))
+                assert q.dtype == levels(chain).dtype
+                assert np.array_equal(q, levels(chain))
+                drawn.append((q, levels(chain)))
+            assert all(np.array_equal(q, chain) for q, chain in drawn)
+
+    @pytest.mark.parametrize("policy", NOISE_POLICIES)
+    def test_quantized_draws_are_the_float_draws_through_the_quantizer(self, policy):
+        quantizer = QuantizerSpec(4, 1.75)
+        src, twin = (NoiseSource(64, 0.6, policy, np.random.default_rng(10), 20, q)
+                     for q in (quantizer, None))
+        for _ in range(50):
+            assert np.array_equal(src.draw(), quantizer.to_index(twin.draw()))
 
     @pytest.mark.parametrize("policy", NOISE_POLICIES)
     def test_draws_are_not_changed_by_later_draws(self, policy):
@@ -270,8 +284,9 @@ class TestQuantizedDatapath:
         boundary = 0
         for trial in range(6):
             y = transmit(c, 0.8, rng)
-            noise, twin = (NoiseSource(n, params.eta * 0.8, "iid", np.random.default_rng(trial))
-                           for _ in range(2))
+            noise = NoiseSource(n, params.eta * 0.8, "iid", np.random.default_rng(trial),
+                                params.t_max, q)
+            twin = NoiseSource(n, params.eta * 0.8, "iid", np.random.default_rng(trial))
             stepper = build_stepper(bench_code, DecoderSetup("mngdbf", params, q), y, noise)
             x = rng.choice(np.array([-1, 1], dtype=np.int8), size=n)
             st = DecoderState(x=x, s=bench_code.syndrome(x))
@@ -290,6 +305,19 @@ class TestQuantizedDatapath:
                 assert np.array_equal(stepper.u, u_before + (delta == 1))
         assert boundary > 0
 
+    def test_shift_chain_frame_quantizes_samples_and_chain_once(self, bench_code, monkeypatch):
+        setup = DecoderSetup("mngdbf", NgdbfParams(theta=-0.7, lam=0.99, eta=0.95, w=0.75,
+                                                   t_max=100, noise_policy="shift_chain"),
+                             QuantizerSpec(4, 1.75))
+        setup.weight_and_thresholds     # built once per setup, not per frame
+        calls, to_index = [], QuantizerSpec.to_index
+        monkeypatch.setattr(QuantizerSpec, "to_index",
+                            lambda self, y: calls.append(1) or to_index(self, y))
+        frames, sigma = 8, ebn0_to_sigma(3.0, float(bench_code.rate))
+        stats = [decode_frame(bench_code, setup, sigma, 2.5, 5, 0, fi) for fi in range(frames)]
+        assert sum(s.iterations for s in stats) > 10 * frames
+        assert len(calls) <= 2 * frames
+
     def test_quantized_decode_runs_and_counts(self, bench_code):
         q = QuantizerSpec(4, 1.75)
         params = NgdbfParams(theta=-0.7, lam=0.99, eta=0.95, w=0.75, t_max=100,
@@ -297,7 +325,7 @@ class TestQuantizedDatapath:
         c = np.ones(bench_code.n, dtype=np.int8)
         y = transmit(c, 0.6, np.random.default_rng(2))
         noise = NoiseSource(bench_code.n, params.eta * 0.6, params.noise_policy,
-                            np.random.default_rng(3))
+                            np.random.default_rng(3), params.t_max, q)
         stepper = build_stepper(bench_code, DecoderSetup("mngdbf", params, q), y, noise)
         res = decode(stepper, init_state(bench_code, stepper.y), 100)
         assert res.success
