@@ -199,25 +199,19 @@ class FrameStats(NamedTuple):
 def _transmit_and_decode(code: ParityCheckCode, setup: DecoderSetup, sigma: float,
                          y_max: float, master_seed: int, snr_index: int,
                          frame_index: int) -> tuple:
-    """Transmit one all-ones frame and decode it, a noise-free bit-flip frame as
-    a batch of one.  Returns the decisions, iterations, smoothing-engaged flag
-    and the samples the decoder decided on (raw for min-sum, saturated or
-    quantizer levels for the bit-flip rule)."""
+    """Transmit one all-ones frame and decode it by min-sum or a perturbed
+    bit-flip stepper.  Returns the decisions, iterations, smoothing-engaged
+    flag and the samples the decoder decided on (raw for min-sum, saturated
+    or quantizer levels for the bit-flip rule)."""
     params = setup.params
     y_raw = transmit(code.zero_codeword, sigma, frame_rng(master_seed, snr_index, frame_index, 0))
     if setup.variant == "minsum":
         result = decode_minsum(code, y_raw, params.t_max)
         return result.decisions, result.iterations, False, y_raw
-    y_sat = saturate(y_raw, y_max)
-    if not setup.perturbed:
-        (x,), (iterations,), (engaged,) = decode_noise_free(code, setup, y_sat[None])
-        y_seen = y_sat if setup.quantizer is None else setup.quantizer.quantize(y_sat)
-        return x, int(iterations), bool(engaged), y_seen
-
     noise = NoiseSource(code.n, params.eta * sigma, params.noise_policy,
                         frame_rng(master_seed, snr_index, frame_index, 1), params.t_max,
                         setup.quantizer)
-    stepper = build_stepper(code, setup, y_sat, noise)
+    stepper = build_stepper(code, setup, saturate(y_raw, y_max), noise)
     result = decode(stepper, init_state(code, stepper.y), params.t_max,
                     smoothing_window=setup.smoothing_window)
     return result.decisions, result.iterations, result.smoothing_engaged, stepper.y
@@ -225,7 +219,11 @@ def _transmit_and_decode(code: ParityCheckCode, setup: DecoderSetup, sigma: floa
 
 def decode_frame(code: ParityCheckCode, setup: DecoderSetup, sigma: float, y_max: float,
                  master_seed: int, snr_index: int, frame_index: int) -> FrameStats:
-    """Transmit one all-ones frame, decode it, and score the outcome."""
+    """Transmit one all-ones frame, decode it, and score the outcome; a
+    noise-free bit-flip frame is a range of one for :func:`decode_chunk`."""
+    if setup.variant != "minsum" and not setup.perturbed:
+        return FrameStats(*(v[0].item() for v in decode_chunk(
+            code, setup, sigma, y_max, master_seed, snr_index, frame_index, frame_index + 1)))
     x, iterations, engaged, _ = _transmit_and_decode(code, setup, sigma, y_max, master_seed,
                                                      snr_index, frame_index)
     return FrameStats(int(np.count_nonzero(x != 1)), iterations, engaged)
@@ -244,11 +242,17 @@ def decode_chunk(code: ParityCheckCode, setup: DecoderSetup, sigma: float, y_max
         frames = [decode_frame(code, setup, sigma, y_max, master_seed, snr_index, fi)
                   for fi in range(start, stop)]
         return FrameStats(*np.array(frames, dtype=np.int32).reshape(-1, 3).T)
-    y = saturate(np.array([transmit(code.zero_codeword, sigma,
-                                    frame_rng(master_seed, snr_index, fi, 0))
-                           for fi in range(start, stop)]).reshape(-1, code.n), y_max)
+    y = _transmit_range(code, sigma, y_max, master_seed, snr_index, start, stop)
     x, iterations, engaged = decode_noise_free(code, setup, y)
     return FrameStats(np.count_nonzero(x != 1, axis=1).astype(np.int32), iterations, engaged)
+
+
+def _transmit_range(code: ParityCheckCode, sigma: float, y_max: float, master_seed: int,
+                    snr_index: int, start: int, stop: int) -> np.ndarray:
+    """Saturated samples of all-ones frames ``start`` to ``stop - 1``, one row a frame."""
+    return saturate(np.array([transmit(code.zero_codeword, sigma,
+                                       frame_rng(master_seed, snr_index, fi, 0))
+                              for fi in range(start, stop)]).reshape(-1, code.n), y_max)
 
 
 # ---------------------------------------------------------------------------
@@ -451,17 +455,22 @@ def run_convergence(code: ParityCheckCode, setups: dict, ebn0_db: float, frames:
 
     Every decoder sees the identical channel realizations (same per-frame
     streams), which is the variance-reduced way to compare convergence
-    errors.  Returns {name: mean(f(x(T)) - f_max)}.
+    errors.  A setup that draws no perturbation decodes all the frames as
+    one batch (:func:`decode_noise_free`); the others go frame by frame.
+    Returns {name: mean(f(x(T)) - f_max)}.
     """
     sigma = ebn0_to_sigma(ebn0_db, float(code.rate))
     out = {}
     for name, setup in setups.items():
-        finals, maxes = [], []
-        for fi in range(frames):
-            x, _, _, y_seen = _transmit_and_decode(code, setup, sigma, y_max, master_seed, 0, fi)
-            finals.append(objective(code, x, y_seen))
-            maxes.append(f_max(code, code.zero_codeword, y_seen))
-        out[name] = convergence_error(finals, maxes)
+        if setup.variant == "minsum" or setup.perturbed:
+            xs, _, _, ys = zip(*(_transmit_and_decode(code, setup, sigma, y_max, master_seed,
+                                                      0, fi) for fi in range(frames)))
+        else:
+            ys = _transmit_range(code, sigma, y_max, master_seed, 0, 0, frames)
+            xs = decode_noise_free(code, setup, ys)[0]
+            ys = ys if setup.quantizer is None else setup.quantizer.quantize(ys)
+        out[name] = convergence_error([objective(code, x, y) for x, y in zip(xs, ys)],
+                                      [f_max(code, code.zero_codeword, y) for y in ys])
     return out
 
 
