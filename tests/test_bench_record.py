@@ -1,6 +1,6 @@
-"""``tools/bench_record.py`` scales the tier-1 wall time, the traced
-per-layer times and the per-variant rates by the calibration kernel timed
-right before and right after each run."""
+"""``tools/bench_record.py`` scales the tier-1 wall time by the calibration
+kernel timed throughout the suite, and the traced per-layer times and the
+per-variant rates by the kernel timed right before and right after each run."""
 
 import importlib.util
 import subprocess
@@ -25,17 +25,39 @@ def test_tier1_wall_time_is_scaled_by_the_kernel(monkeypatch):
     bench_record = load_bench_record(monkeypatch)
     import calibrate
 
-    kernels = iter(([0.02] * 20, [0.03] * 20))
+    kernels = iter(([0.5], [0.02], [0.03], [0.025]))     # the first is a warm-up
     clock = iter((100.0, 150.0))
     out = "FAILED tests/test_x.py::test_y\n1 failed, 2 passed in 50.0s\n"
+    waits = []
+
+    class Suite:
+        """The suite runs through two kernel intervals, then exits."""
+
+        def __init__(self, argv, **kw):
+            assert kw["stdout"] == subprocess.PIPE and kw["cwd"] == ROOT
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def communicate(self, timeout):
+            waits.append(timeout)
+            if len(waits) < 3:
+                raise subprocess.TimeoutExpired("pytest", timeout)
+            return out, ""
+
     monkeypatch.setattr(calibrate, "calibrate", lambda runs: next(kernels))
     monkeypatch.setattr(bench_record, "time", SimpleNamespace(monotonic=lambda: next(clock)))
     monkeypatch.setattr(bench_record, "subprocess", SimpleNamespace(
-        run=lambda argv, **kw: subprocess.CompletedProcess(argv, 1, out, "")))
+        Popen=Suite, PIPE=subprocess.PIPE, TimeoutExpired=subprocess.TimeoutExpired))
 
     record = bench_record.tier1(ROOT)
+    # one kernel sample as the suite starts and one after each interval it outlasts
+    assert waits == [bench_record.KERNEL_EVERY_S] * 3
     assert record["wall_s"] == 50.0
-    assert record["kernel_s"] == {"before": [0.02] * 20, "after": [0.03] * 20}
+    assert record["kernel_s"] == [0.02, 0.03, 0.025]
     assert record["scaled_wall_s"] == 20.0     # 50 s * 0.010 s / mean(0.025 s)
     assert record["passed"] == 2 and record["failed"] == 1
     assert record["failed_tests"] == ["tests/test_x.py::test_y"]

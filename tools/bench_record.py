@@ -15,9 +15,9 @@ its inverse, so that the layer figures of two records compare as their
 end-to-end figures do.
 ``--tier1`` also runs the checkout's tier-1 suite once and records its
 wall time and its passed and failed counts; the wall time is also given
-scaled by the checkout's ``perfbench/calibrate.py`` kernel, timed right
-before and right after the run, as perfbench scales its timings, so that
-records made while the machine ran slower compare.  The record is
+scaled by the checkout's ``perfbench/calibrate.py`` kernel, timed once
+about every 5 s while the suite runs, as perfbench scales its timings, so
+that records made while the machine ran slower compare.  The record is
 written to ``--out`` (this repository's root by default), named after the
 checkout's commit, so the records of two commits measured on the same
 machine can be compared side by side.  A checkout with uncommitted changes
@@ -42,6 +42,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TIER1 = ["-m", "pytest", "-q", "-rf", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 SEEDS = (1, 2, 3)
 SECONDS = 30        # perfbench/run.py's default run length
+KERNEL_EVERY_S = 5  # tier-1 wall time between two calibration kernel samples
 MEASURED = ("src", "perfbench", "tests")
 
 
@@ -72,7 +73,7 @@ def per_layer(workload: str, run, seed: int) -> dict:
 
     ``per_layer_scaled`` holds each time (``us_per_`` or in seconds, not a
     rate) times ``REFERENCE_S / mean kernel time`` over 20 kernel runs right
-    before and 20 right after the traced run, as :func:`tier1` scales, and
+    before and 20 right after the traced run, and
     each per-variant rate ``harness.run_campaign.<variant>.frames_per_s``
     times the inverse, ``mean kernel time / REFERENCE_S``.  Call it after the
     checkout's ``perfbench`` directory is on ``sys.path``.
@@ -98,29 +99,38 @@ def per_layer(workload: str, run, seed: int) -> dict:
 def tier1(checkout: Path) -> dict:
     """Wall time and outcome counts of one tier-1 run in ``checkout``.
 
-    ``scaled_wall_s`` is ``wall_s * REFERENCE_S / mean kernel time`` over 20
-    runs of the calibration kernel before and 20 after the suite.  Call it
-    after the checkout's ``perfbench`` directory is on ``sys.path``.
+    ``scaled_wall_s`` is ``wall_s * REFERENCE_S / mean kernel time`` over
+    one run of the calibration kernel as the suite starts and one about
+    every ``KERNEL_EVERY_S`` while it runs, so that the samples cover the
+    whole run, not only the time around it.  The kernel shares the machine
+    with the suite, as it does for every checkout measured.  Call it after
+    the checkout's ``perfbench`` directory is on ``sys.path``.
     """
     from calibrate import REFERENCE_S, calibrate
 
     paths = [str(checkout / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    before = calibrate(20)
+    calibrate(1)    # the first run pays numpy's one-off allocations
+    kernels = []
     started = time.monotonic()
-    done = subprocess.run([sys.executable, *TIER1], cwd=checkout, env=env,
-                          capture_output=True, text=True)
+    with subprocess.Popen([sys.executable, *TIER1], cwd=checkout, env=env, text=True,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as suite:
+        while True:
+            kernels += calibrate(1)
+            try:    # a timeout loses none of the output read so far
+                stdout, _ = suite.communicate(timeout=KERNEL_EVERY_S)
+                break
+            except subprocess.TimeoutExpired:
+                pass
     wall = time.monotonic() - started
-    after = calibrate(20)
-    summary = done.stdout.strip().splitlines()[-1] if done.stdout.strip() else ""
+    summary = stdout.strip().splitlines()[-1] if stdout.strip() else ""
     counts = {kind: int(n) for n, kind in re.findall(r"(\d+) (passed|failed|errors?|skipped)",
                                                      summary)}
     return {"wall_s": round(wall, 1),
-            "scaled_wall_s": round(wall * REFERENCE_S / statistics.mean(before + after), 1),
-            "kernel_s": {"before": [round(k, 6) for k in before],
-                         "after": [round(k, 6) for k in after]},
+            "scaled_wall_s": round(wall * REFERENCE_S / statistics.mean(kernels), 1),
+            "kernel_s": [round(k, 6) for k in kernels],
             "summary": summary, **counts,
-            "failed_tests": re.findall(r"^FAILED (\S+)", done.stdout, re.MULTILINE),
+            "failed_tests": re.findall(r"^FAILED (\S+)", stdout, re.MULTILINE),
             "cpus_usable": len(os.sched_getaffinity(0))}
 
 
