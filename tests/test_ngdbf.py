@@ -57,9 +57,9 @@ class TestNoiseSource:
                 q = src.draw()
                 if drawn:
                     chain = np.concatenate((sigma * twin.standard_normal(1), chain[:-1]))
-                assert q.dtype == levels(chain).dtype
-                assert np.array_equal(q, levels(chain))
-                drawn.append((q, levels(chain)))
+                want = levels(chain)
+                assert q.dtype == want.dtype and np.array_equal(q, want)
+                drawn.append((q, want))
             assert all(np.array_equal(q, chain) for q, chain in drawn)
 
     @pytest.mark.parametrize("policy", NOISE_POLICIES)
