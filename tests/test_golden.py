@@ -6,7 +6,9 @@ reference points do not reach: the default smoothing window, the uniform
 and shift-chain noise policies on the float datapath, the quantized
 datapath with iid noise, the fixed-threshold multi-bit rule (``atgdbf`` at
 lam = 1), a per-SNR parameter schedule and the convergence report.  They
-also pin the benchmark's quantized shift-chain setup at a lower SNR.
+also pin the benchmark's quantized shift-chain setup at a lower SNR, and
+convergence scoring of the quantized and min-sum setups, which the CLI's
+report does not run.
 
 A deliberate change of results re-records them with
 
@@ -19,8 +21,10 @@ from pathlib import Path
 
 import pytest
 
+from ngdbf.channel import QuantizerSpec
 from ngdbf.cli import main as cli_main
-from ngdbf.harness import load_config, run_campaign
+from ngdbf.codes import load_alist
+from ngdbf.harness import DecoderSetup, NgdbfParams, load_config, run_campaign, run_convergence
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_DIR = DATA_DIR / "golden"
@@ -56,6 +60,17 @@ CAMPAIGNS = {
                             "ebn0_db": [3.0, 3.5], "frames": 16},
 }
 
+_Q4 = NgdbfParams(theta=-0.7, lam=0.99, eta=0.95, w=0.75, t_max=100,
+                  noise_policy="shift_chain")
+
+# run_convergence on setups the CLI's report leaves out: the quantized
+# datapath, perturbed and noise-free, and min-sum
+CONVERGENCE_SETUPS = {
+    "mngdbf_q4_shift_chain": DecoderSetup("mngdbf", _Q4, QuantizerSpec(4, 1.75)),
+    "mngdbf_q4_eta0": DecoderSetup("mngdbf", _Q4.replace(eta=0.0), QuantizerSpec(4, 1.75)),
+    "minsum": DecoderSetup("minsum", NgdbfParams(t_max=5)),
+}
+
 CONVERGENCE_ARGV = ["convergence", "--code", str(CODE), "--ebn0", "3.0",
                     "--frames", "8", "--t", "60", "--seed", "17"]
 
@@ -73,6 +88,11 @@ def convergence_csv(tmp_dir: Path) -> str:
     return out.read_text()
 
 
+def scored_convergence_csv() -> str:
+    eps = run_convergence(load_alist(CODE), CONVERGENCE_SETUPS, 3.0, 12, 17)
+    return "decoder,epsilon\n" + "".join(f"{name},{value:.10g}\n" for name, value in eps.items())
+
+
 @pytest.mark.parametrize("name", sorted(CAMPAIGNS))
 def test_campaign_matches_golden(name, tmp_path):
     expected = (GOLDEN_DIR / f"{name}.csv").read_text()
@@ -84,12 +104,18 @@ def test_convergence_report_matches_golden(tmp_path):
     assert convergence_csv(tmp_path) == expected
 
 
+def test_convergence_scoring_matches_golden():
+    expected = (GOLDEN_DIR / "convergence_scoring.csv").read_text()
+    assert scored_convergence_csv() == expected
+
+
 def record() -> None:
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name in sorted(CAMPAIGNS):
             (GOLDEN_DIR / f"{name}.csv").write_text(campaign_csv(name, Path(tmp)))
         (GOLDEN_DIR / "convergence.csv").write_text(convergence_csv(Path(tmp)))
+    (GOLDEN_DIR / "convergence_scoring.csv").write_text(scored_convergence_csv())
 
 
 if __name__ == "__main__":
