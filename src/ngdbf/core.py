@@ -31,7 +31,6 @@ class DecodeResult:
     success: bool
     iterations: int
     decisions: np.ndarray
-    objective_trace: list | None = None
     smoothing_engaged: bool = False
 
 
@@ -52,7 +51,7 @@ def objective(code: ParityCheckCode, x: np.ndarray, y: np.ndarray,
     """Correlation-plus-syndrome objective: sum(x_k y_k) + sum(s_i).
 
     Uses whatever samples the calling decoder sees (saturated floats or
-    quantized levels), so traces stay consistent with the flip decisions.
+    quantized levels), so scores stay consistent with the flip decisions.
     A caller that already holds the syndrome of ``x`` passes it as ``s``.
     """
     if len(x) != code.n or len(y) != code.n:
@@ -78,7 +77,7 @@ class Stepper:
 
 
 def decode(stepper: Stepper, state: DecoderState, t_max: int, *,
-           smoothing_window: int = 0, trace_objective: bool = False) -> DecodeResult:
+           smoothing_window: int = 0) -> DecodeResult:
     """Run the iterative decode loop with the all-checks-satisfied stop rule.
 
     The stopping rule is evaluated before every step, so a frame whose
@@ -93,8 +92,7 @@ def decode(stepper: Stepper, state: DecoderState, t_max: int, *,
     if smoothing_window < 0 or smoothing_window > t_max:
         raise ValueError("smoothing window must lie in [0, t_max]")
 
-    code, y, step = stepper.code, stepper.y, stepper.step
-    trace = [objective(code, state.x, y, state.s)] if trace_objective else None
+    code, step = stepper.code, stepper.step
     engaged = False
     if smoothing_window:
         state.smooth = np.zeros(code.n, dtype=np.int32)
@@ -107,15 +105,13 @@ def decode(stepper: Stepper, state: DecoderState, t_max: int, *,
         if smoothing_window and state.t > t_max - smoothing_window:
             state.smooth += state.x
             engaged = True
-        if trace is not None:
-            trace.append(objective(code, state.x, y, state.s))
 
     success = bool(state.s.min() == 1)
     if engaged and not success:
         decisions = smoothed_decision(state.smooth, state.x)
     else:
         decisions = state.x.copy()
-    return DecodeResult(success, state.t, decisions, trace, engaged)
+    return DecodeResult(success, state.t, decisions, engaged)
 
 
 def smoothed_decision(smooth: np.ndarray, x: np.ndarray) -> np.ndarray:

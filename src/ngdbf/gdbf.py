@@ -60,8 +60,8 @@ class BitFlipStepper(Stepper):
     def __init__(self, code: ParityCheckCode, y: np.ndarray, w: float = 1.0, noise=None,
                  thresholds: np.ndarray | None = None):
         self.code = code
-        self.y = np.asarray(y, dtype=np.float64)
-        self.w = float(w)
+        self.y = np.asarray(y)      # floats, or quantizer indices with an integer w
+        self.w = w
         self.noise = noise
         self.thresholds = thresholds
         self.mu = int(thresholds is not None)

@@ -25,7 +25,7 @@ import numpy as np
 from .analysis import convergence_error, f_max
 from .channel import MAX_Q_BITS, QuantizerSpec, ebn0_to_sigma, saturate, transmit
 from .codes import ParityCheckCode, load_alist
-from .core import decode, init_state, objective
+from .core import DecodeResult, decode, init_state, objective
 from .gdbf import BitFlipStepper, decode_batch, thresholds_by_count
 from .minsum import decode_minsum
 from .noisy import NgdbfParams, NoiseSource, QuantizedAdaptiveStepper
@@ -96,9 +96,14 @@ class DecoderSetup:
         return self.params.smoothing_window or VARIANTS[self.variant].smoothing_window
 
     @property
-    def perturbed(self) -> bool:
-        """The decoder draws a perturbation stream (a stochastic variant at eta > 0)."""
-        return VARIANTS[self.variant].stochastic and self.params.eta > 0
+    def batched(self) -> bool:
+        """A bit-flip setup that draws no perturbation (:func:`decode_noise_free`)."""
+        variant = VARIANTS[self.variant]
+        return variant.rule is not None and not (variant.stochastic and self.params.eta > 0)
+
+    def samples(self, y_sat: np.ndarray) -> np.ndarray:
+        """What the bit-flip rule compares: ``y_sat``, or its quantizer indices."""
+        return y_sat if self.quantizer is None else self.quantizer.to_index(y_sat)
 
     @cached_property
     def weight_and_thresholds(self) -> tuple:
@@ -120,18 +125,16 @@ def build_stepper(code: ParityCheckCode, setup: DecoderSetup, y_sat: np.ndarray,
     "adaptive" decays theta by lam on each non-flip.
     """
     w, thresholds = setup.weight_and_thresholds
-    if setup.quantizer is not None:
-        return QuantizedAdaptiveStepper(code, setup.quantizer, y_sat, w, thresholds, noise)
-    return BitFlipStepper(code, y_sat, w, noise, thresholds)
+    stepper = BitFlipStepper if setup.quantizer is None else QuantizedAdaptiveStepper
+    return stepper(code, setup.samples(y_sat), w, noise, thresholds)
 
 
 def decode_noise_free(code: ParityCheckCode, setup: DecoderSetup, y_sat: np.ndarray) -> tuple:
     """Decode one frame per row of saturated samples with a bit-flip setup that
     draws no perturbation, by :func:`gdbf.decode_batch`: the final decisions,
     one int8 row a frame, and int32 arrays of iterations and engaged flags."""
-    y = y_sat if setup.quantizer is None else setup.quantizer.to_index(y_sat)
     w, thresholds = setup.weight_and_thresholds
-    return decode_batch(code, y, setup.params.t_max, w, thresholds,
+    return decode_batch(code, setup.samples(y_sat), setup.params.t_max, w, thresholds,
                         VARIANTS[setup.variant].rule == "multi", setup.smoothing_window)
 
 
@@ -196,63 +199,59 @@ class FrameStats(NamedTuple):
         return self.bit_errors > 0
 
 
-def _transmit_and_decode(code: ParityCheckCode, setup: DecoderSetup, sigma: float,
-                         y_max: float, master_seed: int, snr_index: int,
-                         frame_index: int) -> tuple:
-    """Transmit one all-ones frame and decode it by min-sum or a perturbed
-    bit-flip stepper.  Returns the decisions, iterations, smoothing-engaged
-    flag and the samples the decoder decided on (raw for min-sum, saturated
-    or quantizer levels for the bit-flip rule)."""
+def _transmit(code: ParityCheckCode, setup: DecoderSetup, sigma: float, y_max: float,
+              master_seed: int, snr_index: int, start: int, stop: int) -> np.ndarray:
+    """Samples of all-ones frames ``start`` to ``stop - 1``, one row a frame:
+    raw for min-sum, saturated for the bit-flip rule."""
+    y = np.array([transmit(code.zero_codeword, sigma, frame_rng(master_seed, snr_index, fi, 0))
+                  for fi in range(start, stop)]).reshape(-1, code.n)
+    return y if setup.variant == "minsum" else saturate(y, y_max)
+
+
+def _decode_one(code: ParityCheckCode, setup: DecoderSetup, sigma: float, y: np.ndarray,
+                master_seed: int, snr_index: int, frame_index: int) -> DecodeResult:
+    """Decode one frame's samples by min-sum or a perturbed bit-flip stepper."""
     params = setup.params
-    y_raw = transmit(code.zero_codeword, sigma, frame_rng(master_seed, snr_index, frame_index, 0))
     if setup.variant == "minsum":
-        result = decode_minsum(code, y_raw, params.t_max)
-        return result.decisions, result.iterations, False, y_raw
+        return decode_minsum(code, y, params.t_max)
     noise = NoiseSource(code.n, params.eta * sigma, params.noise_policy,
                         frame_rng(master_seed, snr_index, frame_index, 1), params.t_max,
                         setup.quantizer)
-    stepper = build_stepper(code, setup, saturate(y_raw, y_max), noise)
-    result = decode(stepper, init_state(code, stepper.y), params.t_max,
-                    smoothing_window=setup.smoothing_window)
-    return result.decisions, result.iterations, result.smoothing_engaged, stepper.y
+    stepper = build_stepper(code, setup, y, noise)
+    return decode(stepper, init_state(code, stepper.y), params.t_max,
+                  smoothing_window=setup.smoothing_window)
 
 
 def decode_frame(code: ParityCheckCode, setup: DecoderSetup, sigma: float, y_max: float,
                  master_seed: int, snr_index: int, frame_index: int) -> FrameStats:
     """Transmit one all-ones frame, decode it, and score the outcome; a
-    noise-free bit-flip frame is a range of one for :func:`decode_chunk`."""
-    if setup.variant != "minsum" and not setup.perturbed:
+    batched setup's frame is a range of one for :func:`decode_chunk`."""
+    if setup.batched:
         return FrameStats(*(v[0].item() for v in decode_chunk(
             code, setup, sigma, y_max, master_seed, snr_index, frame_index, frame_index + 1)))
-    x, iterations, engaged, _ = _transmit_and_decode(code, setup, sigma, y_max, master_seed,
-                                                     snr_index, frame_index)
-    return FrameStats(int(np.count_nonzero(x != 1)), iterations, engaged)
+    [y] = _transmit(code, setup, sigma, y_max, master_seed, snr_index, frame_index,
+                    frame_index + 1)
+    result = _decode_one(code, setup, sigma, y, master_seed, snr_index, frame_index)
+    return FrameStats(int(np.count_nonzero(result.decisions != 1)), result.iterations,
+                      result.smoothing_engaged)
 
 
 def decode_chunk(code: ParityCheckCode, setup: DecoderSetup, sigma: float, y_max: float,
                  master_seed: int, snr_index: int, start: int, stop: int) -> FrameStats:
     """Decode frames ``start`` to ``stop - 1`` of one SNR point.
 
-    A bit-flip decoder that draws no perturbation decodes the range as one
-    batch (:func:`decode_noise_free`).  Min-sum and perturbed frames go one by
-    one through :func:`decode_frame`, looked up as this module's global so
-    that a wrapper installed on it sees each of them.
+    A batched setup decodes the range as one batch (:func:`decode_noise_free`).
+    Min-sum and perturbed frames go one by one through :func:`decode_frame`,
+    looked up as this module's global so that a wrapper installed on it sees
+    each of them.
     """
-    if setup.variant == "minsum" or setup.perturbed:
+    if not setup.batched:
         frames = [decode_frame(code, setup, sigma, y_max, master_seed, snr_index, fi)
                   for fi in range(start, stop)]
         return FrameStats(*np.array(frames, dtype=np.int32).reshape(-1, 3).T)
-    y = _transmit_range(code, sigma, y_max, master_seed, snr_index, start, stop)
+    y = _transmit(code, setup, sigma, y_max, master_seed, snr_index, start, stop)
     x, iterations, engaged = decode_noise_free(code, setup, y)
     return FrameStats(np.count_nonzero(x != 1, axis=1).astype(np.int32), iterations, engaged)
-
-
-def _transmit_range(code: ParityCheckCode, sigma: float, y_max: float, master_seed: int,
-                    snr_index: int, start: int, stop: int) -> np.ndarray:
-    """Saturated samples of all-ones frames ``start`` to ``stop - 1``, one row a frame."""
-    return saturate(np.array([transmit(code.zero_codeword, sigma,
-                                       frame_rng(master_seed, snr_index, fi, 0))
-                              for fi in range(start, stop)]).reshape(-1, code.n), y_max)
 
 
 # ---------------------------------------------------------------------------
@@ -455,20 +454,18 @@ def run_convergence(code: ParityCheckCode, setups: dict, ebn0_db: float, frames:
 
     Every decoder sees the identical channel realizations (same per-frame
     streams), which is the variance-reduced way to compare convergence
-    errors.  A setup that draws no perturbation decodes all the frames as
-    one batch (:func:`decode_noise_free`); the others go frame by frame.
-    Returns {name: mean(f(x(T)) - f_max)}.
+    errors.  A batched setup decodes all the frames as one batch; the others
+    go frame by frame.  Objectives are scored on the samples the decoder saw,
+    as levels if it quantizes them.  Returns {name: mean(f(x(T)) - f_max)}.
     """
     sigma = ebn0_to_sigma(ebn0_db, float(code.rate))
     out = {}
     for name, setup in setups.items():
-        if setup.variant == "minsum" or setup.perturbed:
-            xs, _, _, ys = zip(*(_transmit_and_decode(code, setup, sigma, y_max, master_seed,
-                                                      0, fi) for fi in range(frames)))
-        else:
-            ys = _transmit_range(code, sigma, y_max, master_seed, 0, 0, frames)
-            xs = decode_noise_free(code, setup, ys)[0]
-            ys = ys if setup.quantizer is None else setup.quantizer.quantize(ys)
+        ys = _transmit(code, setup, sigma, y_max, master_seed, 0, 0, frames)
+        xs = (decode_noise_free(code, setup, ys)[0] if setup.batched else
+              [_decode_one(code, setup, sigma, y, master_seed, 0, fi).decisions
+               for fi, y in enumerate(ys)])
+        ys = ys if setup.quantizer is None else setup.quantizer.quantize(ys)
         out[name] = convergence_error([objective(code, x, y) for x, y in zip(xs, ys)],
                                       [f_max(code, code.zero_codeword, y) for y in ys])
     return out

@@ -9,9 +9,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import QuantizerSpec
-from .codes import ParityCheckCode
-from .core import DecoderState
-from .gdbf import BitFlipStepper, inversions, thresholds_by_count
+from .gdbf import BitFlipStepper, thresholds_by_count
 
 NOISE_POLICIES = ("iid", "shift_chain", "uniform")
 
@@ -139,18 +137,12 @@ def adaptation_events(theta: float, lam: float, quantizer: QuantizerSpec,
 class QuantizedAdaptiveStepper(BitFlipStepper):
     """The adaptive rule on the quantized integer datapath.
 
-    Samples, syndrome weight ``w_idx``, perturbation (from a ``noise`` source
+    Samples ``y``, syndrome weight ``w``, perturbation (from a ``noise`` source
     given the same quantizer) and ``thresholds`` are signed odd integers in
-    units of step/2.  The threshold after u non-flips is theta * lam**u
-    through the quantizer.  A metric exactly on the threshold does not flip.
+    units of step/2, as ``harness.DecoderSetup`` gives them.  The threshold
+    after u non-flips is theta * lam**u through the quantizer.  A metric
+    exactly on the threshold does not flip.
     """
 
-    def __init__(self, code: ParityCheckCode, quantizer: QuantizerSpec, y: np.ndarray,
-                 w_idx: int, thresholds: np.ndarray, noise: NoiseSource | None = None):
-        self.y_idx = quantizer.to_index(y)
-        self.w_idx = w_idx
-        super().__init__(code, quantizer.from_index(self.y_idx), w_idx, noise, thresholds)
-
-    def step(self, state: DecoderState) -> None:
-        q_idx = self.noise.draw() if self.noise is not None else None
-        self.flip(state, inversions(self.code, state, self.y_idx, self.w_idx, q_idx))
+    # its own step, which perfbench's noisy.quantized_step span wraps (tests/test_bench_hooks.py)
+    step = BitFlipStepper.step

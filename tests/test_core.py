@@ -111,17 +111,6 @@ class TestDecodeLoop:
             runs.append((res.success, res.iterations, res.decisions.tobytes()))
         assert runs[0] == runs[1]
 
-    def test_objective_trace(self, tiny_code):
-        y = np.array([1, 1, 1, -0.1, -0.2, 1.0])
-        stepper = BitFlipStepper(tiny_code, y)
-        res = decode(stepper, init_state(tiny_code, y), 5, trace_objective=True)
-        assert res.success
-        assert len(res.objective_trace) == res.iterations + 1
-        assert res.objective_trace[-1] == pytest.approx(
-            objective(tiny_code, res.decisions, y))
-        # success means all three checks are satisfied in the final value
-        assert res.objective_trace[-1] == pytest.approx(res.decisions @ y + 3)
-
     def test_bad_budget(self, tiny_code):
         with pytest.raises(ValueError):
             decode(BitFlipStepper(tiny_code, np.ones(6)), init_state(tiny_code, np.ones(6)), 0)

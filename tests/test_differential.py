@@ -311,7 +311,7 @@ def test_noise_free_setups_reach_no_stepper(bench_code, monkeypatch):
     monkeypatch.setattr(harness, "build_stepper", refuse)
     sigma = ebn0_to_sigma(3.0, float(bench_code.rate))
     for setup in ENGINE_CASES.values():
-        assert not setup.perturbed
+        assert setup.batched
         decode_frame(bench_code, setup, sigma, 2.5, SEED, 0, 0)
         decode_chunk(bench_code, setup, sigma, 2.5, SEED, 0, 0, 3)
     eps = run_convergence(bench_code, ENGINE_CASES, 3.0, 3, SEED)

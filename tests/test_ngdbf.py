@@ -240,7 +240,7 @@ class TestQuantizedDatapath:
 
     def test_huge_weight_takes_the_outer_level(self, tiny_code):
         setup = DecoderSetup("mngdbf", NgdbfParams(w=1e20), QuantizerSpec(4, 1.75))
-        assert build_stepper(tiny_code, setup, np.ones(tiny_code.n), None).w_idx == 15
+        assert build_stepper(tiny_code, setup, np.ones(tiny_code.n), None).w == 15
 
     def test_exact_threshold_boundary_does_not_flip(self):
         # E == theta: delta = sign(0) = +1, counter increments, no flip
@@ -296,9 +296,9 @@ class TestQuantizedDatapath:
                 sums = bench_code.syndrome_sums(st.s)
                 q_idx = q.to_index(twin.draw())
                 theta_idx = q.to_index(params.theta * params.lam ** u_before)
-                delta = flip_decisions_direct(x_before, stepper.y_idx, q_idx, theta_idx,
-                                              stepper.w_idx, sums)
-                boundary += int((x_before * stepper.y_idx + stepper.w_idx * sums + q_idx
+                delta = flip_decisions_direct(x_before, stepper.y, q_idx, theta_idx,
+                                              stepper.w, sums)
+                boundary += int((x_before * stepper.y + stepper.w * sums + q_idx
                                  == theta_idx).sum())
                 stepper.step(st)
                 assert np.array_equal(st.x != x_before, delta == -1)
