@@ -15,6 +15,7 @@ from pathlib import Path
 from .analysis import LmlParams, format_flip_matrix, gdbf_flip_matrix, lml_flip_matrix
 from .channel import QuantizerSpec
 from .codes import load_alist
+from .gdbf import MAX_ITERATIONS
 from .harness import (SWEEPABLE, ConfigError, DecoderSetup, NgdbfParams, load_config,
                       run_campaign, run_convergence, run_sweep)
 from .noisy import adaptation_events
@@ -142,7 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--q", type=int, required=True, help="quantizer bits")
     p.add_argument("--ymax", type=float, required=True)
-    p.add_argument("--t", type=_at_least(1), default=300, help="iteration limit scanned")
+    p.add_argument("--t", type=_at_least(1, MAX_ITERATIONS), default=300,
+                   help="iteration limit scanned")
     p.add_argument("--out", help="CSV destination (default: stdout)")
     p.set_defaults(func=_cmd_adapt_table)
 
@@ -181,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--code", required=True)
     p.add_argument("--ebn0", type=float, required=True)
     p.add_argument("--frames", type=_at_least(1), default=100)
-    p.add_argument("--t", type=int, default=100)
+    p.add_argument("--t", type=_at_least(1, MAX_ITERATIONS), default=100)
     p.add_argument("--seed", type=_at_least(0), required=True)
     p.add_argument("--theta", type=float, default=-0.9)
     p.add_argument("--lambda", dest="lam", type=float, default=0.99)

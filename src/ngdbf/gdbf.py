@@ -22,6 +22,10 @@ import numpy as np
 from .codes import ParityCheckCode, bipolar_sign
 from .core import DecoderState, Stepper, objective, smoothed_decision
 
+# Well above the paper's 300: each setup holds a vector of t_max + 1 thresholds,
+# and each shift-chain frame a chain of n + t_max perturbation samples.
+MAX_ITERATIONS = 100_000
+
 
 def inversions(code: ParityCheckCode, state: DecoderState, y: np.ndarray,
                w: float = 1.0, q: np.ndarray | None = None) -> np.ndarray:
@@ -40,8 +44,8 @@ def thresholds_by_count(theta: float, lam: float, t_max: int) -> np.ndarray:
     """
     if not (0.0 < lam <= 1.0):
         raise ValueError("adaptation parameter must lie in (0, 1]")
-    if t_max < 1:
-        raise ValueError("iteration limit must be at least 1")
+    if not 1 <= t_max <= MAX_ITERATIONS:
+        raise ValueError(f"iteration limit must lie in 1..{MAX_ITERATIONS}, not {t_max}")
     return np.cumprod(np.concatenate(([float(theta)], np.full(t_max, float(lam)))))
 
 

@@ -26,7 +26,7 @@ from .analysis import convergence_error, f_max
 from .channel import MAX_Q_BITS, QuantizerSpec, ebn0_to_sigma, saturate, transmit
 from .codes import ParityCheckCode, load_alist
 from .core import DecodeResult, decode, init_state, objective
-from .gdbf import BitFlipStepper, decode_batch, thresholds_by_count
+from .gdbf import MAX_ITERATIONS, BitFlipStepper, decode_batch, thresholds_by_count
 from .minsum import decode_minsum
 from .noisy import NgdbfParams, NoiseSource, QuantizedAdaptiveStepper
 
@@ -516,7 +516,7 @@ def params_from_dict(d: dict) -> NgdbfParams:
         raise ConfigError(f"unknown decoder parameter(s): {sorted(extra)}")
     for key, value in d.items():
         if key in ("t_max", "smoothing_window"):
-            _integer(value, f"params.{key}")
+            _integer(value, f"params.{key}", maximum=MAX_ITERATIONS)
         elif key != "noise_policy":
             _number(value, f"params.{key}")
     try:

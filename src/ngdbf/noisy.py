@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import QuantizerSpec
-from .gdbf import BitFlipStepper, thresholds_by_count
+from .gdbf import MAX_ITERATIONS, BitFlipStepper, thresholds_by_count
 
 NOISE_POLICIES = ("iid", "shift_chain", "uniform")
 
@@ -42,8 +42,8 @@ class NgdbfParams:
             raise ValueError("noise scale must lie in [0, 1]")
         if not 0 < self.w < np.inf:
             raise ValueError("syndrome weight must be finite and positive")
-        if self.t_max < 1:
-            raise ValueError("iteration limit must be at least 1")
+        if not 1 <= self.t_max <= MAX_ITERATIONS:
+            raise ValueError(f"iteration limit must lie in 1..{MAX_ITERATIONS}")
         if not (0 <= self.smoothing_window <= self.t_max):
             raise ValueError("smoothing window must lie in [0, t_max]")
         if self.noise_policy not in NOISE_POLICIES:
@@ -80,8 +80,8 @@ class NoiseSource:
             raise ValueError(f"unknown noise policy {policy!r}")
         if sigma < 0:
             raise ValueError("sigma must be non-negative")
-        if t_max < 1:
-            raise ValueError("iteration limit must be at least 1")
+        if not 1 <= t_max <= MAX_ITERATIONS:
+            raise ValueError(f"iteration limit must lie in 1..{MAX_ITERATIONS}")
         self.n = n
         self.sigma = float(sigma)
         self.policy = policy

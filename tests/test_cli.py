@@ -10,7 +10,8 @@ import pytest
 
 import ngdbf
 from ngdbf import harness
-from ngdbf.cli import main
+from ngdbf.cli import build_parser, main
+from ngdbf.gdbf import MAX_ITERATIONS
 
 DATA_DIR = Path(__file__).parent / "data"
 CODE = str(DATA_DIR / "reg3x6_504x1008.alist")
@@ -76,6 +77,14 @@ class TestAdaptTable:
         assert exc.value.code != 0
         captured = capsys.readouterr()
         assert "--t" in captured.err and captured.out == ""
+
+    def test_iteration_limit_bounded_before_allocating(self, capsys):
+        # numpy refuses a threshold vector of 10**15 entries at once
+        with pytest.raises(SystemExit) as exc:
+            main(["adapt-table", "--theta", "-0.9", "--lambda", "0.99",
+                  "--q", "4", "--ymax", "2.5", "--t", "1000000000000000"])
+        assert exc.value.code == 2
+        assert f"--t: must be at most {MAX_ITERATIONS}" in capsys.readouterr().err
 
 
 class TestFlipMatrix:
@@ -239,6 +248,14 @@ class TestSimulate:
         assert rc == 1
         assert "unknown decoder variant" in capsys.readouterr().err
 
+    def test_huge_iteration_limit_names_its_key(self, tmp_path, capsys):
+        params = {"theta": -0.9, "lam": 0.99, "eta": 0.95, "w": 0.75, "t_max": 10**18}
+        rc = main(["simulate", "--config", write_config(tmp_path, params=params), "--seed", "1",
+                   "--workers", "1", "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        assert f"'params.t_max' must be at most {MAX_ITERATIONS}" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestSweep:
     def test_lambda_grid(self, tmp_path):
@@ -328,6 +345,15 @@ class TestConvergence:
         assert exc.value.code != 0
         assert "--frames" in capsys.readouterr().err
         assert not (tmp_path / "eps.csv").exists()
+
+    @pytest.mark.parametrize("t", ["0", "1000000000000000"])
+    def test_iteration_limit_bounded(self, capsys, t):
+        # parsed only: a noise-free decoder given that limit would not stop
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["convergence", "--code", CODE, "--ebn0", "3.0",
+                                       "--seed", "4", "--t", t])
+        assert exc.value.code == 2
+        assert "--t" in capsys.readouterr().err
 
     def test_reports_all_decoders(self, tmp_path):
         out = tmp_path / "eps.csv"

@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 
 from ngdbf import harness
 from ngdbf.channel import QuantizerSpec
+from ngdbf.gdbf import MAX_ITERATIONS, thresholds_by_count
 from ngdbf.harness import (SWEEPABLE, VARIANTS, CampaignConfig, ConfigError, DecoderSetup,
                            NgdbfParams, decode_frame, load_config, run_campaign,
                            run_convergence, run_sweep, wilson_interval)
+from ngdbf.noisy import NoiseSource
 
 DATA_DIR = Path(__file__).parent / "data"
 ALIST = str(DATA_DIR / "reg3x6_504x1008.alist")
@@ -417,6 +419,7 @@ class TestConfigLoading:
         ("error_target", 2.5, "error_target"),
         ("y_max", -1, "y_max"),
         ("params", {"t_max": 1.5}, "params.t_max"),
+        ("params", {"t_max": 10**18}, "params.t_max"),
         ("params", {"smoothing_window": 30}, "params.smoothing_window"),   # mngdbf: no smoothing
         ("mode_switching", False, "mode_switching"),    # an unknown key is named too
         ("code", 5, "code"),
@@ -429,6 +432,22 @@ class TestConfigLoading:
         doc[key] = value
         with pytest.raises(ConfigError, match=re.escape(f"'{named}'")):
             load_config(self._write(tmp_path, doc), master_seed=1)
+
+    def test_iteration_limit_is_bounded_before_allocating(self, tmp_path):
+        # a threshold vector of 10**18 entries is refused by numpy at once
+        for huge in (MAX_ITERATIONS + 1, 10**18):
+            with pytest.raises(ValueError, match="iteration limit"):
+                NgdbfParams(t_max=huge)
+            with pytest.raises(ValueError, match="iteration limit"):
+                NoiseSource(8, 1.0, "shift_chain", np.random.default_rng(0), huge)
+        with pytest.raises(ValueError, match="iteration limit"):
+            thresholds_by_count(-0.9, 0.99, 10**18)
+        doc = self.base_doc()
+        doc["params"]["t_max"] = MAX_ITERATIONS + 1
+        with pytest.raises(ConfigError, match=re.escape(f"'params.t_max' must be at most "
+                                                        f"{MAX_ITERATIONS}")):
+            load_config(self._write(tmp_path, doc), master_seed=1)
+        assert NgdbfParams(t_max=MAX_ITERATIONS).t_max == MAX_ITERATIONS
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(doc=config_documents())
