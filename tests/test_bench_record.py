@@ -1,6 +1,7 @@
 """``tools/bench_record.py`` scales the tier-1 wall time by the calibration
 kernel timed throughout the suite, and the traced per-layer times and the
-per-variant rates by the kernel timed right before and right after each run."""
+per-variant rates by the kernel timed right before and right after each run;
+it traces one run per seed and records each figure's median and every run."""
 
 import importlib.util
 import subprocess
@@ -68,31 +69,52 @@ def test_per_layer_times_are_scaled_by_the_kernel_around_the_traced_run(monkeypa
     import calibrate
 
     events = []
+    # mean kernel time around each seed's run: 0.025, 0.0125 and 0.05 s, so
+    # each run's scale is 0.4, 0.8 and 0.2
+    kernels = iter(([0.02], [0.03], [0.01], [0.015], [0.05], [0.05]))
+    speed = {1: 1.0, 2: 2.0, 3: 0.5}     # seed 2 ran twice as fast, seed 3 half
 
     def fake_calibrate(runs):
         events.append("kernel")
-        return [0.02] * runs if len(events) == 1 else [0.03] * runs
+        return next(kernels) * runs
 
     def fake_run(workload, seed, seconds, trace):
         events.append((workload, seed, seconds, trace))
-        return {"metrics": {"codes.syndrome.us_per_call": 5.0, "codes.syndrome.calls": 7,
-                            "gdbf.step.self_us_per_iter": 2.5, "codes.load_alist_s": 0.02,
-                            "harness.run_campaign.sgdbf.frames_per_s": 400.0,
-                            "harness.run_campaign.mngdbf-q4.frames_per_s": 100.0,
+        f = speed[seed]
+        return {"metrics": {"codes.syndrome.us_per_call": 5.0 / f,
+                            "codes.syndrome.calls": 6 + seed,
+                            "gdbf.step.self_us_per_iter": 2.5 / f, "codes.load_alist_s": 0.02 / f,
+                            "harness.run_campaign.sgdbf.frames_per_s": 400.0 * f,
+                            "harness.run_campaign.mngdbf-q4.frames_per_s": 100.0 * f,
                             "sweep.frames_per_s": 50.0, "trace.overhead_frac": 0.3}}
 
     monkeypatch.setattr(calibrate, "calibrate", fake_calibrate)
-    layers = bench_record.per_layer("waterfall-float", fake_run, 1)
-    assert events == ["kernel", ("waterfall-float", 1, bench_record.SECONDS, 1), "kernel"]
-    assert layers["per_layer"] == fake_run("", 0, 0, 0)["metrics"]
-    assert layers["per_layer_kernel_s"] == {"before": [0.02] * 20, "after": [0.03] * 20}
-    # times go by 0.010 s / mean(0.025 s) and per-variant rates by the inverse;
-    # counts, ratios and other rates are left out
-    assert layers["per_layer_scaled"] == pytest.approx({
-        "codes.syndrome.us_per_call": 2.0, "gdbf.step.self_us_per_iter": 1.0,
-        "codes.load_alist_s": 0.008, "harness.run_campaign.sgdbf.frames_per_s": 1000.0,
-        "harness.run_campaign.mngdbf-q4.frames_per_s": 250.0})
+    layers = bench_record.per_layer("waterfall-float", fake_run)
+    run = ("waterfall-float", bench_record.SECONDS, 1)
+    assert events == [e for seed in bench_record.SEEDS
+                      for e in ("kernel", (run[0], seed, *run[1:]), "kernel")]
+    runs = layers["per_layer_runs"]
+    assert [r["seed"] for r in runs] == [1, 2, 3]
+    assert [r["per_layer"] for r in runs] == [fake_run("", s, 0, 0)["metrics"] for s in (1, 2, 3)]
+    assert runs[1]["kernel_s"] == {"before": [0.01] * 20, "after": [0.015] * 20}
+    # times go by 0.010 s / mean kernel time and per-variant rates by the
+    # inverse; counts, ratios and other rates are left out.  The kernel read
+    # each run's speed, so every run scales to the same figures.
+    for r in runs:
+        assert r["per_layer_scaled"] == pytest.approx({
+            "codes.syndrome.us_per_call": 2.0, "gdbf.step.self_us_per_iter": 1.0,
+            "codes.load_alist_s": 0.008, "harness.run_campaign.sgdbf.frames_per_s": 1000.0,
+            "harness.run_campaign.mngdbf-q4.frames_per_s": 250.0})
+    assert layers["per_layer_scaled"] == pytest.approx(runs[0]["per_layer_scaled"])
+    # raw figures are each one's median over the runs
+    assert layers["per_layer"] == pytest.approx({
+        "codes.syndrome.us_per_call": 5.0, "codes.syndrome.calls": 8,
+        "gdbf.step.self_us_per_iter": 2.5, "codes.load_alist_s": 0.02,
+        "harness.run_campaign.sgdbf.frames_per_s": 400.0,
+        "harness.run_campaign.mngdbf-q4.frames_per_s": 100.0,
+        "sweep.frames_per_s": 50.0, "trace.overhead_frac": 0.3})
     record = bench_record.workload_record([{"environment": {}, "seed": 1, "metrics": {"m": 1.0},
                                             "unscaled": {}}] * 3, layers,
                                           lambda values: sorted(values))
-    assert {"per_layer", "per_layer_kernel_s", "per_layer_scaled"} <= set(record)
+    assert {"per_layer", "per_layer_runs", "per_layer_scaled"} <= set(record)
+

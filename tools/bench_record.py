@@ -3,16 +3,17 @@
     python3 tools/bench_record.py [--checkout DIR] [--out DIR] [--tier1]
 
 Runs every perfbench workload of the checkout (this repository by
-default) untraced once per seed 1, 2 and 3 and traced once with seed 1,
+default) untraced once per seed 1, 2 and 3 and traced once per seed too,
 each for ``run.py``'s default 30 s, through the checkout's own
 ``perfbench/run.py``.  Per workload the record holds each end-to-end
 metric's median, quartiles and spread, the same for the unscaled timings,
 every run's values, the traced per-layer split and the run environment.
 The calibration kernel is timed 20 times right before and 20 times right
-after the traced run, and every per-layer time (a ``us_per_`` figure or
-one in seconds) is also given scaled by it, and every per-variant rate by
-its inverse, so that the layer figures of two records compare as their
-end-to-end figures do.
+after each traced run, and every per-layer time of that run (a ``us_per_``
+figure or one in seconds) is also given scaled by it, and every per-variant
+rate by its inverse.  Each per-layer figure is recorded as its median over
+the traced runs and as every run's value, so that the layer figures of two
+records compare as their end-to-end figures do.
 ``--tier1`` also runs the checkout's tier-1 suite once and records its
 wall time and its passed and failed counts; the wall time is also given
 scaled by the checkout's ``perfbench/calibrate.py`` kernel, timed once
@@ -68,32 +69,39 @@ def workload_record(runs: list, layers: dict, summarize) -> dict:
     }
 
 
-def per_layer(workload: str, run, seed: int) -> dict:
-    """The traced split of one ``run``, raw and scaled by the calibration kernel.
+def per_layer(workload: str, run) -> dict:
+    """The traced split of one ``run`` per seed in ``SEEDS``, raw and scaled
+    by the calibration kernel.
 
-    ``per_layer_scaled`` holds each time (``us_per_`` or in seconds, not a
-    rate) times ``REFERENCE_S / mean kernel time`` over 20 kernel runs right
-    before and 20 right after the traced run, and
-    each per-variant rate ``harness.run_campaign.<variant>.frames_per_s``
-    times the inverse, ``mean kernel time / REFERENCE_S``.  Call it after the
-    checkout's ``perfbench`` directory is on ``sys.path``.
+    A run's ``per_layer_scaled`` holds each time (``us_per_`` or in seconds,
+    not a rate) times ``REFERENCE_S / mean kernel time`` over 20 kernel runs
+    right before and 20 right after that run, and each per-variant rate
+    ``harness.run_campaign.<variant>.frames_per_s`` times the inverse,
+    ``mean kernel time / REFERENCE_S``.  ``per_layer`` and
+    ``per_layer_scaled`` hold each figure's median over the runs, and
+    ``per_layer_runs`` every run's figures and kernel times.  Call it after
+    the checkout's ``perfbench`` directory is on ``sys.path``.
     """
     from calibrate import REFERENCE_S, calibrate
 
-    before = calibrate(20)
-    traced = run(workload, seed, SECONDS, 1)
-    after = calibrate(20)
-    scale = REFERENCE_S / statistics.mean(before + after)
-    layers, scaled = traced["metrics"], {}
-    for name, value in layers.items():
-        if "us_per_" in name or (name.endswith("_s") and not name.endswith("per_s")):
-            scaled[name] = value * scale
-        elif re.fullmatch(r"harness\.run_campaign\..+\.frames_per_s", name):
-            scaled[name] = value / scale
-    return {"per_layer": layers,
-            "per_layer_kernel_s": {"before": [round(k, 6) for k in before],
-                                   "after": [round(k, 6) for k in after]},
-            "per_layer_scaled": scaled}
+    runs = []
+    for seed in SEEDS:
+        before = calibrate(20)
+        traced = run(workload, seed, SECONDS, 1)
+        after = calibrate(20)
+        scale = REFERENCE_S / statistics.mean(before + after)
+        layers, scaled = traced["metrics"], {}
+        for name, value in layers.items():
+            if "us_per_" in name or (name.endswith("_s") and not name.endswith("per_s")):
+                scaled[name] = value * scale
+            elif re.fullmatch(r"harness\.run_campaign\..+\.frames_per_s", name):
+                scaled[name] = value / scale
+        runs.append({"seed": seed, "per_layer": layers, "per_layer_scaled": scaled,
+                     "kernel_s": {"before": [round(k, 6) for k in before],
+                                  "after": [round(k, 6) for k in after]}})
+    medians = {key: {name: statistics.median(r[key][name] for r in runs) for name in runs[0][key]}
+               for key in ("per_layer", "per_layer_scaled")}
+    return {**medians, "per_layer_runs": runs}
 
 
 def tier1(checkout: Path) -> dict:
@@ -151,13 +159,12 @@ def main() -> int:
     # are measured with the benchmark code of their commit.
     sys.path.insert(0, str(checkout / "perfbench"))
     from baseline import run, summarize
-    from workloads import DEFAULT_SEED, WORKLOADS
+    from workloads import WORKLOADS
 
     record = {"git_sha": sha, "seeds": list(SEEDS), "seconds": SECONDS, "workloads": {}}
     for name in sorted(WORKLOADS):
         runs = [run(name, seed, SECONDS, 0) for seed in SEEDS]
-        record["workloads"][name] = workload_record(runs, per_layer(name, run, DEFAULT_SEED),
-                                                    summarize)
+        record["workloads"][name] = workload_record(runs, per_layer(name, run), summarize)
         fps = record["workloads"][name]["end_to_end"]["frames_per_s"]
         print(f"{name}: frames_per_s median {fps['median']:.6g} "
               f"(q1 {fps['q1']:.6g}, q3 {fps['q3']:.6g})", flush=True)
