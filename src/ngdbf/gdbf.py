@@ -45,7 +45,7 @@ def thresholds_by_count(theta: float, lam: float, t_max: int) -> np.ndarray:
     if not (0.0 < lam <= 1.0):
         raise ValueError("adaptation parameter must lie in (0, 1]")
     if not 1 <= t_max <= MAX_ITERATIONS:
-        raise ValueError(f"iteration limit must lie in 1..{MAX_ITERATIONS}, not {t_max}")
+        raise ValueError(f"iteration limit must lie in 1..{MAX_ITERATIONS}")
     return np.cumprod(np.concatenate(([float(theta)], np.full(t_max, float(lam)))))
 
 

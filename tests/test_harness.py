@@ -419,13 +419,13 @@ class TestConfigLoading:
         ("error_target", 2.5, "error_target"),
         ("y_max", -1, "y_max"),
         ("params", {"t_max": 1.5}, "params.t_max"),
-        ("params", {"t_max": 10**18}, "params.t_max"),
         ("params", {"smoothing_window": 30}, "params.smoothing_window"),   # mngdbf: no smoothing
         ("mode_switching", False, "mode_switching"),    # an unknown key is named too
         ("code", 5, "code"),
         ("code", ".", "code"),
         ("code", "missing.alist", "code"),
         ("quantizer", {"q_bits": 17, "y_max": 1.75}, "quantizer.q_bits"),
+        ("params", {"t_max": 10**18}, "params.t_max"),
     ])
     def test_malformed_value_names_its_key(self, tmp_path, key, value, named):
         doc = self.base_doc()
