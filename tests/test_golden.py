@@ -4,7 +4,8 @@ The CSV files under ``tests/data/golden/`` pin decoder behaviour
 independently of the implementation.  They cover paths the benchmark's
 reference points do not reach: the default smoothing window, the uniform
 and shift-chain noise policies on the float datapath, the quantized
-datapath with iid noise, the fixed-threshold multi-bit rule (``atgdbf`` at
+datapath with iid noise, the smoothed quantized shift chain, the single-flip
+rule under a shift chain, the fixed-threshold multi-bit rule (``atgdbf`` at
 lam = 1), a per-SNR parameter schedule and the convergence report.  They
 also pin the benchmark's quantized shift-chain setup at a lower SNR, and
 convergence scoring of the quantized and min-sum setups, which the CLI's
@@ -52,6 +53,18 @@ CAMPAIGNS = {
                                          "t_max": 100, "noise_policy": "shift_chain"},
                               "quantizer": {"q_bits": 4, "y_max": 1.75},
                               "ebn0_db": [3.5], "frames": 24},
+    # smoothing, quantizer and shift chain together; some frames enter the window
+    "smngdbf_q4_shift_chain": {"decoder": "smngdbf",
+                               "params": {"theta": -0.7, "lam": 0.99, "eta": 0.95, "w": 0.75,
+                                          "t_max": 100, "smoothing_window": 16,
+                                          "noise_policy": "shift_chain"},
+                               "quantizer": {"q_bits": 4, "y_max": 1.75},
+                               "ebn0_db": [3.0], "frames": 24},
+    # the single-flip argmin under a perturbation
+    "sngdbf_shift_chain": {"decoder": "sngdbf",
+                           "params": {"theta": -0.9, "eta": 1.0, "w": 0.75, "t_max": 100,
+                                      "noise_policy": "shift_chain"},
+                           "ebn0_db": [3.5], "frames": 24},
     # lam defaults to 1: the fixed-threshold multi-bit rule, without mgdbf's mode switch
     "atgdbf_lam_one": {"decoder": "atgdbf", "params": {"theta": -0.5, "w": 1.0, "t_max": 100},
                        "ebn0_db": [3.0], "frames": 24},
