@@ -1,5 +1,5 @@
-"""Per-frame decode loop of perturbed bit-flip frames: state container, stopping
-rule, iteration accounting.  Noise-free frames go through gdbf.decode_batch."""
+"""Per-frame decode loop of iid- and uniform-perturbed bit-flip frames: state container,
+stopping rule, iteration accounting.  The others go through gdbf.decode_batch."""
 
 from __future__ import annotations
 

@@ -92,13 +92,15 @@ class BitFlipStepper(Stepper):
 
 def decode_batch(code: ParityCheckCode, y: np.ndarray, t_max: int, w=1.0,
                  thresholds: np.ndarray | None = None, mode_switching: bool = False,
-                 smoothing_window: int = 0) -> tuple:
-    """Decode one frame per row of ``y`` by :class:`BitFlipStepper`'s rule without
-    perturbation, under :func:`core.decode`'s stop rule and smoothing; with
-    ``mode_switching``, a step that lowers sum(x*y) + sum(s) ends multi-flips.
+                 smoothing_window: int = 0, chains: np.ndarray | None = None) -> tuple:
+    """Decode one frame per row of ``y`` by :class:`BitFlipStepper`'s rule, under
+    :func:`core.decode`'s stop rule and smoothing; with ``mode_switching``, a
+    step that lowers sum(x*y) + sum(s) ends multi-flips.
 
     ``y`` holds the samples the rule compares: saturated floats, or quantizer
-    indices with an integer ``w`` and integer ``thresholds``.  Decisions and
+    indices with an integer ``w`` and integer ``thresholds``.  A row of ``chains``
+    is a frame's shift chain w (:meth:`noisy.NoiseSource.chain`) in the units of
+    ``y``; step t adds w[t_max-t : t_max-t+n] to the metric.  Decisions and
     syndromes are (n+1, B) and (m+1, B) int8, one column a frame, so that one
     gather per slot table serves the batch; their last rows are the dummy
     symbol (+1) and dummy check (0) that pad the tables.  Metrics, x*y and flip
@@ -145,6 +147,8 @@ def decode_batch(code: ParityCheckCode, y: np.ndarray, t_max: int, w=1.0,
             X, S = np.compress(keep, X, axis=1), np.compress(keep, S, axis=1)
             if mode_switching:
                 prev = prev[keep]
+            if chains is not None:
+                chains = chains[keep]
             if smoothing_window:
                 smooth = np.compress(keep, smooth, axis=1)
             e = None
@@ -154,12 +158,14 @@ def decode_batch(code: ParityCheckCode, y: np.ndarray, t_max: int, w=1.0,
             shapes = ((b, n), (n, b), (*code.col_slots.shape, b), (*code.row_slots.shape, b))
             e, sums, adj, members = (buf[:math.prod(shape)].reshape(shape)
                                      for buf, shape in zip(work, shapes))
-        # E = x*y + w*sums from the syndromes at step start; the sums are cast
-        # to the metric's type before w multiplies them
+        # E = x*y + w*sums + q from the syndromes at step start; the sums are
+        # cast to the metric's type before w multiplies them
         np.take(S, code.col_slots, axis=0, out=adj)
         np.sum(adj, axis=0, dtype=sum_type, out=sums)
         np.multiply(sums.T, w, out=e, dtype=e.dtype)
         np.add(xy, e, out=e)
+        if chains is not None:
+            e += chains[:, t_max - t:t_max - t + n]
         multi, single = mu.any(), not mu.all()
         if single:      # the argmin flips; ties break to the lowest index
             js = np.flatnonzero(~mu)

@@ -32,6 +32,7 @@ from .noisy import NgdbfParams, NoiseSource, QuantizedAdaptiveStepper
 
 SWEEPABLE = ("theta", "lam", "eta")
 STOP_CHUNK = 512    # frames between two applications of the early-stop rule
+CHAIN_BATCH = 32    # shift-chain frames decoded at once: a pool task's range on two workers
 
 
 class ConfigError(ValueError):
@@ -43,7 +44,7 @@ class Variant:
     """How one decoder variant is built and run.
 
     ``rule`` picks the bit-flip thresholds and mode switch (see
-    :func:`decode_noise_free`); it is None for min-sum, which is not a
+    :func:`decode_batched`); it is None for min-sum, which is not a
     bit-flip decoder.  A ``stochastic`` variant is its deterministic twin (same rule)
     given a perturbation stream, which it gets when eta > 0.  A positive
     ``smoothing_window`` turns output smoothing on, over that many final
@@ -97,9 +98,10 @@ class DecoderSetup:
 
     @property
     def batched(self) -> bool:
-        """A bit-flip setup that draws no perturbation (:func:`decode_noise_free`)."""
-        variant = VARIANTS[self.variant]
-        return variant.rule is not None and not (variant.stochastic and self.params.eta > 0)
+        """A bit-flip setup drawing no perturbation or a shift chain (:func:`decode_batched`)."""
+        variant, params = VARIANTS[self.variant], self.params
+        return variant.rule is not None and not (variant.stochastic and params.eta > 0
+                                                 and params.noise_policy != "shift_chain")
 
     def samples(self, y_sat: np.ndarray) -> np.ndarray:
         """What the bit-flip rule compares: ``y_sat``, or its quantizer indices."""
@@ -129,13 +131,23 @@ def build_stepper(code: ParityCheckCode, setup: DecoderSetup, y_sat: np.ndarray,
     return stepper(code, setup.samples(y_sat), w, noise, thresholds)
 
 
-def decode_noise_free(code: ParityCheckCode, setup: DecoderSetup, y_sat: np.ndarray) -> tuple:
-    """Decode one frame per row of saturated samples with a bit-flip setup that
-    draws no perturbation, by :func:`gdbf.decode_batch`: the final decisions,
-    one int8 row a frame, and int32 arrays of iterations and engaged flags."""
-    w, thresholds = setup.weight_and_thresholds
-    return decode_batch(code, setup.samples(y_sat), setup.params.t_max, w, thresholds,
-                        VARIANTS[setup.variant].rule == "multi", setup.smoothing_window)
+def decode_batched(code: ParityCheckCode, setup: DecoderSetup, sigma: float, y_sat: np.ndarray,
+                   master_seed: int, snr_index: int, start: int) -> tuple:
+    """Decode frames ``start``, ``start + 1``, ... of one SNR point, a row of saturated
+    samples each, in one :func:`gdbf.decode_batch`, shift-chain frames with their own
+    chains: final decisions (an int8 row a frame), int32 iterations and engaged flags."""
+    (w, thresholds), params, q = setup.weight_and_thresholds, setup.params, setup.quantizer
+    y, t_max, chains = setup.samples(y_sat), params.t_max, None
+    if q is not None:   # the narrowest type that holds |E| <= (2 + max_dv) * (2**q_bits - 1)
+        level = np.min_scalar_type(-(2 + len(code.col_slots)) * (q.n_levels - 1) - 1)
+        y, thresholds = y.astype(level), thresholds.astype(level)
+    if VARIANTS[setup.variant].stochastic and params.eta > 0:
+        chains = np.empty((len(y), code.n + t_max), y.dtype)
+        for i, row in enumerate(chains):
+            row[:] = NoiseSource(code.n, params.eta * sigma, "shift_chain", frame_rng(
+                master_seed, snr_index, start + i, 1), t_max, q).chain()
+    return decode_batch(code, y, t_max, w, thresholds, VARIANTS[setup.variant].rule == "multi",
+                        setup.smoothing_window, chains)
 
 
 @dataclass(frozen=True)
@@ -240,18 +252,24 @@ def decode_chunk(code: ParityCheckCode, setup: DecoderSetup, sigma: float, y_max
                  master_seed: int, snr_index: int, start: int, stop: int) -> FrameStats:
     """Decode frames ``start`` to ``stop - 1`` of one SNR point.
 
-    A batched setup decodes the range as one batch (:func:`decode_noise_free`).
-    Min-sum and perturbed frames go one by one through :func:`decode_frame`,
-    looked up as this module's global so that a wrapper installed on it sees
-    each of them.
+    A batched setup decodes the range through :func:`decode_batched`, a
+    shift-chain range CHAIN_BATCH frames at a time.  Min-sum frames and those
+    perturbed by iid or uniform draws go one by one through
+    :func:`decode_frame`, looked up as this module's global so that a wrapper
+    installed on it sees each of them.
     """
     if not setup.batched:
         frames = [decode_frame(code, setup, sigma, y_max, master_seed, snr_index, fi)
                   for fi in range(start, stop)]
         return FrameStats(*np.array(frames, dtype=np.int32).reshape(-1, 3).T)
-    y = _transmit(code, setup, sigma, y_max, master_seed, snr_index, start, stop)
-    x, iterations, engaged = decode_noise_free(code, setup, y)
-    return FrameStats(np.count_nonzero(x != 1, axis=1).astype(np.int32), iterations, engaged)
+    perturbed = VARIANTS[setup.variant].stochastic and setup.params.eta > 0
+    size, parts = CHAIN_BATCH if perturbed else max(stop - start, 1), []
+    for first in range(start, max(stop, start + 1), size):  # an empty range is one empty batch
+        y = _transmit(code, setup, sigma, y_max, master_seed, snr_index, first,
+                      min(first + size, stop))
+        x, *stats = decode_batched(code, setup, sigma, y, master_seed, snr_index, first)
+        parts.append((np.count_nonzero(x != 1, axis=1).astype(np.int32), *stats))
+    return FrameStats(*map(np.concatenate, zip(*parts)))
 
 
 # ---------------------------------------------------------------------------
@@ -454,15 +472,15 @@ def run_convergence(code: ParityCheckCode, setups: dict, ebn0_db: float, frames:
 
     Every decoder sees the identical channel realizations (same per-frame
     streams), which is the variance-reduced way to compare convergence
-    errors.  A batched setup decodes all the frames as one batch; the others
-    go frame by frame.  Objectives are scored on the samples the decoder saw,
-    as levels if it quantizes them.  Returns {name: mean(f(x(T)) - f_max)}.
+    errors.  A batched setup's frames go through :func:`decode_batched`, the
+    others' frame by frame.  Objectives are scored on the samples the decoder
+    saw, as levels if it quantizes them.  Returns {name: mean(f(x(T)) - f_max)}.
     """
     sigma = ebn0_to_sigma(ebn0_db, float(code.rate))
     out = {}
     for name, setup in setups.items():
         ys = _transmit(code, setup, sigma, y_max, master_seed, 0, 0, frames)
-        xs = (decode_noise_free(code, setup, ys)[0] if setup.batched else
+        xs = (decode_batched(code, setup, sigma, ys, master_seed, 0, 0)[0] if setup.batched else
               [_decode_one(code, setup, sigma, y, master_seed, 0, fi).decisions
                for fi, y in enumerate(ys)])
         ys = ys if setup.quantizer is None else setup.quantizer.quantize(ys)

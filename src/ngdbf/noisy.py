@@ -67,11 +67,9 @@ class NoiseSource:
       which matches the Gaussian variance.
 
     With a ``quantizer``, each draw comes as its ``to_index``.  The first
-    shift-chain draw takes the register's n samples and the t_max that enter
-    after them as one block z, and lays out and quantizes w = z[n:][::-1]
-    then z[:n] once; draw j is the view w[t_max-j : t_max-j+n].  Draws past
-    the block move the register to a new chain.  Later draws leave a drawn
-    array unchanged.
+    shift-chain draw takes :meth:`chain`; draw j is the view
+    w[t_max-j : t_max-j+n] of it.  Draws past the block move the register to
+    a new chain.  Later draws leave a drawn array unchanged.
     """
 
     def __init__(self, n: int, sigma: float, policy: str, rng: np.random.Generator,
@@ -93,6 +91,11 @@ class NoiseSource:
     def _levels(self, q: np.ndarray) -> np.ndarray:
         return q if self.quantizer is None else self.quantizer.to_index(q)
 
+    def chain(self) -> np.ndarray:
+        """One draw z of n + t_max samples laid out as w = z[n:][::-1] then z[:n]."""
+        z = self.sigma * self.rng.standard_normal(self.n + self.t_max)
+        return self._levels(np.concatenate((z[self.n:][::-1], z[:self.n])))
+
     def draw(self) -> np.ndarray:
         n, t_max = self.n, self.t_max
         if self.policy == "iid":
@@ -103,8 +106,7 @@ class NoiseSource:
             a = np.sqrt(3.0) * self.sigma
             return self._levels(self.rng.uniform(-a, a, n))
         if self._chain is None:
-            z = self.sigma * self.rng.standard_normal(n + t_max)
-            self._chain, self._start = self._levels(np.concatenate((z[n:][::-1], z[:n]))), t_max
+            self._chain, self._start = self.chain(), t_max
         elif self._start == 0:
             z = self.sigma * self.rng.standard_normal(t_max)
             self._chain = np.concatenate((self._levels(z[::-1]), self._chain[:n - 1]))

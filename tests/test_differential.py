@@ -10,12 +10,15 @@ mgdbf, whose mode switch only the engine applies, is stepped by decoding
 its frames through the engine afresh under a budget of each step count.
 The fixed cases run the acceptance parameters on the bundled code and on an
 irregular code; the property test draws small regular and irregular codes,
-variants, parameters and seeds.  The engine cases decode noise-free setups
-through ``decode_chunk``, over ranges of several sizes, and through
-``decode_frame``, and compare bit errors, iterations, engaged flags and
-final decisions with ``plain_decode``, ``PlainBitFlip`` run under the stop
-rule and output smoothing, one frame at a time.
+variants, parameters and seeds.  The engine cases decode noise-free and
+shift-chain setups through ``decode_chunk``, over ranges of several sizes,
+and through ``decode_frame``, and compare bit errors, iterations, engaged
+flags and final decisions with ``plain_decode``, ``PlainBitFlip`` run under
+the stop rule and output smoothing one frame at a time, perturbed by an
+identically seeded ``NoiseSource``.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -101,7 +104,7 @@ def run_engine_lockstep(code, setup, rule, sigma, seed, frame) -> int:
             return t
         plain.step()
         budget = DecoderSetup(setup.variant, params.replace(t_max=t + 1), setup.quantizer)
-        x, iterations, _ = harness.decode_noise_free(code, budget, y[None])
+        x, iterations, _ = harness.decode_batched(code, budget, sigma, y[None], seed, 0, frame)
         assert np.array_equal(x[0], plain.x), f"frame {frame}, step {t}: decisions differ"
         assert iterations[0] == t + 1, f"frame {frame}, step {t}: iterations differ"
     return params.t_max
@@ -195,16 +198,33 @@ ENGINE_CASES = {
     "mngdbf-q4-eta0": DecoderSetup("mngdbf", Q4.replace(eta=0.0), QuantizerSpec(4, 1.75)),
     "mngdbf-q16-eta0": DecoderSetup("mngdbf", Q4.replace(eta=0.0), QuantizerSpec(16, 1.75)),
 }
+# Shift-chain setups: the engine adds each frame's chain to its metric.
+CHAIN_FRAMES = 70   # ranges of 33 and 70 frames cross the engine's 32-frame batches
+CHAIN_CASES = {
+    "sngdbf-chain": DecoderSetup("sngdbf", SN.replace(noise_policy="shift_chain")),
+    "mngdbf-chain": DecoderSetup("mngdbf", MN.replace(noise_policy="shift_chain")),
+    "mngdbf-chain-tmax1": DecoderSetup("mngdbf", MN.replace(noise_policy="shift_chain",
+                                                            t_max=1)),
+    "smngdbf-chain": DecoderSetup("smngdbf", SMN.replace(noise_policy="shift_chain")),
+    "mngdbf-q4-chain": DecoderSetup("mngdbf", Q4, QuantizerSpec(4, 1.75)),
+    "mngdbf-q3-chain-tmax37": DecoderSetup("mngdbf", Q4.replace(t_max=37),
+                                           QuantizerSpec(3, 1.75)),
+    "smngdbf-q4-chain-window16": DecoderSetup("smngdbf", Q4.replace(smoothing_window=16),
+                                              QuantizerSpec(4, 1.75)),
+    "smngdbf-q4-chain-tmax7": DecoderSetup("smngdbf", Q4.replace(t_max=7, smoothing_window=3),
+                                           QuantizerSpec(4, 1.75)),
+    "mngdbf-q16-chain": DecoderSetup("mngdbf", Q4, QuantizerSpec(16, 1.75)),
+}
 
 
 def refuse(*args, **kwargs):
-    raise AssertionError("a noise-free frame left the batch engine")
+    raise AssertionError("a noise-free or shift-chain frame left the batch engine")
 
 
 def batched(code, setup, sigma, seed, frames, size, monkeypatch) -> tuple:
     """decode_chunk over ranges of ``size`` frames, none of them through
     decode_frame: the final decisions its batches reached, and its statistics."""
-    decided, engine = [], harness.decode_noise_free
+    decided, engine = [], harness.decode_batched
 
     def record(*args):
         out = engine(*args)
@@ -213,7 +233,7 @@ def batched(code, setup, sigma, seed, frames, size, monkeypatch) -> tuple:
 
     with monkeypatch.context() as patch:
         patch.setattr(harness, "decode_frame", refuse)
-        patch.setattr(harness, "decode_noise_free", record)
+        patch.setattr(harness, "decode_batched", record)
         parts = [decode_chunk(code, setup, sigma, 2.5, seed, 0, start, min(start + size, frames))
                  for start in range(0, frames, size)]
     return np.concatenate(decided), FrameStats(*(np.concatenate(c) for c in zip(*parts)))
@@ -225,11 +245,16 @@ def per_frame(code, setup, sigma, seed, frames) -> FrameStats:
 
 
 def plain(code, setup, sigma, seed, frames) -> tuple:
-    """plain_decode on each frame's saturated channel samples: the final
-    decisions, and the statistics."""
-    ones = np.ones(code.n, dtype=np.int8)
+    """plain_decode on each frame's saturated channel samples, perturbed by the
+    frame's unquantized stream if the setup draws one: the final decisions,
+    and the statistics."""
+    params, ones = setup.params, np.ones(code.n, dtype=np.int8)
     decoded = [plain_decode(code, saturate(transmit(ones, sigma, frame_rng(seed, 0, fi, 0)), 2.5),
-                            setup.params.t_max, setup.smoothing_window, **reference_rule(setup))
+                            params.t_max, setup.smoothing_window,
+                            noise=NoiseSource(code.n, params.eta * sigma, params.noise_policy,
+                                              frame_rng(seed, 0, fi, 1), params.t_max)
+                            if VARIANTS[setup.variant].stochastic and params.eta > 0 else None,
+                            **reference_rule(setup))
                for fi in range(frames)]
     x = np.array([d[0] for d in decoded]).reshape(-1, code.n)
     return x, FrameStats(np.count_nonzero(x != 1, axis=1).astype(np.int32),
@@ -263,17 +288,30 @@ def test_engine_matches_per_frame_decoding(bench_code, monkeypatch, name, ebn0):
     assert np.count_nonzero(want.iterations) > ENGINE_FRAMES // 2
 
 
-@pytest.mark.parametrize("name", ENGINE_CASES)
+@pytest.mark.parametrize("ebn0", [3.0, 4.0])
+@pytest.mark.parametrize("name", CHAIN_CASES)
+def test_engine_matches_shift_chain_decoding(bench_code, monkeypatch, name, ebn0):
+    sigma = ebn0_to_sigma(ebn0, float(bench_code.rate))
+    want = assert_engine_matches_plain(bench_code, CHAIN_CASES[name], sigma, SEED,
+                                       CHAIN_FRAMES, (33, CHAIN_FRAMES), monkeypatch)
+    assert np.count_nonzero(want.iterations) > CHAIN_FRAMES // 2
+
+
+ALL_CASES = {**ENGINE_CASES, **CHAIN_CASES}
+
+
+@pytest.mark.parametrize("name", ALL_CASES)
 def test_engine_on_irregular_code_matches_plain_decoding(monkeypatch, name):
-    """Padded slots of both tables, decoded by every noise-free setup."""
+    """Padded slots of both tables, decoded by every noise-free and shift-chain setup."""
     code = random_irregular_code(240, 100, 8, seed=11)
-    assert_engine_matches_plain(code, ENGINE_CASES[name], 0.6, SEED, 8, (3,), monkeypatch)
+    assert_engine_matches_plain(code, ALL_CASES[name], 0.6, SEED, 8, (3,), monkeypatch)
 
 
 @st.composite
-def noiseless_cases(draw):
+def engine_cases(draw, chained=False):
     """A regular PEG code with symbol degree up to 16 or an irregular code, and a
-    noise-free bit-flip setup with random parameters."""
+    noise-free bit-flip setup with random parameters; ``chained``, a setup
+    perturbed by a shift chain instead, decoded over up to 40 frames."""
     if draw(st.booleans()):
         n = draw(st.integers(16, 96))
         code = random_irregular_code(n, draw(st.integers(2, n // 2)),
@@ -283,25 +321,37 @@ def noiseless_cases(draw):
         dv = draw(st.integers(2, 16))
         n = draw(st.integers(1, 96 // (2 * dv))) * 2 * dv
         code = peg_regular_code(n, n // 2, dv, 2 * dv, seed=draw(st.integers(0, 2**16)))
-    variant = draw(st.sampled_from(sorted(RULE_ARGS)))
+    stochastic = sorted(v for v in RULE_ARGS if VARIANTS[v].stochastic)
+    variant = draw(st.sampled_from(stochastic if chained else sorted(RULE_ARGS)))
     t_max = draw(st.integers(1, 60))
     params = NgdbfParams(theta=-draw(st.floats(0.05, 2.0)), lam=draw(st.floats(0.8, 1.0)),
-                         eta=0.0, w=draw(st.floats(0.25, 1.5)), t_max=t_max,
+                         eta=draw(st.floats(0.05, 1.0)) if chained else 0.0,
+                         w=draw(st.floats(0.25, 1.5)), t_max=t_max,
                          smoothing_window=(draw(st.integers(1, t_max))
-                                           if variant == "smngdbf" else 0))
+                                           if variant == "smngdbf" else 0),
+                         noise_policy="shift_chain")
     quantizer = None
     if VARIANTS[variant].quantizable and draw(st.booleans()):
         quantizer = QuantizerSpec(draw(st.integers(2, 16)), draw(st.floats(1.5, 2.5)))
     return (code, DecoderSetup(variant, params, quantizer), draw(st.floats(0.4, 1.0)),
-            draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 9)))
+            draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 40 if chained else 9)))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(case=noiseless_cases())
+@given(case=engine_cases())
 def test_engine_matches_per_frame_decoding_on_random_codes(monkeypatch, case):
     code, setup, sigma, seed, frames = case
     assert_engine_matches_plain(code, setup, sigma, seed, frames, sorted({1, 3, frames}),
+                                monkeypatch)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=engine_cases(chained=True))
+def test_engine_matches_shift_chain_decoding_on_random_codes(monkeypatch, case):
+    code, setup, sigma, seed, frames = case
+    assert_engine_matches_plain(code, setup, sigma, seed, frames, sorted({1, 33, frames}),
                                 monkeypatch)
 
 
@@ -318,10 +368,30 @@ def test_noise_free_setups_reach_no_stepper(bench_code, monkeypatch):
     assert list(eps) == list(ENGINE_CASES)
 
 
-@pytest.mark.parametrize("name", ["sgdbf", "mgdbf", "atgdbf", "mngdbf-eta0", "mngdbf-q4-eta0"])
+def test_shift_chain_setups_reach_no_stepper(bench_code, monkeypatch):
+    # float and quantized shift chains, through every per-frame entry point;
+    # iid and uniform perturbations still go frame by frame
+    monkeypatch.setattr(harness, "decode", refuse)
+    monkeypatch.setattr(harness, "build_stepper", refuse)
+    monkeypatch.setattr(NoiseSource, "draw", refuse)
+    sigma = ebn0_to_sigma(3.0, float(bench_code.rate))
+    for setup in CHAIN_CASES.values():
+        assert setup.batched
+        assert not replace(setup, params=setup.params.replace(noise_policy="iid")).batched
+        assert not replace(setup, params=setup.params.replace(noise_policy="uniform")).batched
+        decode_frame(bench_code, setup, sigma, 2.5, SEED, 0, 0)
+        decode_chunk(bench_code, setup, sigma, 2.5, SEED, 0, 0, 3)
+    eps = run_convergence(bench_code, CHAIN_CASES, 3.0, 3, SEED)
+    assert list(eps) == list(CHAIN_CASES)
+
+
+@pytest.mark.parametrize("name", ["sgdbf", "mgdbf", "atgdbf", "mngdbf-eta0", "mngdbf-q4-eta0",
+                                  "sngdbf-chain", "mngdbf-q4-chain",
+                                  "smngdbf-q4-chain-window16"])
 def test_engine_campaigns_do_not_depend_on_workers(bench_code, name):
-    # 64-frame stop chunks go to 2 and 3 workers as ranges of 4 and 3 frames
-    cfg = CampaignConfig(bench_code, ENGINE_CASES[name], ebn0_db=(3.0, 4.0), frames=150,
+    # 64-frame stop chunks go to 2 and 3 workers as ranges of 4 and 3 frames,
+    # and to one worker as a range that spans two shift-chain batches
+    cfg = CampaignConfig(bench_code, ALL_CASES[name], ebn0_db=(3.0, 4.0), frames=150,
                          master_seed=SEED, error_target=20)
     csv = {w: run_campaign(cfg, workers=w, chunk_size=64).to_csv() for w in (1, 2, 3)}
     assert csv[2] == csv[1] and csv[3] == csv[1]
