@@ -15,6 +15,9 @@ from .channel import QuantizerSpec
 from .codes import ParityCheckCode
 from .core import objective
 
+# The flip matrices hold d_v + 1 syndrome sums beside up to 2**MAX_Q_BITS levels,
+# and the LML masses loop over every sum and every odd subset size of d_c - 1.
+MAX_DEGREE = 128
 
 def _norm_cdf(z: float) -> float:
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
@@ -113,8 +116,8 @@ class LmlParams:
     def __post_init__(self):
         if not 0 < self.sigma < math.inf:
             raise ValueError("sigma must be finite and positive")
-        if self.d_c < 2 or self.d_v < 1:
-            raise ValueError("need d_c >= 2 and d_v >= 1")
+        if not (2 <= self.d_c <= MAX_DEGREE and 1 <= self.d_v <= MAX_DEGREE):
+            raise ValueError(f"need 2 <= d_c <= {MAX_DEGREE} and 1 <= d_v <= {MAX_DEGREE}")
         if not (0.0 < self.p_e < 1.0):
             raise ValueError("p_e must lie in (0, 1)")
 
@@ -188,8 +191,8 @@ def gdbf_flip_matrix(theta: float, w: float, quantizer: QuantizerSpec,
         raise ValueError("threshold must be finite and non-positive")
     if not 0 < w < math.inf:
         raise ValueError("syndrome weight must be finite and positive")
-    if d_v < 1:
-        raise ValueError("need symbol degree d_v >= 1")
+    if not 1 <= d_v <= MAX_DEGREE:
+        raise ValueError(f"symbol degree d_v must lie in 1..{MAX_DEGREE}")
     q = quantizer
     half = q.n_levels // 2
     pos_levels = q.levels()[half:]

@@ -12,7 +12,8 @@ import os
 import sys
 from pathlib import Path
 
-from .analysis import LmlParams, format_flip_matrix, gdbf_flip_matrix, lml_flip_matrix
+from .analysis import (MAX_DEGREE, LmlParams, format_flip_matrix, gdbf_flip_matrix,
+                       lml_flip_matrix)
 from .channel import QuantizerSpec
 from .codes import load_alist
 from .gdbf import MAX_ITERATIONS
@@ -152,8 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("lml", "gdbf"), required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--ymax", type=float, required=True)
-    p.add_argument("--dv", type=int, required=True)
-    p.add_argument("--dc", type=int, help="check degree (lml mode)")
+    p.add_argument("--dv", type=_at_least(1, MAX_DEGREE), required=True)
+    p.add_argument("--dc", type=_at_least(2, MAX_DEGREE), help="check degree (lml mode)")
     p.add_argument("--sigma", type=float, help="channel noise std (lml mode)")
     p.add_argument("--pe", type=float, help="bit error probability (lml mode)")
     p.add_argument("--theta", type=float, help="threshold (gdbf mode)")

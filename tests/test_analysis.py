@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from ngdbf.analysis import (FlipMatrix, LmlParams, bin_probability, convergence_error,
-                            f_max, gdbf_flip_matrix, lml_flip_matrix, pc_from_pe,
-                            pe_initial, syndrome_sum_likelihoods)
+from ngdbf.analysis import (MAX_DEGREE, FlipMatrix, LmlParams, bin_probability,
+                            convergence_error, f_max, gdbf_flip_matrix, lml_flip_matrix,
+                            pc_from_pe, pe_initial, syndrome_sum_likelihoods)
 from ngdbf.channel import QuantizerSpec
 from ngdbf.core import objective
 
@@ -237,6 +237,16 @@ class TestLmlFlipMatrix:
             with pytest.raises(ValueError, match="finite and positive"):
                 LmlParams(sigma=sigma, quantizer=BENCH_Q, d_v=3, d_c=6, p_e=0.1)
 
+    @pytest.mark.parametrize("d_v, d_c", [(MAX_DEGREE + 1, 6), (10**12, 6), (3, MAX_DEGREE + 1),
+                                          (3, 10**12), (0, 6), (3, 1)])
+    def test_degrees_bounded(self, d_v, d_c):
+        # constructed only: the tables loop over every syndrome sum and subset size
+        with pytest.raises(ValueError, match=f"need 2 <= d_c <= {MAX_DEGREE} and 1 <= d_v"):
+            LmlParams(sigma=0.668, quantizer=BENCH_Q, d_v=d_v, d_c=d_c, p_e=0.1)
+
+    def test_degrees_at_the_bound_accepted(self):
+        LmlParams(sigma=0.668, quantizer=BENCH_Q, d_v=MAX_DEGREE, d_c=MAX_DEGREE, p_e=0.1)
+
 
 class TestGdbfFlipMatrix:
     def test_reference_patterns_at_half_weight(self):
@@ -283,3 +293,12 @@ class TestGdbfFlipMatrix:
     def test_symbol_degree_below_one_rejected(self, d_v):
         with pytest.raises(ValueError, match="symbol degree"):
             gdbf_flip_matrix(-0.5, 0.75, BENCH_Q, d_v)
+
+    @pytest.mark.parametrize("d_v", [MAX_DEGREE + 1, 10**12])
+    def test_symbol_degree_bounded_before_allocating(self, d_v):
+        with pytest.raises(ValueError, match=f"symbol degree d_v must lie in 1..{MAX_DEGREE}"):
+            gdbf_flip_matrix(-0.5, 0.75, BENCH_Q, d_v)
+
+    def test_symbol_degree_at_the_bound_accepted(self):
+        fm = gdbf_flip_matrix(-0.5, 0.75, BENCH_Q, MAX_DEGREE)
+        assert fm.entries.shape == (16, MAX_DEGREE + 1)

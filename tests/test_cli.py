@@ -10,6 +10,7 @@ import pytest
 
 import ngdbf
 from ngdbf import harness
+from ngdbf.analysis import MAX_DEGREE
 from ngdbf.cli import build_parser, main
 from ngdbf.gdbf import MAX_ITERATIONS
 
@@ -106,9 +107,37 @@ class TestFlipMatrix:
 
     @pytest.mark.parametrize("dv", ["0", "-2"])
     def test_symbol_degree_below_one_rejected(self, capsys, dv):
-        assert main(["flip-matrix", "--mode", "gdbf", "--theta", "-0.9", "--q", "4",
-                     "--ymax", "1.5", "--dv", dv]) == 1
-        assert "symbol degree" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["flip-matrix", "--mode", "gdbf", "--theta", "-0.9", "--q", "4",
+                  "--ymax", "1.5", "--dv", dv])
+        assert exc.value.code == 2
+        assert f"--dv: must be at least 1, not {dv}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dv", [str(MAX_DEGREE + 1), "1000000000000"])
+    def test_symbol_degree_bounded_before_allocating(self, capsys, dv):
+        with pytest.raises(SystemExit) as exc:
+            main(["flip-matrix", "--mode", "gdbf", "--q", "4", "--ymax", "1.75", "--dv", dv,
+                  "--theta", "-0.5"])
+        assert exc.value.code == 2
+        assert f"--dv: must be at most {MAX_DEGREE}, not {dv}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dc, bound", [("1", "at least 2"), ("0", "at least 2"),
+                                           (str(MAX_DEGREE + 1), f"at most {MAX_DEGREE}"),
+                                           ("1000000000000", f"at most {MAX_DEGREE}")])
+    def test_check_degree_bounded(self, capsys, dc, bound):
+        # parsed only: the lml tables loop over every subset size of d_c - 1
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["flip-matrix", "--mode", "lml", "--sigma", "0.6",
+                                       "--q", "4", "--ymax", "1.5", "--dv", "3", "--dc", dc,
+                                       "--pe", "0.1"])
+        assert exc.value.code == 2
+        assert f"--dc: must be {bound}, not {dc}" in capsys.readouterr().err
+
+    def test_degrees_at_the_bound_accepted(self, capsys):
+        assert main(["flip-matrix", "--mode", "gdbf", "--q", "4", "--ymax", "1.75",
+                     "--dv", str(MAX_DEGREE), "--theta", "-0.5"]) == 0
+        assert main(["flip-matrix", "--mode", "lml", "--sigma", "0.6", "--q", "4",
+                     "--ymax", "1.5", "--dv", "3", "--dc", str(MAX_DEGREE), "--pe", "0.1"]) == 0
 
     def test_quantizer_bits_bounded_before_allocating(self, capsys):
         tracemalloc.start()
