@@ -11,6 +11,7 @@ from .harness import (CampaignConfig, CampaignResult, ConfigError, DecoderSetup,
                       decode_frame, load_config, run_campaign, run_convergence,
                       run_sweep, wilson_interval)
 from .minsum import decode_minsum
-from .noisy import NgdbfParams, NoiseSource, QuantizedAdaptiveStepper, adaptation_events
+from .noisy import (NgdbfParams, NoiseSource, QuantizedAdaptiveStepper, adaptation_events,
+                    shift_chain)
 
 __version__ = "0.1.0"

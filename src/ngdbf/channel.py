@@ -18,9 +18,13 @@ def ebn0_to_sigma(ebn0_db: float, rate) -> float:
     rate = float(rate)
     if not (0.0 < rate < 1.0):
         raise ValueError(f"code rate must lie in (0, 1), got {rate}")
-    if not math.isfinite(ebn0_db):
-        raise ValueError("Eb/N0 must be finite")
-    return (2.0 * rate * 10.0 ** (ebn0_db / 10.0)) ** -0.5
+    try:
+        sigma = (2.0 * rate * 10.0 ** (ebn0_db / 10.0)) ** -0.5
+    except (OverflowError, ZeroDivisionError):     # 10**(ebn0_db/10) over- or underflows
+        sigma = math.nan
+    if not 0 < sigma < math.inf:    # as for a NaN or infinite Eb/N0
+        raise ValueError(f"Eb/N0 = {ebn0_db} dB gives no finite positive noise sigma")
+    return sigma
 
 
 def sigma_to_ebn0(sigma: float, rate) -> float:

@@ -99,7 +99,7 @@ def decode_batch(code: ParityCheckCode, y: np.ndarray, t_max: int, w=1.0,
 
     ``y`` holds the samples the rule compares: saturated floats, or quantizer
     indices with an integer ``w`` and integer ``thresholds``.  A row of ``chains``
-    is a frame's shift chain w (:meth:`noisy.NoiseSource.chain`) in the units of
+    is a frame's shift chain w (:func:`noisy.shift_chain`) in the units of
     ``y``; step t adds w[t_max-t : t_max-t+n] to the metric.  Decisions and
     syndromes are (n+1, B) and (m+1, B) int8, one column a frame, so that one
     gather per slot table serves the batch; their last rows are the dummy
@@ -122,7 +122,7 @@ def decode_batch(code: ParityCheckCode, y: np.ndarray, t_max: int, w=1.0,
     if mu.any():
         top = thresholds.max()      # no metric at or above it flips
     if mode_switching:
-        prev = np.array([objective(code, X[:n, j].copy(), y[j], S[:m, j]) for j in cols])
+        prev = np.array([objective(code, X[:n, j], y[j], S[:m, j]) for j in cols])
     smooth = np.zeros((n, frames), dtype=np.int32) if smoothing_window else None
     decisions = np.empty((frames, n), dtype=np.int8)
     out = np.zeros((2, frames), dtype=np.int32)
@@ -191,12 +191,9 @@ def decode_batch(code: ParityCheckCode, y: np.ndarray, t_max: int, w=1.0,
             checks = code.col_slots[:, ks]
             S[checks, js] *= -1
         if mode_switching and multi:
-            jm = np.flatnonzero(mu)
-            x, s_sum = np.ascontiguousarray(X[:n, jm].T), S[:m, jm].sum(axis=0)
-            for i, j in enumerate(jm):
-                f = np.dot(x[i], y[cols[j]]) + s_sum[i]
-                mu[j] = not f < prev[j]
-                prev[j] = f
+            for j in np.flatnonzero(mu):
+                f = objective(code, X[:n, j], y[cols[j]], S[:m, j])
+                mu[j], prev[j] = not f < prev[j], f
         t += 1
         if smoothing_window and t > t_max - smoothing_window:
             smooth += X[:n]

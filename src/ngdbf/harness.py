@@ -25,14 +25,14 @@ import numpy as np
 from .analysis import convergence_error, f_max
 from .channel import MAX_Q_BITS, QuantizerSpec, ebn0_to_sigma, saturate, transmit
 from .codes import ParityCheckCode, load_alist
-from .core import DecodeResult, decode, init_state, objective
+from .core import decode, init_state, objective
 from .gdbf import MAX_ITERATIONS, BitFlipStepper, decode_batch, thresholds_by_count
 from .minsum import decode_minsum
-from .noisy import NgdbfParams, NoiseSource, QuantizedAdaptiveStepper
+from .noisy import NgdbfParams, NoiseSource, QuantizedAdaptiveStepper, shift_chain
 
 SWEEPABLE = ("theta", "lam", "eta")
 STOP_CHUNK = 512    # frames between two applications of the early-stop rule
-CHAIN_BATCH = 32    # shift-chain frames decoded at once: a pool task's range on two workers
+CHAIN_BATCH = 32    # perturbed frames decoded at once: a pool task's range on two workers
 
 
 class ConfigError(ValueError):
@@ -97,11 +97,15 @@ class DecoderSetup:
         return self.params.smoothing_window or VARIANTS[self.variant].smoothing_window
 
     @property
+    def perturbed(self) -> bool:
+        """A stochastic variant at eta > 0: each frame draws a perturbation."""
+        return VARIANTS[self.variant].stochastic and self.params.eta > 0
+
+    @property
     def batched(self) -> bool:
         """A bit-flip setup drawing no perturbation or a shift chain (:func:`decode_batched`)."""
-        variant, params = VARIANTS[self.variant], self.params
-        return variant.rule is not None and not (variant.stochastic and params.eta > 0
-                                                 and params.noise_policy != "shift_chain")
+        return VARIANTS[self.variant].rule is not None and not (
+            self.perturbed and self.params.noise_policy != "shift_chain")
 
     def samples(self, y_sat: np.ndarray) -> np.ndarray:
         """What the bit-flip rule compares: ``y_sat``, or its quantizer indices."""
@@ -141,11 +145,11 @@ def decode_batched(code: ParityCheckCode, setup: DecoderSetup, sigma: float, y_s
     if q is not None:   # the narrowest type that holds |E| <= (2 + max_dv) * (2**q_bits - 1)
         level = np.min_scalar_type(-(2 + len(code.col_slots)) * (q.n_levels - 1) - 1)
         y, thresholds = y.astype(level), thresholds.astype(level)
-    if VARIANTS[setup.variant].stochastic and params.eta > 0:
+    if setup.perturbed:
         chains = np.empty((len(y), code.n + t_max), y.dtype)
         for i, row in enumerate(chains):
-            row[:] = NoiseSource(code.n, params.eta * sigma, "shift_chain", frame_rng(
-                master_seed, snr_index, start + i, 1), t_max, q).chain()
+            row[:] = shift_chain(code.n, params.eta * sigma,
+                                 frame_rng(master_seed, snr_index, start + i, 1), t_max, q)
     return decode_batch(code, y, t_max, w, thresholds, VARIANTS[setup.variant].rule == "multi",
                         setup.smoothing_window, chains)
 
@@ -206,10 +210,6 @@ class FrameStats(NamedTuple):
     iterations: int | np.ndarray
     engaged: bool | np.ndarray     # the smoothing window was entered
 
-    @property
-    def frame_error(self):
-        return self.bit_errors > 0
-
 
 def _transmit(code: ParityCheckCode, setup: DecoderSetup, sigma: float, y_max: float,
               master_seed: int, snr_index: int, start: int, stop: int) -> np.ndarray:
@@ -221,55 +221,65 @@ def _transmit(code: ParityCheckCode, setup: DecoderSetup, sigma: float, y_max: f
 
 
 def _decode_one(code: ParityCheckCode, setup: DecoderSetup, sigma: float, y: np.ndarray,
-                master_seed: int, snr_index: int, frame_index: int) -> DecodeResult:
-    """Decode one frame's samples by min-sum or a perturbed bit-flip stepper."""
-    params = setup.params
-    if setup.variant == "minsum":
-        return decode_minsum(code, y, params.t_max)
-    noise = NoiseSource(code.n, params.eta * sigma, params.noise_policy,
-                        frame_rng(master_seed, snr_index, frame_index, 1), params.t_max,
-                        setup.quantizer)
-    stepper = build_stepper(code, setup, y, noise)
-    return decode(stepper, init_state(code, stepper.y), params.t_max,
-                  smoothing_window=setup.smoothing_window)
+                master_seed: int, snr_index: int, start: int) -> tuple:
+    """Decode frames ``start``, ``start + 1``, ... one by one, by min-sum or a
+    perturbed bit-flip stepper; arguments and results as :func:`decode_batched`'s."""
+    params, decisions = setup.params, np.empty((len(y), code.n), dtype=np.int8)
+    stats = np.zeros((2, len(y)), dtype=np.int32)
+    for i, row in enumerate(y):
+        if setup.variant == "minsum":
+            result = decode_minsum(code, row, params.t_max)
+        else:
+            noise = NoiseSource(code.n, params.eta * sigma, params.noise_policy,
+                                frame_rng(master_seed, snr_index, start + i, 1),
+                                quantizer=setup.quantizer)
+            stepper = build_stepper(code, setup, row, noise)
+            result = decode(stepper, init_state(code, stepper.y), params.t_max,
+                            smoothing_window=setup.smoothing_window)
+        decisions[i] = result.decisions
+        stats[0, i], stats[1, i] = result.iterations, result.smoothing_engaged
+    return decisions, stats[0], stats[1]
+
+
+def _decode_batches(code: ParityCheckCode, setup: DecoderSetup, sigma: float, y_max: float,
+                    master_seed: int, snr_index: int, start: int, stop: int):
+    """Transmit and decode frames ``start`` to ``stop - 1`` of one SNR point, at most
+    CHAIN_BATCH perturbed or STOP_CHUNK other frames at a time (an empty range is
+    one empty batch): yields each batch's samples and :func:`decode_batched`'s
+    results, from :func:`_decode_one` for a setup that is not batched."""
+    size = CHAIN_BATCH if setup.perturbed else STOP_CHUNK
+    decoder = decode_batched if setup.batched else _decode_one
+    for first in range(start, max(stop, start + 1), size):
+        y = _transmit(code, setup, sigma, y_max, master_seed, snr_index, first,
+                      min(first + size, stop))
+        yield y, *decoder(code, setup, sigma, y, master_seed, snr_index, first)
 
 
 def decode_frame(code: ParityCheckCode, setup: DecoderSetup, sigma: float, y_max: float,
                  master_seed: int, snr_index: int, frame_index: int) -> FrameStats:
-    """Transmit one all-ones frame, decode it, and score the outcome; a
-    batched setup's frame is a range of one for :func:`decode_chunk`."""
-    if setup.batched:
-        return FrameStats(*(v[0].item() for v in decode_chunk(
-            code, setup, sigma, y_max, master_seed, snr_index, frame_index, frame_index + 1)))
-    [y] = _transmit(code, setup, sigma, y_max, master_seed, snr_index, frame_index,
-                    frame_index + 1)
-    result = _decode_one(code, setup, sigma, y, master_seed, snr_index, frame_index)
-    return FrameStats(int(np.count_nonzero(result.decisions != 1)), result.iterations,
-                      result.smoothing_engaged)
+    """Transmit one all-ones frame, decode it as a range of one, and score the outcome."""
+    [(_, x, iterations, engaged)] = _decode_batches(
+        code, setup, sigma, y_max, master_seed, snr_index, frame_index, frame_index + 1)
+    return FrameStats(int(np.count_nonzero(x[0] != 1)), int(iterations[0]), bool(engaged[0]))
 
 
 def decode_chunk(code: ParityCheckCode, setup: DecoderSetup, sigma: float, y_max: float,
                  master_seed: int, snr_index: int, start: int, stop: int) -> FrameStats:
     """Decode frames ``start`` to ``stop - 1`` of one SNR point.
 
-    A batched setup decodes the range through :func:`decode_batched`, a
-    shift-chain range CHAIN_BATCH frames at a time.  Min-sum frames and those
-    perturbed by iid or uniform draws go one by one through
-    :func:`decode_frame`, looked up as this module's global so that a wrapper
-    installed on it sees each of them.
+    A batched setup decodes it a batch at a time.  Min-sum frames and those
+    perturbed by iid or uniform draws go one by one through :func:`decode_frame`,
+    looked up as this module's global so that a wrapper installed on it sees
+    each of them.
     """
     if not setup.batched:
         frames = [decode_frame(code, setup, sigma, y_max, master_seed, snr_index, fi)
                   for fi in range(start, stop)]
         return FrameStats(*np.array(frames, dtype=np.int32).reshape(-1, 3).T)
-    perturbed = VARIANTS[setup.variant].stochastic and setup.params.eta > 0
-    size, parts = CHAIN_BATCH if perturbed else max(stop - start, 1), []
-    for first in range(start, max(stop, start + 1), size):  # an empty range is one empty batch
-        y = _transmit(code, setup, sigma, y_max, master_seed, snr_index, first,
-                      min(first + size, stop))
-        x, *stats = decode_batched(code, setup, sigma, y, master_seed, snr_index, first)
-        parts.append((np.count_nonzero(x != 1, axis=1).astype(np.int32), *stats))
-    return FrameStats(*map(np.concatenate, zip(*parts)))
+    return FrameStats(*map(np.concatenate, zip(*(
+        (np.count_nonzero(x != 1, axis=1).astype(np.int32), iterations, engaged)
+        for _, x, iterations, engaged in _decode_batches(
+            code, setup, sigma, y_max, master_seed, snr_index, start, stop)))))
 
 
 # ---------------------------------------------------------------------------
@@ -472,20 +482,19 @@ def run_convergence(code: ParityCheckCode, setups: dict, ebn0_db: float, frames:
 
     Every decoder sees the identical channel realizations (same per-frame
     streams), which is the variance-reduced way to compare convergence
-    errors.  A batched setup's frames go through :func:`decode_batched`, the
-    others' frame by frame.  Objectives are scored on the samples the decoder
-    saw, as levels if it quantizes them.  Returns {name: mean(f(x(T)) - f_max)}.
+    errors.  Frames are decoded a batch at a time, as in :func:`decode_chunk`;
+    objectives are scored on the samples the decoder saw, as levels if it
+    quantizes them.  Returns {name: mean(f(x(T)) - f_max)}.
     """
     sigma = ebn0_to_sigma(ebn0_db, float(code.rate))
     out = {}
     for name, setup in setups.items():
-        ys = _transmit(code, setup, sigma, y_max, master_seed, 0, 0, frames)
-        xs = (decode_batched(code, setup, sigma, ys, master_seed, 0, 0)[0] if setup.batched else
-              [_decode_one(code, setup, sigma, y, master_seed, 0, fi).decisions
-               for fi, y in enumerate(ys)])
-        ys = ys if setup.quantizer is None else setup.quantizer.quantize(ys)
-        out[name] = convergence_error([objective(code, x, y) for x, y in zip(xs, ys)],
-                                      [f_max(code, code.zero_codeword, y) for y in ys])
+        finals, maxes = [], []
+        for ys, xs, *_ in _decode_batches(code, setup, sigma, y_max, master_seed, 0, 0, frames):
+            ys = ys if setup.quantizer is None else setup.quantizer.quantize(ys)
+            finals += [objective(code, x, y) for x, y in zip(xs, ys)]
+            maxes += [f_max(code, code.zero_codeword, y) for y in ys]
+        out[name] = convergence_error(finals, maxes)
     return out
 
 
@@ -619,6 +628,10 @@ def load_config(path, master_seed: int | None = None) -> CampaignConfig:
         y_max=_number(doc.get("y_max", 2.5), "y_max", positive=True),
         schedules=schedules,
     )
-    for ebn0 in config.ebn0_db:     # every scheduled value must cover and fit its point
+    for i, ebn0 in enumerate(config.ebn0_db):   # a noise sigma, and scheduled values that fit
+        try:
+            ebn0_to_sigma(ebn0, float(code.rate))
+        except ValueError as exc:
+            raise ConfigError(f"'ebn0_db[{i}]': {exc}") from exc
         config.params_at(ebn0)
     return config

@@ -53,67 +53,50 @@ class NgdbfParams:
         return replace(self, **kw)
 
 
+def shift_chain(n: int, sigma: float, rng: np.random.Generator, t_max: int,
+                quantizer: QuantizerSpec | None = None) -> np.ndarray:
+    """One frame's ``shift_chain`` perturbation: a single Gaussian generator feeding a
+    length-n register, n samples at t = 0 and one fresh sample at position 0 each
+    later iteration, so q(t+1)[k] = q(t)[k-1] for k >= 1.  One draw z of n + t_max
+    samples is laid out as w = z[n:][::-1] then z[:n]: iteration t's register is
+    the view w[t_max-t : t_max-t+n], t = 0..t_max; with a ``quantizer``, w comes as
+    its ``to_index``."""
+    if not 1 <= t_max <= MAX_ITERATIONS:
+        raise ValueError(f"iteration limit must lie in 1..{MAX_ITERATIONS}")
+    z = sigma * rng.standard_normal(n + t_max)
+    w = np.concatenate((z[n:][::-1], z[:n]))
+    return w if quantizer is None else quantizer.to_index(w)
+
+
 class NoiseSource:
-    """Per-frame perturbation generator.
+    """Per-frame perturbation generator, one fresh draw per iteration: ``iid``,
+    n independent Gaussian draws, or ``uniform``, i.i.d. uniform on
+    [-sqrt(3)*sigma, +sqrt(3)*sigma], which matches the Gaussian variance.
 
-    Policies:
-
-    - ``iid``: n fresh independent Gaussian draws per iteration.
-    - ``shift_chain``: a single Gaussian generator feeding a length-n shift
-      register; the register is preloaded on the first draw and afterwards
-      one fresh sample enters at position 0 per iteration, so
-      q(t+1)[k] = q(t)[k-1] for k >= 1.
-    - ``uniform``: i.i.d. uniform on [-sqrt(3)*sigma, +sqrt(3)*sigma],
-      which matches the Gaussian variance.
-
-    With a ``quantizer``, each draw comes as its ``to_index``.  The first
-    shift-chain draw takes :meth:`chain`; draw j is the view
-    w[t_max-j : t_max-j+n] of it.  Draws past the block move the register to
-    a new chain.  Later draws leave a drawn array unchanged.
+    With a ``quantizer``, each draw comes as its ``to_index``.  A shift chain
+    is drawn whole, by :func:`shift_chain`.
     """
 
-    def __init__(self, n: int, sigma: float, policy: str, rng: np.random.Generator,
-                 t_max: int = NgdbfParams.t_max, quantizer: QuantizerSpec | None = None):
-        if policy not in NOISE_POLICIES:
-            raise ValueError(f"unknown noise policy {policy!r}")
+    def __init__(self, n: int, sigma: float, policy: str, rng: np.random.Generator, *,
+                 quantizer: QuantizerSpec | None = None):
+        if policy not in ("iid", "uniform"):
+            raise ValueError(f"{policy!r} is not a per-iteration noise policy (iid, uniform)")
         if sigma < 0:
             raise ValueError("sigma must be non-negative")
-        if not 1 <= t_max <= MAX_ITERATIONS:
-            raise ValueError(f"iteration limit must lie in 1..{MAX_ITERATIONS}")
         self.n = n
         self.sigma = float(sigma)
         self.policy = policy
         self.rng = rng
-        self.t_max = t_max
         self.quantizer = quantizer
-        self._chain: np.ndarray | None = None   # shift_chain's w; the register at _start
-
-    def _levels(self, q: np.ndarray) -> np.ndarray:
-        return q if self.quantizer is None else self.quantizer.to_index(q)
-
-    def chain(self) -> np.ndarray:
-        """One draw z of n + t_max samples laid out as w = z[n:][::-1] then z[:n]."""
-        z = self.sigma * self.rng.standard_normal(self.n + self.t_max)
-        return self._levels(np.concatenate((z[self.n:][::-1], z[:self.n])))
 
     def draw(self) -> np.ndarray:
-        n, t_max = self.n, self.t_max
         if self.policy == "iid":
-            q = self.rng.standard_normal(n)
+            q = self.rng.standard_normal(self.n)
             q *= self.sigma
-            return self._levels(q)
-        if self.policy == "uniform":
-            a = np.sqrt(3.0) * self.sigma
-            return self._levels(self.rng.uniform(-a, a, n))
-        if self._chain is None:
-            self._chain, self._start = self.chain(), t_max
-        elif self._start == 0:
-            z = self.sigma * self.rng.standard_normal(t_max)
-            self._chain = np.concatenate((self._levels(z[::-1]), self._chain[:n - 1]))
-            self._start = t_max - 1
         else:
-            self._start -= 1
-        return self._chain[self._start:self._start + n]
+            a = np.sqrt(3.0) * self.sigma
+            q = self.rng.uniform(-a, a, self.n)
+        return q if self.quantizer is None else self.quantizer.to_index(q)
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,26 @@ def flip_decisions_prescaled(x, y_idx, q_idx, theta_idx, w_idx, syndrome_sums) -
     return out
 
 
+class ShiftRegister:
+    """The paper's shift-chain perturbation, one iteration at a time.
+
+    A single Gaussian generator feeds a length-n register: the first draw
+    fills it with n samples ``sigma * standard_normal(n)``; each later draw
+    shifts it one place, dropping the last sample, and puts one fresh
+    ``sigma * standard_normal(1)`` at position 0.
+    """
+
+    def __init__(self, n, sigma, rng):
+        self.n, self.sigma, self.rng, self.q = n, sigma, rng, None
+
+    def draw(self) -> np.ndarray:
+        if self.q is None:
+            self.q = self.sigma * self.rng.standard_normal(self.n)
+        else:
+            self.q = np.concatenate((self.sigma * self.rng.standard_normal(1), self.q[:-1]))
+        return self.q
+
+
 class PlainBitFlip:
     """Reference GDBF/NGDBF decoder for one frame, written from the paper's rules.
 

@@ -34,6 +34,13 @@ class TestSnrConversion:
             with pytest.raises(ValueError, match="code rate"):
                 sigma_to_ebn0(0.8, rate)
 
+    @pytest.mark.parametrize("ebn0, rate", [(4000, 0.5), (-4000, 0.5), (3083.0, 0.5),
+                                            (-3240.0, 0.5), (3082.5, 0.99)])
+    def test_beyond_the_float_range_of_sigma_rejected(self, ebn0, rate):
+        # 10**(ebn0/10) overflows or underflows, or sigma itself does
+        with pytest.raises(ValueError, match="no finite positive noise sigma"):
+            ebn0_to_sigma(ebn0, rate)
+
     @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
     def test_sigma_to_ebn0_rejects_bad_sigma(self, sigma):
         with pytest.raises(ValueError, match="finite and positive"):

@@ -285,6 +285,15 @@ class TestSimulate:
         assert f"'params.t_max' must be at most {MAX_ITERATIONS}" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("ebn0", [4000, -4000])
+    def test_eb_n0_beyond_the_float_range_names_its_key(self, tmp_path, capsys, ebn0):
+        rc = main(["simulate", "--config", write_config(tmp_path, ebn0_db=[3.0, ebn0]),
+                   "--seed", "1", "--workers", "1", "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'ebn0_db[1]'" in err
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestSweep:
     def test_lambda_grid(self, tmp_path):
@@ -383,6 +392,15 @@ class TestConvergence:
                                        "--seed", "4", "--t", t])
         assert exc.value.code == 2
         assert "--t" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ebn0", ["4000", "-4000"])
+    def test_eb_n0_beyond_the_float_range_rejected(self, tmp_path, capsys, ebn0):
+        rc = main(["convergence", "--code", CODE, "--ebn0", ebn0, "--frames", "1",
+                   "--seed", "4", "--out", str(tmp_path / "eps.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "no finite positive noise sigma" in err
+        assert not (tmp_path / "eps.csv").exists()
 
     def test_reports_all_decoders(self, tmp_path):
         out = tmp_path / "eps.csv"

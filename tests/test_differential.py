@@ -14,8 +14,9 @@ variants, parameters and seeds.  The engine cases decode noise-free and
 shift-chain setups through ``decode_chunk``, over ranges of several sizes,
 and through ``decode_frame``, and compare bit errors, iterations, engaged
 flags and final decisions with ``plain_decode``, ``PlainBitFlip`` run under
-the stop rule and output smoothing one frame at a time, perturbed by an
-identically seeded ``NoiseSource``.
+the stop rule and output smoothing one frame at a time; a shift-chain
+frame is perturbed by ``ShiftRegister``, the paper's register fed one
+sample an iteration from an identically seeded generator.
 """
 
 from dataclasses import replace
@@ -31,11 +32,11 @@ from ngdbf import harness
 from ngdbf.harness import (VARIANTS, CampaignConfig, DecoderSetup, FrameStats, build_stepper,
                            decode_chunk, decode_frame, frame_rng, run_campaign,
                            run_convergence)
-from ngdbf.noisy import NOISE_POLICIES, NgdbfParams, NoiseSource
+from ngdbf.noisy import NgdbfParams, NoiseSource
 
 from .support.gen_regular_code import peg_regular_code
 from .support.irregular import irregular_codes, random_irregular_code
-from .support.oracles import PlainBitFlip, plain_decode
+from .support.oracles import PlainBitFlip, ShiftRegister, plain_decode
 
 FRAMES = 3
 SEED = 7
@@ -55,7 +56,8 @@ CASES = {
     "sngdbf": (DecoderSetup("sngdbf", SN), dict(w=0.75)),
     "mngdbf": (DecoderSetup("mngdbf", MN), dict(w=0.75, theta=-0.9, lam=0.99)),
     "smngdbf": (DecoderSetup("smngdbf", SMN), dict(w=0.75, theta=-0.9, lam=0.99)),
-    "mngdbf-q4": (DecoderSetup("mngdbf", Q4, QuantizerSpec(4, 1.75)),
+    "mngdbf-q4": (DecoderSetup("mngdbf", Q4.replace(noise_policy="iid"),
+                               QuantizerSpec(4, 1.75)),
                   dict(w=0.75, theta=-0.7, lam=0.99, quantizer=QuantizerSpec(4, 1.75))),
 }
 
@@ -69,10 +71,10 @@ def run_lockstep(code, setup, rule, sigma, seed, frame) -> int:
     ones = np.ones(code.n, dtype=np.int8)
     y = saturate(transmit(ones, sigma, frame_rng(seed, 0, frame, 0)), 2.5)
     noise = twin = None
-    if VARIANTS[setup.variant].stochastic and params.eta > 0:
+    if setup.perturbed:
         # the stepper's stream comes quantized, the reference quantizes its own
         noise, twin = (NoiseSource(code.n, params.eta * sigma, params.noise_policy,
-                                   frame_rng(seed, 0, frame, 1), params.t_max, quantizer)
+                                   frame_rng(seed, 0, frame, 1), quantizer=quantizer)
                        for quantizer in (setup.quantizer, None))
     stepper = build_stepper(code, setup, y, noise)
     plain = PlainBitFlip(code, y, noise=twin, **rule)
@@ -159,7 +161,7 @@ def random_cases(draw):
     variant = draw(st.sampled_from(sorted(RULE_ARGS)))
     params = NgdbfParams(theta=-draw(st.floats(0.05, 2.0)), lam=draw(st.floats(0.8, 1.0)),
                          eta=draw(st.floats(0.0, 1.0)), w=draw(st.floats(0.25, 1.5)), t_max=100,
-                         noise_policy=draw(st.sampled_from(NOISE_POLICIES)))
+                         noise_policy=draw(st.sampled_from(("iid", "uniform"))))
     quantizer = None
     if VARIANTS[variant].quantizable and draw(st.booleans()):
         quantizer = QuantizerSpec(draw(st.integers(2, 6)), draw(st.floats(1.5, 2.5)))
@@ -246,14 +248,15 @@ def per_frame(code, setup, sigma, seed, frames) -> FrameStats:
 
 def plain(code, setup, sigma, seed, frames) -> tuple:
     """plain_decode on each frame's saturated channel samples, perturbed by the
-    frame's unquantized stream if the setup draws one: the final decisions,
-    and the statistics."""
+    frame's unquantized shift register if the setup draws a perturbation (an
+    engine setup draws only a shift chain): the final decisions, and the
+    statistics."""
     params, ones = setup.params, np.ones(code.n, dtype=np.int8)
     decoded = [plain_decode(code, saturate(transmit(ones, sigma, frame_rng(seed, 0, fi, 0)), 2.5),
                             params.t_max, setup.smoothing_window,
-                            noise=NoiseSource(code.n, params.eta * sigma, params.noise_policy,
-                                              frame_rng(seed, 0, fi, 1), params.t_max)
-                            if VARIANTS[setup.variant].stochastic and params.eta > 0 else None,
+                            noise=(ShiftRegister(code.n, params.eta * sigma,
+                                                 frame_rng(seed, 0, fi, 1))
+                                   if setup.perturbed else None),
                             **reference_rule(setup))
                for fi in range(frames)]
     x = np.array([d[0] for d in decoded]).reshape(-1, code.n)

@@ -11,12 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ngdbf import harness
-from ngdbf.channel import QuantizerSpec
+from ngdbf.analysis import convergence_error, f_max
+from ngdbf.channel import QuantizerSpec, ebn0_to_sigma
+from ngdbf.core import objective
 from ngdbf.gdbf import MAX_ITERATIONS, thresholds_by_count
-from ngdbf.harness import (SWEEPABLE, VARIANTS, CampaignConfig, ConfigError, DecoderSetup,
-                           NgdbfParams, decode_frame, load_config, run_campaign,
-                           run_convergence, run_sweep, wilson_interval)
-from ngdbf.noisy import NoiseSource
+from ngdbf.harness import (CHAIN_BATCH, STOP_CHUNK, SWEEPABLE, VARIANTS, CampaignConfig,
+                           ConfigError, DecoderSetup, NgdbfParams, decode_chunk, decode_frame,
+                           load_config, run_campaign, run_convergence, run_sweep,
+                           wilson_interval)
+from ngdbf.noisy import shift_chain
 
 DATA_DIR = Path(__file__).parent / "data"
 ALIST = str(DATA_DIR / "reg3x6_504x1008.alist")
@@ -291,12 +294,67 @@ class TestConvergenceRunner:
         for v in eps.values():
             assert v <= 0.0 or v == pytest.approx(0.0)
 
+    @pytest.mark.parametrize("variant, frames, batch", [("atgdbf", STOP_CHUNK + 1, STOP_CHUNK),
+                                                        ("mngdbf", CHAIN_BATCH + 1, CHAIN_BATCH)])
+    def test_holds_one_batch_at_a_time(self, tiny_code, monkeypatch, variant, frames, batch):
+        # a noise-free and a shift-chain setup; the deficit is that of the whole
+        # range transmitted and decoded at once
+        setup = DecoderSetup(variant, NgdbfParams(theta=-0.9, lam=0.99, eta=0.95, w=0.75,
+                                                  t_max=20, noise_policy="shift_chain"))
+        sigma = ebn0_to_sigma(2.0, float(tiny_code.rate))
+        ys = harness._transmit(tiny_code, setup, sigma, 2.5, 3, 0, 0, frames)
+        xs = harness.decode_batched(tiny_code, setup, sigma, ys, 3, 0, 0)[0]
+        want = convergence_error([objective(tiny_code, x, y) for x, y in zip(xs, ys)],
+                                 [f_max(tiny_code, tiny_code.zero_codeword, y) for y in ys])
+        sizes, transmit, engine = [], harness._transmit, harness.decode_batched
+
+        def record_transmit(*args):
+            sizes.append(("transmit", args[-1] - args[-2]))
+            return transmit(*args)
+
+        def record_decode(code, setup, sigma, y, *args):
+            sizes.append(("decode", len(y)))
+            return engine(code, setup, sigma, y, *args)
+
+        monkeypatch.setattr(harness, "_transmit", record_transmit)
+        monkeypatch.setattr(harness, "decode_batched", record_decode)
+        eps = run_convergence(tiny_code, {variant: setup}, 2.0, frames, master_seed=3)
+        assert sizes == [("transmit", batch), ("decode", batch), ("transmit", 1), ("decode", 1)]
+        assert eps[variant] == want
+
+    @pytest.mark.parametrize("variant", ["mgdbf", "mngdbf", "minsum"])
+    def test_no_frames_refused(self, bench_code, variant):
+        setup = DecoderSetup(variant, NgdbfParams(theta=-0.5, t_max=10))
+        with pytest.raises(ValueError, match="non-empty"):
+            run_convergence(bench_code, {variant: setup}, 3.0, 0, master_seed=3)
+
 
 class TestFrameDecode:
+    def test_statistics_are_int_int_bool_for_every_setup_kind(self, bench_code):
+        params = NgdbfParams(theta=-0.9, lam=0.99, eta=0.95, w=0.75, t_max=20)
+        chain = params.replace(noise_policy="shift_chain")
+        setups = [DecoderSetup("sgdbf", params), DecoderSetup("mngdbf", params.replace(eta=0.0)),
+                  DecoderSetup("mngdbf", params), DecoderSetup("mngdbf", chain),
+                  DecoderSetup("smngdbf", chain.replace(smoothing_window=5)),
+                  DecoderSetup("mngdbf", params, QuantizerSpec(4, 1.75)),
+                  DecoderSetup("mngdbf", chain, QuantizerSpec(4, 1.75)),
+                  DecoderSetup("minsum", NgdbfParams(t_max=10))]
+        for setup in setups:
+            stats = decode_frame(bench_code, setup, 0.8, 2.5, 1, 0, 0)
+            assert [type(v) for v in stats] == [int, int, bool], setup
+
+    def test_empty_range_gives_empty_int32_arrays(self, bench_code):
+        params = NgdbfParams(theta=-0.9, lam=0.99, eta=0.95, w=0.75, t_max=20)
+        for setup in (DecoderSetup("sgdbf", params), DecoderSetup("minsum", params),
+                      DecoderSetup("mngdbf", params),
+                      DecoderSetup("mngdbf", params.replace(noise_policy="shift_chain"))):
+            stats = decode_chunk(bench_code, setup, 0.8, 2.5, 1, 0, 5, 5)
+            assert [(a.dtype, a.shape) for a in stats] == [(np.int32, (0,))] * 3, setup
+
     def test_minsum_variant(self, bench_code):
         setup = DecoderSetup("minsum", NgdbfParams(t_max=10))
         oc = decode_frame(bench_code, setup, 0.5, 2.5, 1, 0, 0)
-        assert oc.bit_errors == 0 and not oc.frame_error
+        assert oc.bit_errors == 0
 
     def test_smoothing_engagement_flag(self, bench_code):
         setup = DecoderSetup("smngdbf",
@@ -426,6 +484,8 @@ class TestConfigLoading:
         ("code", "missing.alist", "code"),
         ("quantizer", {"q_bits": 17, "y_max": 1.75}, "quantizer.q_bits"),
         ("params", {"t_max": 10**18}, "params.t_max"),
+        ("ebn0_db", [4000], "ebn0_db[0]"),
+        ("ebn0_db", [3.0, -4000], "ebn0_db[1]"),
     ])
     def test_malformed_value_names_its_key(self, tmp_path, key, value, named):
         doc = self.base_doc()
@@ -439,7 +499,7 @@ class TestConfigLoading:
             with pytest.raises(ValueError, match="iteration limit"):
                 NgdbfParams(t_max=huge)
             with pytest.raises(ValueError, match="iteration limit"):
-                NoiseSource(8, 1.0, "shift_chain", np.random.default_rng(0), huge)
+                shift_chain(8, 1.0, np.random.default_rng(0), huge)
         with pytest.raises(ValueError, match="iteration limit"):
             thresholds_by_count(-0.9, 0.99, 10**18)
         doc = self.base_doc()

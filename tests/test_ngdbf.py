@@ -5,9 +5,10 @@ from ngdbf.channel import QuantizerSpec, ebn0_to_sigma, saturate, transmit
 from ngdbf.core import DecoderState, decode, init_state
 from ngdbf.gdbf import BitFlipStepper, thresholds_by_count
 from ngdbf.harness import DecoderSetup, build_stepper, decode_frame
-from ngdbf.noisy import NOISE_POLICIES, NgdbfParams, NoiseSource, adaptation_events
+from ngdbf.noisy import NOISE_POLICIES, NgdbfParams, NoiseSource, adaptation_events, shift_chain
 
-from .support.oracles import flip_decisions_direct, flip_decisions_prescaled, inversion
+from .support.oracles import (ShiftRegister, flip_decisions_direct, flip_decisions_prescaled,
+                               inversion)
 
 
 class TestParams:
@@ -33,44 +34,40 @@ class TestNoiseSource:
         assert abs(draws.mean()) < 0.005
 
     def test_shift_chain_semantics(self):
-        src = NoiseSource(16, 1.0, "shift_chain", np.random.default_rng(4))
-        q0 = src.draw()
-        q1 = src.draw()
+        n, t_max = 16, 100
+        w = shift_chain(n, 1.0, np.random.default_rng(4), t_max)
+        q0, q1, q2 = (w[t_max - t:t_max - t + n] for t in range(3))
         assert np.array_equal(q1[1:], q0[:-1])
         assert q1[0] not in q0
-        q2 = src.draw()
         assert np.array_equal(q2[1:], q1[:-1])
 
     def test_shift_chain_matches_the_register_recurrence(self):
-        # Float and quantized chains, with enough draws to run past the first
-        # block of t_max + 1 registers and move the register to a new chain
-        # several times; t_max = 1 moves it on every other draw.
+        # Every register t = 0..t_max of float and quantized chains, t_max = 1 among them
         n, sigma = 16, 0.7
         for t_max, quantizer in ((100, None), (100, QuantizerSpec(4, 1.75)),
                                  (1, None), (7, QuantizerSpec(3, 1.0))):
-            src = NoiseSource(n, sigma, "shift_chain", np.random.default_rng(8), t_max, quantizer)
+            w = shift_chain(n, sigma, np.random.default_rng(8), t_max, quantizer)
             levels = (lambda q: q) if quantizer is None else quantizer.to_index
-            twin = np.random.default_rng(8)
-            chain = sigma * twin.standard_normal(n)
-            drawn = []
-            for _ in range(3 * n + 300):
-                q = src.draw()
-                if drawn:
-                    chain = np.concatenate((sigma * twin.standard_normal(1), chain[:-1]))
-                want = levels(chain)
+            register = ShiftRegister(n, sigma, np.random.default_rng(8))
+            for t in range(t_max + 1):
+                want = levels(register.draw())
+                q = w[t_max - t:t_max - t + n]
                 assert q.dtype == want.dtype and np.array_equal(q, want)
-                drawn.append((q, want))
-            assert all(np.array_equal(q, chain) for q, chain in drawn)
 
     @pytest.mark.parametrize("policy", NOISE_POLICIES)
     def test_quantized_draws_are_the_float_draws_through_the_quantizer(self, policy):
         quantizer = QuantizerSpec(4, 1.75)
-        src, twin = (NoiseSource(64, 0.6, policy, np.random.default_rng(10), 20, q)
-                     for q in (quantizer, None))
-        for _ in range(50):
-            assert np.array_equal(src.draw(), quantizer.to_index(twin.draw()))
 
-    @pytest.mark.parametrize("policy", NOISE_POLICIES)
+        def draws(q):
+            if policy == "shift_chain":     # drawn whole, for t_max = 20
+                return [shift_chain(64, 0.6, np.random.default_rng(10), 20, q)]
+            src = NoiseSource(64, 0.6, policy, np.random.default_rng(10), quantizer=q)
+            return [src.draw() for _ in range(50)]
+
+        for drawn, twin in zip(draws(quantizer), draws(None), strict=True):
+            assert np.array_equal(drawn, quantizer.to_index(twin))
+
+    @pytest.mark.parametrize("policy", ["iid", "uniform"])
     def test_draws_are_not_changed_by_later_draws(self, policy):
         src = NoiseSource(16, 1.0, policy, np.random.default_rng(9))
         drawn = [(q, q.copy()) for q in (src.draw() for _ in range(100))]
@@ -86,6 +83,10 @@ class TestNoiseSource:
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
             NoiseSource(8, 1.0, "gauss", np.random.default_rng(0))
+
+    def test_shift_chain_is_not_drawn_per_iteration(self):
+        with pytest.raises(ValueError, match="shift_chain"):
+            NoiseSource(8, 1.0, "shift_chain", np.random.default_rng(0))
 
 
 class TestNoisyInversion:
@@ -285,7 +286,7 @@ class TestQuantizedDatapath:
         for trial in range(6):
             y = transmit(c, 0.8, rng)
             noise = NoiseSource(n, params.eta * 0.8, "iid", np.random.default_rng(trial),
-                                params.t_max, q)
+                                quantizer=q)
             twin = NoiseSource(n, params.eta * 0.8, "iid", np.random.default_rng(trial))
             stepper = build_stepper(bench_code, DecoderSetup("mngdbf", params, q), y, noise)
             x = rng.choice(np.array([-1, 1], dtype=np.int8), size=n)
@@ -320,12 +321,11 @@ class TestQuantizedDatapath:
 
     def test_quantized_decode_runs_and_counts(self, bench_code):
         q = QuantizerSpec(4, 1.75)
-        params = NgdbfParams(theta=-0.7, lam=0.99, eta=0.95, w=0.75, t_max=100,
-                             noise_policy="shift_chain")
+        params = NgdbfParams(theta=-0.7, lam=0.99, eta=0.95, w=0.75, t_max=100)
         c = np.ones(bench_code.n, dtype=np.int8)
         y = transmit(c, 0.6, np.random.default_rng(2))
         noise = NoiseSource(bench_code.n, params.eta * 0.6, params.noise_policy,
-                            np.random.default_rng(3), params.t_max, q)
+                            np.random.default_rng(3), quantizer=q)
         stepper = build_stepper(bench_code, DecoderSetup("mngdbf", params, q), y, noise)
         res = decode(stepper, init_state(bench_code, stepper.y), 100)
         assert res.success
