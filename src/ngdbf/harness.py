@@ -236,8 +236,7 @@ def _decode_one(code: ParityCheckCode, setup: DecoderSetup, sigma: float, y: np.
             stepper = build_stepper(code, setup, row, noise)
             result = decode(stepper, init_state(code, stepper.y), params.t_max,
                             smoothing_window=setup.smoothing_window)
-        decisions[i] = result.decisions
-        stats[0, i], stats[1, i] = result.iterations, result.smoothing_engaged
+        decisions[i], stats[:, i] = result.decisions, (result.iterations, result.smoothing_engaged)
     return decisions, stats[0], stats[1]
 
 

@@ -63,6 +63,8 @@ def shift_chain(n: int, sigma: float, rng: np.random.Generator, t_max: int,
     its ``to_index``."""
     if not 1 <= t_max <= MAX_ITERATIONS:
         raise ValueError(f"iteration limit must lie in 1..{MAX_ITERATIONS}")
+    if not 0 <= sigma < np.inf:
+        raise ValueError("sigma must be finite and non-negative")
     z = sigma * rng.standard_normal(n + t_max)
     w = np.concatenate((z[n:][::-1], z[:n]))
     return w if quantizer is None else quantizer.to_index(w)
@@ -81,8 +83,8 @@ class NoiseSource:
                  quantizer: QuantizerSpec | None = None):
         if policy not in ("iid", "uniform"):
             raise ValueError(f"{policy!r} is not a per-iteration noise policy (iid, uniform)")
-        if sigma < 0:
-            raise ValueError("sigma must be non-negative")
+        if not 0 <= sigma < np.inf:
+            raise ValueError("sigma must be finite and non-negative")
         self.n = n
         self.sigma = float(sigma)
         self.policy = policy

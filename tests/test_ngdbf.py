@@ -84,6 +84,13 @@ class TestNoiseSource:
         with pytest.raises(ValueError):
             NoiseSource(8, 1.0, "gauss", np.random.default_rng(0))
 
+    @pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf")])
+    def test_sigma_must_be_finite_and_non_negative(self, sigma):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            NoiseSource(8, sigma, "iid", np.random.default_rng(0))
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            shift_chain(8, sigma, np.random.default_rng(0), 10)
+
     def test_shift_chain_is_not_drawn_per_iteration(self):
         with pytest.raises(ValueError, match="shift_chain"):
             NoiseSource(8, 1.0, "shift_chain", np.random.default_rng(0))
