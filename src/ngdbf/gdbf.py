@@ -20,21 +20,11 @@ import math
 import numpy as np
 
 from .codes import ParityCheckCode, bipolar_sign
-from .core import DecoderState, Stepper, objective, smoothed_decision
+from .core import DecodeResult, objective, smoothed_decision
 
 # Well above the paper's 300: each setup holds a vector of t_max + 1 thresholds,
 # and each shift-chain frame a chain of n + t_max perturbation samples.
 MAX_ITERATIONS = 100_000
-
-
-def inversions(code: ParityCheckCode, state: DecoderState, y: np.ndarray,
-               w: float = 1.0, q: np.ndarray | None = None) -> np.ndarray:
-    """Vector of E_k over all symbols from the current syndrome snapshot."""
-    e = state.x * y
-    e += w * code.syndrome_sums(state.s)
-    if q is not None:
-        e += q
-    return e
 
 
 def thresholds_by_count(theta: float, lam: float, t_max: int) -> np.ndarray:
@@ -49,53 +39,64 @@ def thresholds_by_count(theta: float, lam: float, t_max: int) -> np.ndarray:
     return np.cumprod(np.concatenate(([float(theta)], np.full(t_max, float(lam)))))
 
 
-class BitFlipStepper(Stepper):
-    """One iteration of the bit-flip rule, set by its thresholds and mode flag.
+def step(code: ParityCheckCode, x: np.ndarray, s: np.ndarray, y: np.ndarray, w=1.0,
+         thresholds: np.ndarray | None = None, u: np.ndarray | None = None,
+         q: np.ndarray | None = None) -> np.ndarray:
+    """One iteration on decisions ``x`` with syndromes ``s``, which it returns updated.
 
-    While the mode flag ``mu`` is 1, every symbol whose E_k lies below
-    ``thresholds[u_k]`` flips in parallel, and every other symbol's
-    non-flip counter u_k advances.  While ``mu`` is 0, the symbol at the
-    minimum E_k flips alone.  ``mu`` is 1 when thresholds are given and 0
-    otherwise; mgdbf, never perturbed, switches modes in :func:`decode_batch`
-    alone.  A ``noise`` source perturbs the metrics with one fresh draw per
-    iteration.
+    Without ``thresholds`` the argmin of E = x*y + w*sums + q flips (ties to the
+    lowest index); with them every E_k below ``thresholds[u_k]`` flips, and every
+    other symbol's non-flip count u_k advances.  ``x``, ``u`` and ``s`` change in place.
     """
+    e = x * y
+    e += w * code.syndrome_sums(s)
+    if q is not None:
+        e += q
+    if thresholds is None:
+        k = int(e.argmin())
+        x[k] = -x[k]
+        s[code.col_neighbors[k]] *= -1
+        return s
+    mask = e < thresholds[u]
+    u += ~mask
+    if np.count_nonzero(mask):      # a no-op mask still counts as an iteration
+        np.negative(x, out=x, where=mask)
+        s = code.syndrome(x)
+    return s
 
-    def __init__(self, code: ParityCheckCode, y: np.ndarray, w: float = 1.0, noise=None,
-                 thresholds: np.ndarray | None = None):
-        self.code = code
-        self.y = np.asarray(y)      # floats, or quantizer indices with an integer w
-        self.w = w
-        self.noise = noise
-        self.thresholds = thresholds
-        self.mu = int(thresholds is not None)
-        self.u = np.zeros(code.n, dtype=np.int64)
 
-    def step(self, state: DecoderState) -> None:
-        q = self.noise.draw() if self.noise is not None else None
-        self.flip(state, inversions(self.code, state, self.y, self.w, q))
+def decode(code: ParityCheckCode, y: np.ndarray, t_max: int, w=1.0,
+           thresholds: np.ndarray | None = None, noise=None,
+           smoothing_window: int = 0) -> DecodeResult:
+    """Decode one frame from the signs of ``y`` by :func:`step`, perturbed by one
+    ``noise.draw()`` a step, stopping before any step once every check holds.
 
-    def flip(self, state: DecoderState, e: np.ndarray) -> None:
-        """Apply the rule to this iteration's metrics ``e``."""
-        if not self.mu:     # the argmin flips; ties break to the lowest index
-            k = int(e.argmin())
-            checks = self.code.col_neighbors[k]
-            state.x[k] = -state.x[k]
-            state.s[checks] = -state.s[checks]
-            return
-        mask = e < self.thresholds[self.u]
-        if np.count_nonzero(mask):      # a no-op mask still counts as an iteration
-            np.negative(state.x, out=state.x, where=mask)
-            state.s = self.code.syndrome(state.x)
-        self.u += ~mask
+    A frame that runs out of steps unsatisfied decides the sign of its decisions
+    summed over the last ``smoothing_window`` steps (ties keep the current bit).
+    """
+    if t_max < 1 or not 0 <= smoothing_window <= t_max:
+        raise ValueError("need t_max >= 1 and a smoothing window in [0, t_max]")
+    x = bipolar_sign(y)
+    s = code.syndrome(x)
+    u = None if thresholds is None else np.zeros(code.n, dtype=np.int64)
+    smooth, t = np.zeros(code.n, dtype=np.int32), 0
+    while t < t_max and s.min() < 1:
+        s = step(code, x, s, y, w, thresholds, u, None if noise is None else noise.draw())
+        t += 1
+        if t > t_max - smoothing_window:
+            smooth += x
+    success, engaged = bool(s.min() == 1), t > t_max - smoothing_window
+    if engaged and not success:
+        x = smoothed_decision(smooth, x)
+    return DecodeResult(success, t, x, engaged)
 
 
 def decode_batch(code: ParityCheckCode, y: np.ndarray, t_max: int, w=1.0,
                  thresholds: np.ndarray | None = None, mode_switching: bool = False,
                  smoothing_window: int = 0, chains: np.ndarray | None = None) -> tuple:
-    """Decode one frame per row of ``y`` by :class:`BitFlipStepper`'s rule, under
-    :func:`core.decode`'s stop rule and smoothing; with ``mode_switching``, a
-    step that lowers sum(x*y) + sum(s) ends multi-flips.
+    """Decode one noise-free or shift-chain frame per row of ``y`` as :func:`decode`
+    does; with ``mode_switching``, a step that lowers sum(x*y) + sum(s) ends
+    multi-flips for good.
 
     ``y`` holds the samples the rule compares: saturated floats, or quantizer
     indices with an integer ``w`` and integer ``thresholds``.  A row of ``chains``

@@ -25,10 +25,10 @@ import numpy as np
 from .analysis import convergence_error, f_max
 from .channel import MAX_Q_BITS, QuantizerSpec, ebn0_to_sigma, saturate, transmit
 from .codes import ParityCheckCode, load_alist
-from .core import decode, init_state, objective
-from .gdbf import MAX_ITERATIONS, BitFlipStepper, decode_batch, thresholds_by_count
+from .core import objective
+from .gdbf import MAX_ITERATIONS, decode, decode_batch, thresholds_by_count
 from .minsum import decode_minsum
-from .noisy import NgdbfParams, NoiseSource, QuantizedAdaptiveStepper, shift_chain
+from .noisy import NgdbfParams, NoiseSource, shift_chain
 
 SWEEPABLE = ("theta", "lam", "eta")
 STOP_CHUNK = 512    # frames between two applications of the early-stop rule
@@ -103,7 +103,8 @@ class DecoderSetup:
 
     @property
     def batched(self) -> bool:
-        """A bit-flip setup drawing no perturbation or a shift chain (:func:`decode_batched`)."""
+        """A bit-flip setup drawing no perturbation or a shift chain (:func:`decode_batched`);
+        min-sum and iid or uniform draws decode frame by frame (:func:`_decode_one`)."""
         return VARIANTS[self.variant].rule is not None and not (
             self.perturbed and self.params.noise_policy != "shift_chain")
 
@@ -121,18 +122,6 @@ class DecoderSetup:
         if quantizer is None:
             return params.w, thresholds
         return int(quantizer.to_index(params.w)), quantizer.to_index(thresholds)
-
-
-def build_stepper(code: ParityCheckCode, setup: DecoderSetup, y_sat: np.ndarray,
-                  noise: NoiseSource | None) -> BitFlipStepper:
-    """One frame's bit-flip stepper; ``noise`` is its perturbation stream or None.
-
-    A "single" rule has no thresholds, "multi" has theta at every count, and
-    "adaptive" decays theta by lam on each non-flip.
-    """
-    w, thresholds = setup.weight_and_thresholds
-    stepper = BitFlipStepper if setup.quantizer is None else QuantizedAdaptiveStepper
-    return stepper(code, setup.samples(y_sat), w, noise, thresholds)
 
 
 def decode_batched(code: ParityCheckCode, setup: DecoderSetup, sigma: float, y_sat: np.ndarray,
@@ -222,8 +211,8 @@ def _transmit(code: ParityCheckCode, setup: DecoderSetup, sigma: float, y_max: f
 
 def _decode_one(code: ParityCheckCode, setup: DecoderSetup, sigma: float, y: np.ndarray,
                 master_seed: int, snr_index: int, start: int) -> tuple:
-    """Decode frames ``start``, ``start + 1``, ... one by one, by min-sum or a
-    perturbed bit-flip stepper; arguments and results as :func:`decode_batched`'s."""
+    """Decode frames ``start``, ``start + 1``, ... one by one, by min-sum or by
+    :func:`gdbf.decode`; arguments and results as :func:`decode_batched`'s."""
     params, decisions = setup.params, np.empty((len(y), code.n), dtype=np.int8)
     stats = np.zeros((2, len(y)), dtype=np.int32)
     for i, row in enumerate(y):
@@ -233,9 +222,8 @@ def _decode_one(code: ParityCheckCode, setup: DecoderSetup, sigma: float, y: np.
             noise = NoiseSource(code.n, params.eta * sigma, params.noise_policy,
                                 frame_rng(master_seed, snr_index, start + i, 1),
                                 quantizer=setup.quantizer)
-            stepper = build_stepper(code, setup, row, noise)
-            result = decode(stepper, init_state(code, stepper.y), params.t_max,
-                            smoothing_window=setup.smoothing_window)
+            result = decode(code, setup.samples(row), params.t_max, *setup.weight_and_thresholds,
+                            noise, setup.smoothing_window)
         decisions[i], stats[:, i] = result.decisions, (result.iterations, result.smoothing_engaged)
     return decisions, stats[0], stats[1]
 
@@ -266,10 +254,9 @@ def decode_chunk(code: ParityCheckCode, setup: DecoderSetup, sigma: float, y_max
                  master_seed: int, snr_index: int, start: int, stop: int) -> FrameStats:
     """Decode frames ``start`` to ``stop - 1`` of one SNR point.
 
-    A batched setup decodes it a batch at a time.  Min-sum frames and those
-    perturbed by iid or uniform draws go one by one through :func:`decode_frame`,
-    looked up as this module's global so that a wrapper installed on it sees
-    each of them.
+    A batched setup decodes it a batch at a time (:func:`gdbf.decode_batch`);
+    min-sum and iid or uniform frames go one by one through :func:`decode_frame`,
+    looked up as this module's global so that a wrapper on it sees each of them.
     """
     if not setup.batched:
         frames = [decode_frame(code, setup, sigma, y_max, master_seed, snr_index, fi)
@@ -586,6 +573,9 @@ def load_config(path, master_seed: int | None = None) -> CampaignConfig:
     quantizer = None
     if doc.get("quantizer") is not None:
         qd = _object(doc["quantizer"], "quantizer")
+        extra = set(qd) - {"q_bits", "y_max"}
+        if extra:
+            raise ConfigError(f"{path}: unknown key(s) {sorted(f'quantizer.{k}' for k in extra)}")
         for key in ("q_bits", "y_max"):
             if key not in qd:
                 raise ConfigError(f"{path}: missing required key 'quantizer.{key}'")

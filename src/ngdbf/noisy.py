@@ -1,6 +1,4 @@
-"""Noise-perturbed bit-flip decoding: parameters, noise policies, and the
-quantized datapath.
-"""
+"""Parameters of the noisy decoders, their perturbation draws and the quantized threshold table."""
 
 from __future__ import annotations
 
@@ -9,7 +7,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import QuantizerSpec
-from .gdbf import MAX_ITERATIONS, BitFlipStepper, thresholds_by_count
+from .gdbf import MAX_ITERATIONS, thresholds_by_count
 
 NOISE_POLICIES = ("iid", "shift_chain", "uniform")
 
@@ -101,17 +99,12 @@ class NoiseSource:
         return q if self.quantizer is None else self.quantizer.to_index(q)
 
 
-# ---------------------------------------------------------------------------
-# Quantized datapath
-# ---------------------------------------------------------------------------
-
-
 def adaptation_events(theta: float, lam: float, quantizer: QuantizerSpec,
                       t_max: int) -> list:
     """(i, theta_level, tau) rows at each count tau where the quantized threshold changes.
 
     The quantized threshold after u non-flips is theta * lam**u through the
-    quantizer, as the quantized stepper uses it; the first row is at tau = 0
+    quantizer, as the quantized rule compares it; the first row is at tau = 0
     and lam = 1 gives that row alone.
     """
     if not -np.inf < theta < 0:
@@ -119,17 +112,3 @@ def adaptation_events(theta: float, lam: float, quantizer: QuantizerSpec,
     idx = quantizer.to_index(thresholds_by_count(theta, lam, t_max))
     taus = np.flatnonzero(np.diff(idx, prepend=0))     # levels are odd, so row 0 is kept
     return [(i, float(quantizer.from_index(idx[tau])), int(tau)) for i, tau in enumerate(taus)]
-
-
-class QuantizedAdaptiveStepper(BitFlipStepper):
-    """The adaptive rule on the quantized integer datapath.
-
-    Samples ``y``, syndrome weight ``w``, perturbation (from a ``noise`` source
-    given the same quantizer) and ``thresholds`` are signed odd integers in
-    units of step/2, as ``harness.DecoderSetup`` gives them.  The threshold
-    after u non-flips is theta * lam**u through the quantizer.  A metric
-    exactly on the threshold does not flip.
-    """
-
-    # its own step, which perfbench's noisy.quantized_step span wraps (tests/test_bench_hooks.py)
-    step = BitFlipStepper.step

@@ -2,27 +2,30 @@ import numpy as np
 import pytest
 
 from ngdbf.channel import saturate, transmit
-from ngdbf.core import decode, init_state, objective, smoothed_decision
-from ngdbf.gdbf import BitFlipStepper, decode_batch, inversions, thresholds_by_count
+from ngdbf.codes import bipolar_sign
+from ngdbf.core import objective, smoothed_decision
+from ngdbf.gdbf import decode, decode_batch, thresholds_by_count
+
+# Thresholds no metric falls below: decode keeps its initial decisions.
+NEVER = np.full(2, -np.inf)
 
 
 class TestInitState:
     def test_sign_extraction(self, tiny_code):
-        st = init_state(tiny_code, np.array([0.3, -1.2, 0.5, 1.0, -0.1, 2.0]))
-        assert list(st.x) == [1, -1, 1, 1, -1, 1]
-        assert st.t == 0
+        res = decode(tiny_code, np.array([0.3, -1.2, 0.5, 1.0, -0.1, 2.0]), 1, thresholds=NEVER)
+        assert list(res.decisions) == [1, -1, 1, 1, -1, 1]
 
     def test_zero_sample_decides_plus_one(self, tiny_code):
-        st = init_state(tiny_code, np.array([0.0, 1, 1, 1, 1, 1.0]))
-        assert st.x[0] == 1
+        res = decode(tiny_code, np.array([0.0, 1, 1, 1, 1, 1.0]), 1, thresholds=NEVER)
+        assert res.decisions[0] == 1
 
     def test_noiseless_initialization(self, tiny_code):
-        st = init_state(tiny_code, np.ones(6))
-        assert tiny_code.is_codeword(st.x)
+        res = decode(tiny_code, np.ones(6), 1, thresholds=NEVER)
+        assert tiny_code.is_codeword(res.decisions) and res.iterations == 0
 
     def test_length_check(self, tiny_code):
         with pytest.raises(ValueError):
-            init_state(tiny_code, np.ones(5))
+            decode(tiny_code, np.ones(5), 1)
 
 
 class TestObjective:
@@ -48,24 +51,23 @@ class TestObjective:
         rng = np.random.default_rng(21)
         for _ in range(50):
             y = rng.normal(1.0, 0.9, 6)
-            st = init_state(tiny_code, rng.normal(0, 1, 6))
-            e = inversions(tiny_code, st, y, w=1.0)
-            f0 = objective(tiny_code, st.x, y)
+            x = bipolar_sign(rng.normal(0, 1, 6))
+            e = x * y + tiny_code.syndrome_sums(tiny_code.syndrome(x))
+            f0 = objective(tiny_code, x, y)
             k = int(rng.integers(6))
-            x2 = st.x.copy()
+            x2 = x.copy()
             x2[k] = -x2[k]
             assert objective(tiny_code, x2, y) - f0 == pytest.approx(-2 * e[k], rel=1e-12, abs=1e-12)
 
 
 class TestDecodeLoop:
     def test_noiseless_frame_zero_iterations(self, tiny_code):
-        y = np.ones(6)
-        res = decode(BitFlipStepper(tiny_code, y), init_state(tiny_code, y), 100)
+        res = decode(tiny_code, np.ones(6), 100)
         assert res.success and res.iterations == 0
 
     def test_single_step_fix(self, tiny_code):
         y = np.array([1, 1, 1, -0.1, 1, 1.0])
-        res = decode(BitFlipStepper(tiny_code, y), init_state(tiny_code, y), 1)
+        res = decode(tiny_code, y, 1)
         assert res.success and res.iterations == 1
         assert tiny_code.is_codeword(res.decisions)
 
@@ -73,16 +75,16 @@ class TestDecodeLoop:
         # three isolated weak errors against confident correct bits: every
         # trajectory needs three flips, so a budget of two must exhaust
         y = np.array([2, 2, 2, -0.1, -0.1, -0.1])
-        res = decode(BitFlipStepper(tiny_code, y), init_state(tiny_code, y), 2)
+        res = decode(tiny_code, y, 2)
         assert not res.success and res.iterations == 2
-        res3 = decode(BitFlipStepper(tiny_code, y), init_state(tiny_code, y), 3)
+        res3 = decode(tiny_code, y, 3)
         assert res3.success and res3.iterations == 3
 
     def test_stalled_multibit_frame_exhausts_budget(self, tiny_code):
         # confident single error: no inversion falls under the threshold
         y = np.array([-2.0, 1, 1, 1, 1, 1.0])
         thresholds = thresholds_by_count(-0.9, 1.0, 2)
-        res = decode(BitFlipStepper(tiny_code, y, thresholds=thresholds), init_state(tiny_code, y), 2)
+        res = decode(tiny_code, y, 2, thresholds=thresholds)
         assert not res.success and res.iterations == 2
         # nor does the objective drop, so mgdbf's mode switch leaves the frame stalled
         x, iterations, _ = decode_batch(tiny_code, y[None], 2, thresholds=thresholds,
@@ -95,9 +97,7 @@ class TestDecodeLoop:
             c = np.ones(code.n, dtype=np.int8)
             for trial in range(10):
                 y = saturate(transmit(c, 0.7, rng), 2.5)
-                stepper = BitFlipStepper(code, y, w=0.75,
-                                         thresholds=thresholds_by_count(-0.9, 0.99, 40))
-                res = decode(stepper, init_state(code, y), 40)
+                res = decode(code, y, 40, 0.75, thresholds_by_count(-0.9, 0.99, 40))
                 if res.success:
                     assert code.is_codeword(res.decisions)
 
@@ -106,14 +106,13 @@ class TestDecodeLoop:
         y = saturate(transmit(c, 0.65, np.random.default_rng(4)), 2.5)
         runs = []
         for _ in range(2):
-            stepper = BitFlipStepper(bench_code, y, thresholds=thresholds_by_count(-0.9, 0.99, 60))
-            res = decode(stepper, init_state(bench_code, y), 60)
+            res = decode(bench_code, y, 60, thresholds=thresholds_by_count(-0.9, 0.99, 60))
             runs.append((res.success, res.iterations, res.decisions.tobytes()))
         assert runs[0] == runs[1]
 
     def test_bad_budget(self, tiny_code):
         with pytest.raises(ValueError):
-            decode(BitFlipStepper(tiny_code, np.ones(6)), init_state(tiny_code, np.ones(6)), 0)
+            decode(tiny_code, np.ones(6), 0)
 
 
 class TestSmoothedDecision:

@@ -1,11 +1,12 @@
-"""The per-frame stepper steps exactly as the plain reference rule does,
-and the batch engine decodes whole frames exactly as the plain reference
-decoder does.
+"""``gdbf.step`` steps exactly as the plain reference rule does, and the
+batch engine decodes whole frames exactly as the plain reference decoder
+does.
 
-Each variant the stepper decodes is built through ``harness.build_stepper``,
-as a perturbed frame builds it, and stepped in lockstep with
-``PlainBitFlip`` on the same saturated samples and an identically seeded
-perturbation stream; decisions and syndromes must agree after every step.
+Each variant is stepped by ``gdbf.step`` with the samples, weight and
+thresholds its ``DecoderSetup`` gives, as ``gdbf.decode`` steps a perturbed
+frame, in lockstep with ``PlainBitFlip`` on the same saturated samples and
+an identically seeded perturbation stream; decisions and syndromes must
+agree after every step.
 mgdbf, whose mode switch only the engine applies, is stepped by decoding
 its frames through the engine afresh under a budget of each step count.
 The fixed cases run the acceptance parameters on the bundled code and on an
@@ -27,11 +28,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ngdbf.channel import QuantizerSpec, ebn0_to_sigma, saturate, transmit
-from ngdbf.core import init_state
+from ngdbf.codes import bipolar_sign
 from ngdbf import harness
-from ngdbf.harness import (VARIANTS, CampaignConfig, DecoderSetup, FrameStats, build_stepper,
-                           decode_chunk, decode_frame, frame_rng, run_campaign,
-                           run_convergence)
+from ngdbf.gdbf import step
+from ngdbf.harness import (VARIANTS, CampaignConfig, DecoderSetup, FrameStats, decode_chunk,
+                           decode_frame, frame_rng, run_campaign, run_convergence)
 from ngdbf.noisy import NgdbfParams, NoiseSource
 
 from .support.gen_regular_code import peg_regular_code
@@ -42,7 +43,7 @@ FRAMES = 3
 SEED = 7
 
 # The parameters of acceptance criteria 07-08 and 11, and the reference rule
-# each variant's stepper must follow, written out without the variant table.
+# each variant's steps must follow, written out without the variant table.
 SG = NgdbfParams(theta=-0.9, w=1.0, t_max=100)
 MG = NgdbfParams(theta=-0.5, w=1.0, t_max=100)
 AT = NgdbfParams(theta=-0.6, lam=0.99, w=1.0, t_max=100)
@@ -72,21 +73,23 @@ def run_lockstep(code, setup, rule, sigma, seed, frame) -> int:
     y = saturate(transmit(ones, sigma, frame_rng(seed, 0, frame, 0)), 2.5)
     noise = twin = None
     if setup.perturbed:
-        # the stepper's stream comes quantized, the reference quantizes its own
+        # the step's stream comes quantized, the reference quantizes its own
         noise, twin = (NoiseSource(code.n, params.eta * sigma, params.noise_policy,
                                    frame_rng(seed, 0, frame, 1), quantizer=quantizer)
                        for quantizer in (setup.quantizer, None))
-    stepper = build_stepper(code, setup, y, noise)
+    w, thresholds = setup.weight_and_thresholds
+    samples = setup.samples(y)
     plain = PlainBitFlip(code, y, noise=twin, **rule)
-    state = init_state(code, stepper.y)
-    assert np.array_equal(state.x, plain.x)
+    x = bipolar_sign(samples)
+    s, u = code.syndrome(x), np.zeros(code.n, dtype=np.int64)
+    assert np.array_equal(x, plain.x)
     for t in range(params.t_max):
-        if state.s.min() == 1:
+        if s.min() == 1:
             return t
-        stepper.step(state)
+        s = step(code, x, s, samples, w, thresholds, u, None if noise is None else noise.draw())
         plain.step()
-        assert np.array_equal(state.x, plain.x), f"frame {frame}, step {t}: decisions differ"
-        assert np.array_equal(state.s, plain.s), f"frame {frame}, step {t}: syndromes differ"
+        assert np.array_equal(x, plain.x), f"frame {frame}, step {t}: decisions differ"
+        assert np.array_equal(s, plain.s), f"frame {frame}, step {t}: syndromes differ"
     return params.t_max
 
 
@@ -166,7 +169,7 @@ def random_cases(draw):
     if VARIANTS[variant].quantizable and draw(st.booleans()):
         quantizer = QuantizerSpec(draw(st.integers(2, 6)), draw(st.floats(1.5, 2.5)))
     if variant == "mgdbf":
-        # The stepper has no mode switch: the multi-bit rule without it is
+        # gdbf.step has no mode switch: the multi-bit rule without it is
         # atgdbf's at lam = 1, and mgdbf itself is checked whole-frame below.
         variant, params = "atgdbf", params.replace(lam=1.0)
     setup = DecoderSetup(variant, params, quantizer)
@@ -361,7 +364,6 @@ def test_engine_matches_shift_chain_decoding_on_random_codes(monkeypatch, case):
 def test_noise_free_setups_reach_no_stepper(bench_code, monkeypatch):
     # float, eta = 0 and Q4 eta = 0 setups, through every per-frame entry point
     monkeypatch.setattr(harness, "decode", refuse)
-    monkeypatch.setattr(harness, "build_stepper", refuse)
     sigma = ebn0_to_sigma(3.0, float(bench_code.rate))
     for setup in ENGINE_CASES.values():
         assert setup.batched
@@ -375,7 +377,6 @@ def test_shift_chain_setups_reach_no_stepper(bench_code, monkeypatch):
     # float and quantized shift chains, through every per-frame entry point;
     # iid and uniform perturbations still go frame by frame
     monkeypatch.setattr(harness, "decode", refuse)
-    monkeypatch.setattr(harness, "build_stepper", refuse)
     monkeypatch.setattr(NoiseSource, "draw", refuse)
     sigma = ebn0_to_sigma(3.0, float(bench_code.rate))
     for setup in CHAIN_CASES.values():

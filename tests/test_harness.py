@@ -486,6 +486,7 @@ class TestConfigLoading:
         ("params", {"t_max": 10**18}, "params.t_max"),
         ("ebn0_db", [4000], "ebn0_db[0]"),
         ("ebn0_db", [3.0, -4000], "ebn0_db[1]"),
+        ("quantizer", {"q_bits": 4, "y_max": 1.75, "extra": 1}, "quantizer.extra"),
     ])
     def test_malformed_value_names_its_key(self, tmp_path, key, value, named):
         doc = self.base_doc()

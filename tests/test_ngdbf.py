@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from ngdbf.channel import QuantizerSpec, ebn0_to_sigma, saturate, transmit
-from ngdbf.core import DecoderState, decode, init_state
-from ngdbf.gdbf import BitFlipStepper, thresholds_by_count
-from ngdbf.harness import DecoderSetup, build_stepper, decode_frame
+from ngdbf import gdbf
+from ngdbf.core import smoothed_decision
+from ngdbf.gdbf import decode, step, thresholds_by_count
+from ngdbf.harness import DecoderSetup, decode_frame
 from ngdbf.noisy import NOISE_POLICIES, NgdbfParams, NoiseSource, adaptation_events, shift_chain
 
 from .support.oracles import (ShiftRegister, flip_decisions_direct, flip_decisions_prescaled,
                                inversion)
+from .test_gdbf import start
 
 
 class TestParams:
@@ -116,16 +118,16 @@ class TestDegeneration:
         rng = np.random.default_rng(44)
         c = np.ones(bench_code.n, dtype=np.int8)
         params = NgdbfParams(theta=-0.9, lam=1.0, eta=0.0, w=1.0, t_max=30)
+        noisy = DecoderSetup("mngdbf", params).weight_and_thresholds
+        plain = DecoderSetup("atgdbf", params).weight_and_thresholds
         for _ in range(5):
             y = saturate(transmit(c, 0.63, rng), 2.5)
-            st_a = init_state(bench_code, y)
-            st_b = init_state(bench_code, y)
-            noisy = build_stepper(bench_code, DecoderSetup("mngdbf", params), y, None)
-            plain = build_stepper(bench_code, DecoderSetup("atgdbf", params), y, None)
+            x_a, s_a, u_a = start(bench_code, y)
+            x_b, s_b, u_b = start(bench_code, y)
             for _ in range(30):
-                noisy.step(st_a)
-                plain.step(st_b)
-                assert np.array_equal(st_a.x, st_b.x)
+                s_a = step(bench_code, x_a, s_a, y, *noisy, u_a)
+                s_b = step(bench_code, x_b, s_b, y, *plain, u_b)
+                assert np.array_equal(x_a, x_b)
 
     def test_fixed_seed_reproducible_flips(self, bench_code):
         c = np.ones(bench_code.n, dtype=np.int8)
@@ -135,35 +137,41 @@ class TestDegeneration:
         for _ in range(2):
             noise = NoiseSource(bench_code.n, params.eta * 0.63, params.noise_policy,
                                 np.random.default_rng(123))
-            stepper = build_stepper(bench_code, DecoderSetup("mngdbf", params), y, noise)
-            res = decode(stepper, init_state(bench_code, y), 40)
+            res = decode(bench_code, y, 40, *DecoderSetup("mngdbf", params).weight_and_thresholds,
+                         noise)
             outs.append((res.iterations, res.decisions.tobytes()))
         assert outs[0] == outs[1]
 
 
 class TestSmoothing:
+    THRESHOLDS = thresholds_by_count(-0.9, 1.0, 100)
+
+    @staticmethod
+    def accumulators(monkeypatch) -> list:
+        """The accumulators each decode hands to smoothed_decision, as they come."""
+        seen = []
+        monkeypatch.setattr(gdbf, "smoothed_decision", lambda smooth, x: (
+            seen.append(smooth.copy()) or smoothed_decision(smooth, x)))
+        return seen
+
     def test_early_success_skips_smoothing(self, tiny_code):
-        y = np.ones(6)
-        stepper = BitFlipStepper(tiny_code, y, thresholds=thresholds_by_count(-0.9, 1.0, 100))
-        res = decode(stepper, init_state(tiny_code, y), 100, smoothing_window=64)
+        res = decode(tiny_code, np.ones(6), 100, thresholds=self.THRESHOLDS, smoothing_window=64)
         assert res.success and not res.smoothing_engaged
 
-    def test_constant_tail_reproduces_the_constant(self, tiny_code):
+    def test_constant_tail_reproduces_the_constant(self, tiny_code, monkeypatch):
         # stalled frame: decisions never change, smoothing must return them
         y = np.array([-2.0, 1, 1, 1, 1, 1.0])
-        stepper = BitFlipStepper(tiny_code, y, thresholds=thresholds_by_count(-0.9, 1.0, 100))
-        st = init_state(tiny_code, y)
-        res = decode(stepper, st, 10, smoothing_window=4)
+        smooth = self.accumulators(monkeypatch)
+        res = decode(tiny_code, y, 10, thresholds=self.THRESHOLDS, smoothing_window=4)
         assert not res.success and res.smoothing_engaged
         assert list(res.decisions) == [-1, 1, 1, 1, 1, 1]
-        assert list(st.smooth) == [-4, 4, 4, 4, 4, 4]
+        assert [list(a) for a in smooth] == [[-4, 4, 4, 4, 4, 4]]
 
-    def test_window_length_counts_final_iterations(self, tiny_code):
+    def test_window_length_counts_final_iterations(self, tiny_code, monkeypatch):
         y = np.array([-2.0, 1, 1, 1, 1, 1.0])
-        stepper = BitFlipStepper(tiny_code, y, thresholds=thresholds_by_count(-0.9, 1.0, 100))
-        st = init_state(tiny_code, y)
-        decode(stepper, st, 12, smoothing_window=5)
-        assert abs(int(st.smooth[1])) == 5
+        smooth = self.accumulators(monkeypatch)
+        decode(tiny_code, y, 12, thresholds=self.THRESHOLDS, smoothing_window=5)
+        assert abs(int(smooth[0][1])) == 5
 
 
 class TestAdaptationTable:
@@ -202,15 +210,14 @@ class TestAdaptationTable:
         assert adaptation_events(-0.9, 1.0, QuantizerSpec(4, 2.5), 300) == [(0, -0.78125, 0)]
 
     def test_threshold_lookup_switch_point(self, tiny_code):
-        # The stepper holds each reference level from its tau up to the next one.
+        # The rule holds each reference level from its tau up to the next one.
         params = NgdbfParams(theta=-0.9, lam=0.99, eta=0.0, t_max=300)
         for q_bits, events in self.REFERENCE.items():
             q = QuantizerSpec(q_bits, 2.5)
-            stepper = build_stepper(tiny_code, DecoderSetup("mngdbf", params, q), np.ones(tiny_code.n),
-                                    None)
+            _, thresholds = DecoderSetup("mngdbf", params, q).weight_and_thresholds
             levels, taus = zip(*events)
             expected = np.repeat(levels, np.diff((*taus, params.t_max + 1)))
-            assert np.array_equal(q.from_index(stepper.thresholds), expected)
+            assert np.array_equal(q.from_index(thresholds), expected)
 
     def test_validation(self):
         q = QuantizerSpec(3, 2.5)
@@ -248,7 +255,7 @@ class TestQuantizedDatapath:
 
     def test_huge_weight_takes_the_outer_level(self, tiny_code):
         setup = DecoderSetup("mngdbf", NgdbfParams(w=1e20), QuantizerSpec(4, 1.75))
-        assert build_stepper(tiny_code, setup, np.ones(tiny_code.n), None).w == 15
+        assert setup.weight_and_thresholds[0] == 15
 
     def test_exact_threshold_boundary_does_not_flip(self):
         # E == theta: delta = sign(0) = +1, counter increments, no flip
@@ -265,17 +272,18 @@ class TestQuantizedDatapath:
     def test_counter_and_threshold_progression(self, tiny_code):
         q = QuantizerSpec(3, 2.5)
         params = NgdbfParams(theta=-0.9, lam=0.99, eta=0.0, w=0.75, t_max=300)
-        y = np.array([-2.0, 1, 1, 1, 1, 1.0])
-        stepper = build_stepper(tiny_code, DecoderSetup("mngdbf", params, q), y, None)
-        st = init_state(tiny_code, stepper.y)
+        setup = DecoderSetup("mngdbf", params, q)
+        w, thresholds = setup.weight_and_thresholds
+        y = setup.samples(np.array([-2.0, 1, 1, 1, 1, 1.0]))
+        x, s, u = start(tiny_code, y)
         for _ in range(36):
-            stepper.step(st)
+            s = step(tiny_code, x, s, y, w, thresholds, u)
         # the stalled symbols have 36 consecutive non-flips; one more crosses
         # the tau=37 event and relaxes the threshold from -0.9375 to -0.3125
-        active_before = stepper.thresholds[stepper.u]
-        stepper.step(st)
-        active_after = stepper.thresholds[stepper.u]
-        frozen = stepper.u == 37
+        active_before = thresholds[u]
+        step(tiny_code, x, s, y, w, thresholds, u)
+        active_after = thresholds[u]
+        frozen = u == 37
         assert frozen.any()
         assert (q.from_index(active_before[frozen]) == pytest.approx(-0.9375))
         assert (q.from_index(active_after[frozen]) == pytest.approx(-0.3125))
@@ -289,28 +297,27 @@ class TestQuantizedDatapath:
         rng = np.random.default_rng(61)
         n = bench_code.n
         c = np.ones(n, dtype=np.int8)
+        setup = DecoderSetup("mngdbf", params, q)
+        w, thresholds = setup.weight_and_thresholds
         boundary = 0
         for trial in range(6):
-            y = transmit(c, 0.8, rng)
+            y = setup.samples(transmit(c, 0.8, rng))
             noise = NoiseSource(n, params.eta * 0.8, "iid", np.random.default_rng(trial),
                                 quantizer=q)
             twin = NoiseSource(n, params.eta * 0.8, "iid", np.random.default_rng(trial))
-            stepper = build_stepper(bench_code, DecoderSetup("mngdbf", params, q), y, noise)
             x = rng.choice(np.array([-1, 1], dtype=np.int8), size=n)
-            st = DecoderState(x=x, s=bench_code.syndrome(x))
-            stepper.u[:] = rng.integers(0, params.t_max - 10, size=n)
+            s = bench_code.syndrome(x)
+            u = rng.integers(0, params.t_max - 10, size=n)
             for _ in range(10):
-                x_before, u_before = st.x.copy(), stepper.u.copy()
-                sums = bench_code.syndrome_sums(st.s)
+                x_before, u_before = x.copy(), u.copy()
+                sums = bench_code.syndrome_sums(s)
                 q_idx = q.to_index(twin.draw())
                 theta_idx = q.to_index(params.theta * params.lam ** u_before)
-                delta = flip_decisions_direct(x_before, stepper.y, q_idx, theta_idx,
-                                              stepper.w, sums)
-                boundary += int((x_before * stepper.y + stepper.w * sums + q_idx
-                                 == theta_idx).sum())
-                stepper.step(st)
-                assert np.array_equal(st.x != x_before, delta == -1)
-                assert np.array_equal(stepper.u, u_before + (delta == 1))
+                delta = flip_decisions_direct(x_before, y, q_idx, theta_idx, w, sums)
+                boundary += int((x_before * y + w * sums + q_idx == theta_idx).sum())
+                s = step(bench_code, x, s, y, w, thresholds, u, noise.draw())
+                assert np.array_equal(x != x_before, delta == -1)
+                assert np.array_equal(u, u_before + (delta == 1))
         assert boundary > 0
 
     def test_shift_chain_frame_quantizes_samples_and_chain_once(self, bench_code, monkeypatch):
@@ -333,8 +340,8 @@ class TestQuantizedDatapath:
         y = transmit(c, 0.6, np.random.default_rng(2))
         noise = NoiseSource(bench_code.n, params.eta * 0.6, params.noise_policy,
                             np.random.default_rng(3), quantizer=q)
-        stepper = build_stepper(bench_code, DecoderSetup("mngdbf", params, q), y, noise)
-        res = decode(stepper, init_state(bench_code, stepper.y), 100)
+        setup = DecoderSetup("mngdbf", params, q)
+        res = decode(bench_code, setup.samples(y), 100, *setup.weight_and_thresholds, noise)
         assert res.success
         assert bench_code.is_codeword(res.decisions)
 
@@ -342,7 +349,6 @@ class TestQuantizedDatapath:
 class TestSingleBitNoisy:
     def test_argmin_semantics_with_zero_noise(self, tiny_code):
         y = np.array([1, 1, 1, -0.1, 1, 1.0])
-        stepper = BitFlipStepper(tiny_code, y, w=1.0)
-        st = init_state(tiny_code, y)
-        stepper.step(st)
-        assert list(st.x) == [1] * 6
+        x, s, _ = start(tiny_code, y)
+        step(tiny_code, x, s, y, w=1.0)
+        assert list(x) == [1] * 6
