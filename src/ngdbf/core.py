@@ -1,5 +1,6 @@
-"""Results and scoring shared by the decoders: the per-frame result, the
-correlation-plus-syndrome objective and the smoothed decision."""
+"""Results and scoring shared by the decoders: the per-frame result of ``gdbf.decode``
+and min-sum, the smoothed decision, and the objective that scores final decisions
+(``gdbf.decode_batch`` sums its own from its arrays for mgdbf's mode switch)."""
 
 from __future__ import annotations
 
@@ -22,9 +23,8 @@ def objective(code: ParityCheckCode, x: np.ndarray, y: np.ndarray,
               s: np.ndarray | None = None) -> float:
     """Correlation-plus-syndrome objective: sum(x_k y_k) + sum(s_i).
 
-    Uses whatever samples the calling decoder sees (saturated floats or
-    quantized levels), so scores stay consistent with the flip decisions.
-    A caller that already holds the syndrome of ``x`` passes it as ``s``.
+    Scored on whatever samples the decoder saw (saturated floats or quantized
+    levels).  A caller that already holds the syndrome of ``x`` passes it as ``s``.
     """
     if len(x) != code.n or len(y) != code.n:
         raise ValueError("length mismatch")

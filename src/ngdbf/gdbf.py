@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .codes import ParityCheckCode, bipolar_sign
-from .core import DecodeResult, objective, smoothed_decision
+from .core import DecodeResult, smoothed_decision
 
 # Well above the paper's 300: each setup holds a vector of t_max + 1 thresholds,
 # and each shift-chain frame a chain of n + t_max perturbation samples.
@@ -65,12 +65,11 @@ def step(code: ParityCheckCode, x: np.ndarray, s: np.ndarray, y: np.ndarray, w=1
     return s
 
 
-def decode(code: ParityCheckCode, y: np.ndarray, t_max: int, w=1.0,
-           thresholds: np.ndarray | None = None, noise=None,
-           smoothing_window: int = 0) -> DecodeResult:
-    """Decode one frame from the signs of ``y`` by :func:`step`, perturbed by one
-    ``noise.draw()`` a step, stopping before any step once every check holds.
-
+def decode(code: ParityCheckCode, y: np.ndarray, t_max: int, w, thresholds: np.ndarray | None,
+           noise, smoothing_window: int = 0) -> DecodeResult:
+    """Decode one frame perturbed by per-iteration draws (iid or uniform; other frames
+    go through :func:`decode_batch`) from the signs of ``y`` by :func:`step`, adding
+    one ``noise.draw()`` a step and stopping before any step once every check holds.
     A frame that runs out of steps unsatisfied decides the sign of its decisions
     summed over the last ``smoothing_window`` steps (ties keep the current bit).
     """
@@ -81,7 +80,7 @@ def decode(code: ParityCheckCode, y: np.ndarray, t_max: int, w=1.0,
     u = None if thresholds is None else np.zeros(code.n, dtype=np.int64)
     smooth, t = np.zeros(code.n, dtype=np.int32), 0
     while t < t_max and s.min() < 1:
-        s = step(code, x, s, y, w, thresholds, u, None if noise is None else noise.draw())
+        s = step(code, x, s, y, w, thresholds, u, noise.draw())
         t += 1
         if t > t_max - smoothing_window:
             smooth += x
@@ -94,9 +93,9 @@ def decode(code: ParityCheckCode, y: np.ndarray, t_max: int, w=1.0,
 def decode_batch(code: ParityCheckCode, y: np.ndarray, t_max: int, w=1.0,
                  thresholds: np.ndarray | None = None, mode_switching: bool = False,
                  smoothing_window: int = 0, chains: np.ndarray | None = None) -> tuple:
-    """Decode one noise-free or shift-chain frame per row of ``y`` as :func:`decode`
-    does; with ``mode_switching``, a step that lowers sum(x*y) + sum(s) ends
-    multi-flips for good.
+    """Decode one noise-free or shift-chain frame per row of ``y`` by the rule, stop
+    test and smoothing of :func:`decode`; with ``mode_switching``, a step that lowers
+    a frame's sum(x*y) + sum(s), summed from its own rows, ends multi-flips for good.
 
     ``y`` holds the samples the rule compares: saturated floats, or quantizer
     indices with an integer ``w`` and integer ``thresholds``.  A row of ``chains``
@@ -105,12 +104,13 @@ def decode_batch(code: ParityCheckCode, y: np.ndarray, t_max: int, w=1.0,
     syndromes are (n+1, B) and (m+1, B) int8, one column a frame, so that one
     gather per slot table serves the batch; their last rows are the dummy
     symbol (+1) and dummy check (0) that pad the tables.  Metrics, x*y and flip
-    counts are (B, n), one row a frame.  Every running frame has taken the
-    same t steps, so a symbol's non-flip count under the threshold rule is t
-    minus its flips; a frame leaves the batch once it satisfies every check.
-    Returns the final decisions, an int8 row a frame, and int32 arrays of
-    iterations and the smoothing-engaged flag, one entry a frame.
+    counts are (B, n), one row a frame.  Every running frame has taken the same
+    t steps, so a symbol's non-flip count is t minus its flips.  Returns the
+    final decisions, an int8 row a frame, and int32 arrays of iterations and
+    the smoothing-engaged flag, one entry a frame.
     """
+    if t_max < 1 or not 0 <= smoothing_window <= t_max:
+        raise ValueError("need t_max >= 1 and a smoothing window in [0, t_max]")
     n, m, frames = code.n, code.m, len(y)
     cols = np.arange(frames)                    # the running frames' rows of y
     X = np.ones((n + 1, frames), dtype=np.int8)
@@ -120,10 +120,9 @@ def decode_batch(code: ParityCheckCode, y: np.ndarray, t_max: int, w=1.0,
     S[:m] = np.take(X, code.row_slots, axis=0).prod(axis=0, dtype=np.int8)
     flips = np.zeros((frames, n), dtype=np.min_scalar_type(t_max))
     mu = np.full(frames, thresholds is not None)        # mode flags
-    if mu.any():
-        top = thresholds.max()      # no metric at or above it flips
-    if mode_switching:
-        prev = np.array([objective(code, X[:n, j], y[j], S[:m, j]) for j in cols])
+    top = None if thresholds is None else thresholds.max()      # no metric at or above it flips
+    if mode_switching:      # each frame's objective sum(x*y) + sum(s)
+        prev = xy.sum(axis=1) + S[:m].sum(axis=0, dtype=np.int64)
     smooth = np.zeros((n, frames), dtype=np.int32) if smoothing_window else None
     decisions = np.empty((frames, n), dtype=np.int8)
     out = np.zeros((2, frames), dtype=np.int32)
@@ -191,10 +190,9 @@ def decode_batch(code: ParityCheckCode, y: np.ndarray, t_max: int, w=1.0,
         elif single:
             checks = code.col_slots[:, ks]
             S[checks, js] *= -1
-        if mode_switching and multi:
-            for j in np.flatnonzero(mu):
-                f = objective(code, X[:n, j], y[cols[j]], S[:m, j])
-                mu[j], prev[j] = not f < prev[j], f
+        if mode_switching and multi:    # a step that lowers the objective ends multi-flips
+            f = xy.sum(axis=1) + S[:m].sum(axis=0, dtype=np.int64)
+            mu, prev = mu & ~(f < prev), f
         t += 1
         if smoothing_window and t > t_max - smoothing_window:
             smooth += X[:n]

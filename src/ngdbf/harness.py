@@ -549,7 +549,7 @@ def load_config(path, master_seed: int | None = None) -> CampaignConfig:
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:       # bad JSON, or bytes that are not UTF-8
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
@@ -569,6 +569,8 @@ def load_config(path, master_seed: int | None = None) -> CampaignConfig:
         code = load_alist(code_path)
     except OSError as exc:
         raise ConfigError(f"'code': cannot read {code_path} ({exc.strerror})") from exc
+    except ValueError as exc:       # not an alist, or not UTF-8 text
+        raise ConfigError(f"'code': {code_path}: {exc}") from exc
 
     quantizer = None
     if doc.get("quantizer") is not None:

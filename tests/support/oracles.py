@@ -1,6 +1,6 @@
 """Reference forms of the flip rule that the decoders are checked against.
 
-The package computes these quantities vectorised, per stepper or per frame
+The package computes these quantities vectorised, per frame or per frame
 batch; the forms here follow the paper's definitions one symbol or one
 event at a time, so a test can compare the two.
 """
@@ -73,12 +73,29 @@ class ShiftRegister:
         return self.q
 
 
+class IidDraws:
+    """The paper's per-iteration perturbation: every draw is n fresh samples,
+    ``sigma * standard_normal(n)`` for ``iid``, or ``uniform(-a, a, n)`` with
+    a = sqrt(3) * sigma, the Gaussian's variance, for ``uniform``.  Draws come
+    as floats; :class:`PlainBitFlip` quantizes them.
+    """
+
+    def __init__(self, n, sigma, policy, rng):
+        self.n, self.sigma, self.policy, self.rng = n, sigma, policy, rng
+
+    def draw(self) -> np.ndarray:
+        if self.policy == "iid":
+            return self.sigma * self.rng.standard_normal(self.n)
+        a = np.sqrt(3.0) * self.sigma
+        return self.rng.uniform(-a, a, self.n)
+
+
 class PlainBitFlip:
     """Reference GDBF/NGDBF decoder for one frame, written from the paper's rules.
 
     It reads the Tanner graph from ``code.col_neighbors`` alone, as one
-    (symbol, check) pair per edge, and uses neither the package's steppers
-    nor its syndrome routines.  Each iteration draws ``noise`` once and forms
+    (symbol, check) pair per edge, and uses neither the package's bit-flip
+    rule nor its syndrome routines.  Each iteration draws ``noise`` once and forms
 
         E_k = x_k y_k + w * sum_{i in M(k)} s_i + q_k
 

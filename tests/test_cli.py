@@ -277,6 +277,16 @@ class TestSimulate:
         assert rc == 1
         assert "unknown decoder variant" in capsys.readouterr().err
 
+    def test_truncated_alist_names_the_key_and_the_file(self, tmp_path, capsys):
+        alist = tmp_path / "short.alist"
+        alist.write_text("".join(Path(CODE).read_text().splitlines(keepends=True)[:3]))
+        rc = main(["simulate", "--config", write_config(tmp_path, code=str(alist)), "--seed", "1",
+                   "--workers", "1", "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: 'code': {alist}: line 4: file ends early, expected row degrees\n"
+        assert not (tmp_path / "x.csv").exists()
+
     def test_huge_iteration_limit_names_its_key(self, tmp_path, capsys):
         params = {"theta": -0.9, "lam": 0.99, "eta": 0.95, "w": 0.75, "t_max": 10**18}
         rc = main(["simulate", "--config", write_config(tmp_path, params=params), "--seed", "1",

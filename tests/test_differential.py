@@ -4,9 +4,9 @@ does.
 
 Each variant is stepped by ``gdbf.step`` with the samples, weight and
 thresholds its ``DecoderSetup`` gives, as ``gdbf.decode`` steps a perturbed
-frame, in lockstep with ``PlainBitFlip`` on the same saturated samples and
-an identically seeded perturbation stream; decisions and syndromes must
-agree after every step.
+frame, in lockstep with ``PlainBitFlip`` on the same saturated samples and the
+oracles' own draws (``IidDraws``) from an identically seeded generator;
+decisions and syndromes must agree after every step.
 mgdbf, whose mode switch only the engine applies, is stepped by decoding
 its frames through the engine afresh under a budget of each step count.
 The fixed cases run the acceptance parameters on the bundled code and on an
@@ -17,7 +17,10 @@ and through ``decode_frame``, and compare bit errors, iterations, engaged
 flags and final decisions with ``plain_decode``, ``PlainBitFlip`` run under
 the stop rule and output smoothing one frame at a time; a shift-chain
 frame is perturbed by ``ShiftRegister``, the paper's register fed one
-sample an iteration from an identically seeded generator.
+sample an iteration from an identically seeded generator.  Frames perturbed
+by iid or uniform draws, which ``gdbf.decode`` steps one by one, are checked
+whole-frame the same way through ``decode_chunk``, against ``plain_decode``
+fed by ``IidDraws``.
 """
 
 from dataclasses import replace
@@ -37,7 +40,7 @@ from ngdbf.noisy import NgdbfParams, NoiseSource
 
 from .support.gen_regular_code import peg_regular_code
 from .support.irregular import irregular_codes, random_irregular_code
-from .support.oracles import PlainBitFlip, ShiftRegister, plain_decode
+from .support.oracles import IidDraws, PlainBitFlip, ShiftRegister, plain_decode
 
 FRAMES = 3
 SEED = 7
@@ -71,15 +74,13 @@ def run_lockstep(code, setup, rule, sigma, seed, frame) -> int:
     params = setup.params
     ones = np.ones(code.n, dtype=np.int8)
     y = saturate(transmit(ones, sigma, frame_rng(seed, 0, frame, 0)), 2.5)
-    noise = twin = None
-    if setup.perturbed:
-        # the step's stream comes quantized, the reference quantizes its own
-        noise, twin = (NoiseSource(code.n, params.eta * sigma, params.noise_policy,
-                                   frame_rng(seed, 0, frame, 1), quantizer=quantizer)
-                       for quantizer in (setup.quantizer, None))
+    noise = None
+    if setup.perturbed:     # the step's draws come quantized, the reference quantizes its own
+        noise = NoiseSource(code.n, params.eta * sigma, params.noise_policy,
+                            frame_rng(seed, 0, frame, 1), quantizer=setup.quantizer)
     w, thresholds = setup.weight_and_thresholds
     samples = setup.samples(y)
-    plain = PlainBitFlip(code, y, noise=twin, **rule)
+    plain = PlainBitFlip(code, y, noise=reference_noise(code, setup, sigma, seed, frame), **rule)
     x = bipolar_sign(samples)
     s, u = code.syndrome(x), np.zeros(code.n, dtype=np.int64)
     assert np.array_equal(x, plain.x)
@@ -227,9 +228,11 @@ def refuse(*args, **kwargs):
 
 
 def batched(code, setup, sigma, seed, frames, size, monkeypatch) -> tuple:
-    """decode_chunk over ranges of ``size`` frames, none of them through
-    decode_frame: the final decisions its batches reached, and its statistics."""
-    decided, engine = [], harness.decode_batched
+    """decode_chunk over ranges of ``size`` frames: the final decisions its batches
+    reached, and its statistics.  A batched setup's frames stay out of
+    decode_frame; the others go through it, one by one to gdbf.decode."""
+    name = "decode_batched" if setup.batched else "_decode_one"
+    decided, engine = [], getattr(harness, name)
 
     def record(*args):
         out = engine(*args)
@@ -237,8 +240,9 @@ def batched(code, setup, sigma, seed, frames, size, monkeypatch) -> tuple:
         return out
 
     with monkeypatch.context() as patch:
-        patch.setattr(harness, "decode_frame", refuse)
-        patch.setattr(harness, "decode_batched", record)
+        if setup.batched:
+            patch.setattr(harness, "decode_frame", refuse)
+        patch.setattr(harness, name, record)
         parts = [decode_chunk(code, setup, sigma, 2.5, seed, 0, start, min(start + size, frames))
                  for start in range(0, frames, size)]
     return np.concatenate(decided), FrameStats(*(np.concatenate(c) for c in zip(*parts)))
@@ -249,17 +253,24 @@ def per_frame(code, setup, sigma, seed, frames) -> FrameStats:
     return FrameStats(*np.array(stats, dtype=np.int32).T)
 
 
+def reference_noise(code, setup, sigma, seed, frame):
+    """The frame's unquantized perturbation, drawn by the oracles from its own
+    stream: a shift register or per-iteration draws; None if it draws none."""
+    if not setup.perturbed:
+        return None
+    params, rng = setup.params, frame_rng(seed, 0, frame, 1)
+    if params.noise_policy == "shift_chain":
+        return ShiftRegister(code.n, params.eta * sigma, rng)
+    return IidDraws(code.n, params.eta * sigma, params.noise_policy, rng)
+
+
 def plain(code, setup, sigma, seed, frames) -> tuple:
-    """plain_decode on each frame's saturated channel samples, perturbed by the
-    frame's unquantized shift register if the setup draws a perturbation (an
-    engine setup draws only a shift chain): the final decisions, and the
-    statistics."""
+    """plain_decode on each frame's saturated channel samples, perturbed by
+    :func:`reference_noise`: the final decisions, and the statistics."""
     params, ones = setup.params, np.ones(code.n, dtype=np.int8)
     decoded = [plain_decode(code, saturate(transmit(ones, sigma, frame_rng(seed, 0, fi, 0)), 2.5),
                             params.t_max, setup.smoothing_window,
-                            noise=(ShiftRegister(code.n, params.eta * sigma,
-                                                 frame_rng(seed, 0, fi, 1))
-                                   if setup.perturbed else None),
+                            noise=reference_noise(code, setup, sigma, seed, fi),
                             **reference_rule(setup))
                for fi in range(frames)]
     x = np.array([d[0] for d in decoded]).reshape(-1, code.n)
@@ -275,7 +286,8 @@ def assert_same_stats(got: FrameStats, want: FrameStats) -> None:
 def assert_engine_matches_plain(code, setup, sigma, seed, frames, sizes,
                                 monkeypatch) -> FrameStats:
     """decode_chunk over ranges of each of ``sizes`` frames, and decode_frame,
-    against plain_decode; returns the statistics."""
+    against plain_decode; returns the statistics.  ``batched`` tells which
+    decoder a setup's frames reach."""
     x, want = plain(code, setup, sigma, seed, frames)
     for size in sizes:
         decided, got = batched(code, setup, sigma, seed, frames, size, monkeypatch)
@@ -301,6 +313,28 @@ def test_engine_matches_shift_chain_decoding(bench_code, monkeypatch, name, ebn0
     want = assert_engine_matches_plain(bench_code, CHAIN_CASES[name], sigma, SEED,
                                        CHAIN_FRAMES, (33, CHAIN_FRAMES), monkeypatch)
     assert np.count_nonzero(want.iterations) > CHAIN_FRAMES // 2
+
+
+# Per-iteration draws: gdbf.decode steps each frame with one draw an iteration.
+DRAW_FRAMES = 32
+DRAW_CASES = {
+    "sngdbf": DecoderSetup("sngdbf", SN),
+    "mngdbf": DecoderSetup("mngdbf", MN),
+    "smngdbf-window16": DecoderSetup("smngdbf", MN.replace(smoothing_window=16)),
+    "mngdbf-uniform": DecoderSetup("mngdbf", MN.replace(noise_policy="uniform")),
+    "mngdbf-q4": CASES["mngdbf-q4"][0],
+}
+
+
+@pytest.mark.parametrize("ebn0", [3.0, 4.0])
+@pytest.mark.parametrize("name", DRAW_CASES)
+def test_per_iteration_draws_match_plain_decoding(bench_code, monkeypatch, name, ebn0):
+    setup, sigma = DRAW_CASES[name], ebn0_to_sigma(ebn0, float(bench_code.rate))
+    assert not setup.batched
+    want = assert_engine_matches_plain(bench_code, setup, sigma, SEED, DRAW_FRAMES,
+                                       (DRAW_FRAMES,), monkeypatch)
+    assert np.count_nonzero(want.iterations) > DRAW_FRAMES // 2
+    assert want.engaged.any() == bool(setup.smoothing_window)
 
 
 ALL_CASES = {**ENGINE_CASES, **CHAIN_CASES}

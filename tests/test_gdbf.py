@@ -6,7 +6,7 @@ from ngdbf.codes import bipolar_sign
 from ngdbf.core import objective
 from ngdbf.gdbf import decode, decode_batch, step, thresholds_by_count
 
-from .support.oracles import PlainBitFlip, inversion
+from .support.oracles import PlainBitFlip, inversion, plain_decode
 
 
 def start(code, y):
@@ -78,15 +78,21 @@ class TestDecodeBatch:
         x, iterations, engaged = decode_batch(tiny_code, y, 3)
         assert x.dtype == np.int8 and x.shape == y.shape
         for j, row in enumerate(y):
-            result = decode(tiny_code, row, 3)
-            assert np.array_equal(x[j], result.decisions)
-            assert iterations[j] == result.iterations and not engaged[j]
+            decisions, t, _ = plain_decode(tiny_code, row, 3)
+            assert np.array_equal(x[j], decisions)
+            assert iterations[j] == t and not engaged[j]
         assert (np.count_nonzero(x[0] != 1), iterations[0]) == (3, 2)
 
     def test_empty_batch(self, tiny_code):
         x, *stats = decode_batch(tiny_code, np.empty((0, tiny_code.n)), 5,
                                  thresholds=thresholds_by_count(-0.5, 1.0, 5), mode_switching=True)
         assert x.shape == (0, tiny_code.n) and [a.tolist() for a in stats] == [[], []]
+
+
+def test_decode_takes_only_frames_with_per_iteration_draws(tiny_code):
+    # an unperturbed frame goes through decode_batch; decode needs a noise source
+    with pytest.raises(TypeError):
+        decode(tiny_code, np.ones(6), 3, 1.0, None)
 
 
 class TestMultiFlip:
@@ -143,10 +149,10 @@ class TestMultiFlip:
 
     def test_mode_flag_untouched_without_switching(self, tiny_code):
         y, thresholds = self.OVERSHOOT, thresholds_by_count(0.5, 1.0, 10)
-        result = decode(tiny_code, y, 10, thresholds=thresholds)
+        decisions, t, _ = plain_decode(tiny_code, y, 10, theta=0.5)
         x, iterations, _ = decode_batch(tiny_code, y[None], 10, thresholds=thresholds)
-        assert np.array_equal(x[0], result.decisions) and iterations[0] == 10
-        assert not result.success
+        assert np.array_equal(x[0], decisions) and iterations[0] == t == 10
+        assert not tiny_code.is_codeword(x[0])
 
 
 class TestAdaptiveThreshold:

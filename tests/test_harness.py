@@ -494,6 +494,24 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match=re.escape(f"'{named}'")):
             load_config(self._write(tmp_path, doc), master_seed=1)
 
+    @pytest.mark.parametrize("content, reason", [
+        (b"1008 504\n3 6\n" + b"3 " * 1008 + b"\n", "line 4: file ends early"),
+        (b"1008 504\n3 6\n\xff\n", "'utf-8' codec can't decode"),
+    ], ids=["truncated", "not-utf8"])
+    def test_bad_alist_names_the_key_and_the_file(self, tmp_path, content, reason):
+        alist = tmp_path / "bad.alist"
+        alist.write_bytes(content)
+        doc = self.base_doc()
+        doc["code"] = "bad.alist"       # relative to the config's directory
+        with pytest.raises(ConfigError, match=re.escape(f"'code': {alist}: {reason}")):
+            load_config(self._write(tmp_path, doc), master_seed=1)
+
+    def test_config_that_is_not_utf8_names_its_path(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_bytes(b'{"code": "\xff.alist"}')
+        with pytest.raises(ConfigError, match=re.escape(f"{p}: not valid JSON ('utf-8' codec")):
+            load_config(p, master_seed=1)
+
     def test_iteration_limit_is_bounded_before_allocating(self, tmp_path):
         # a threshold vector of 10**18 entries is refused by numpy at once
         for huge in (MAX_ITERATIONS + 1, 10**18):

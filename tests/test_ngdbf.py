@@ -4,7 +4,7 @@ import pytest
 from ngdbf.channel import QuantizerSpec, ebn0_to_sigma, saturate, transmit
 from ngdbf import gdbf
 from ngdbf.core import smoothed_decision
-from ngdbf.gdbf import decode, step, thresholds_by_count
+from ngdbf.gdbf import decode, decode_batch, step, thresholds_by_count
 from ngdbf.harness import DecoderSetup, decode_frame
 from ngdbf.noisy import NOISE_POLICIES, NgdbfParams, NoiseSource, adaptation_events, shift_chain
 
@@ -148,30 +148,32 @@ class TestSmoothing:
 
     @staticmethod
     def accumulators(monkeypatch) -> list:
-        """The accumulators each decode hands to smoothed_decision, as they come."""
+        """The accumulators the engine hands to smoothed_decision, (n, frames) a call."""
         seen = []
         monkeypatch.setattr(gdbf, "smoothed_decision", lambda smooth, x: (
             seen.append(smooth.copy()) or smoothed_decision(smooth, x)))
         return seen
 
     def test_early_success_skips_smoothing(self, tiny_code):
-        res = decode(tiny_code, np.ones(6), 100, thresholds=self.THRESHOLDS, smoothing_window=64)
-        assert res.success and not res.smoothing_engaged
+        x, _, engaged = decode_batch(tiny_code, np.ones((1, 6)), 100, thresholds=self.THRESHOLDS,
+                                     smoothing_window=64)
+        assert tiny_code.is_codeword(x[0]) and not engaged[0]
 
     def test_constant_tail_reproduces_the_constant(self, tiny_code, monkeypatch):
         # stalled frame: decisions never change, smoothing must return them
-        y = np.array([-2.0, 1, 1, 1, 1, 1.0])
+        y = np.array([[-2.0, 1, 1, 1, 1, 1.0]])
         smooth = self.accumulators(monkeypatch)
-        res = decode(tiny_code, y, 10, thresholds=self.THRESHOLDS, smoothing_window=4)
-        assert not res.success and res.smoothing_engaged
-        assert list(res.decisions) == [-1, 1, 1, 1, 1, 1]
-        assert [list(a) for a in smooth] == [[-4, 4, 4, 4, 4, 4]]
+        x, _, engaged = decode_batch(tiny_code, y, 10, thresholds=self.THRESHOLDS,
+                                     smoothing_window=4)
+        assert not tiny_code.is_codeword(x[0]) and engaged[0]
+        assert list(x[0]) == [-1, 1, 1, 1, 1, 1]
+        assert [a.T.tolist() for a in smooth] == [[[-4, 4, 4, 4, 4, 4]]]
 
     def test_window_length_counts_final_iterations(self, tiny_code, monkeypatch):
-        y = np.array([-2.0, 1, 1, 1, 1, 1.0])
+        y = np.array([[-2.0, 1, 1, 1, 1, 1.0]])
         smooth = self.accumulators(monkeypatch)
-        decode(tiny_code, y, 12, thresholds=self.THRESHOLDS, smoothing_window=5)
-        assert abs(int(smooth[0][1])) == 5
+        decode_batch(tiny_code, y, 12, thresholds=self.THRESHOLDS, smoothing_window=5)
+        assert abs(int(smooth[0][1, 0])) == 5
 
 
 class TestAdaptationTable:
