@@ -111,6 +111,8 @@ def decode_batch(code: ParityCheckCode, y: np.ndarray, t_max: int, w=1.0,
     """
     if t_max < 1 or not 0 <= smoothing_window <= t_max:
         raise ValueError("need t_max >= 1 and a smoothing window in [0, t_max]")
+    if np.ndim(y) != 2 or np.shape(y)[1] != code.n:
+        raise ValueError(f"sample rows have length {np.shape(y)[-1]}, code needs {code.n}")
     n, m, frames = code.n, code.m, len(y)
     cols = np.arange(frames)                    # the running frames' rows of y
     X = np.ones((n + 1, frames), dtype=np.int8)

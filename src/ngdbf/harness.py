@@ -32,7 +32,8 @@ from .noisy import NgdbfParams, NoiseSource, shift_chain
 
 SWEEPABLE = ("theta", "lam", "eta")
 STOP_CHUNK = 512    # frames between two applications of the early-stop rule
-CHAIN_BATCH = 32    # perturbed frames decoded at once: a pool task's range on two workers
+CHAIN_BATCH = 32    # frames transmitted at once, and the most float64 shift chains a batch holds
+CHAIN_BYTES = 1 << 20   # the most a batch's shift chains take, unless it is one frame
 
 
 class ConfigError(ValueError):
@@ -124,16 +125,14 @@ class DecoderSetup:
         return int(quantizer.to_index(params.w)), quantizer.to_index(thresholds)
 
 
-def decode_batched(code: ParityCheckCode, setup: DecoderSetup, sigma: float, y_sat: np.ndarray,
+def decode_batched(code: ParityCheckCode, setup: DecoderSetup, sigma: float, y: np.ndarray,
                    master_seed: int, snr_index: int, start: int) -> tuple:
-    """Decode frames ``start``, ``start + 1``, ... of one SNR point, a row of saturated
-    samples each, in one :func:`gdbf.decode_batch`, shift-chain frames with their own
-    chains: final decisions (an int8 row a frame), int32 iterations and engaged flags."""
+    """Decode frames ``start``, ``start + 1``, ... of one SNR point, a row of samples each
+    (:func:`_decode_batches`), in one :func:`gdbf.decode_batch`, shift-chain frames with chains
+    of the samples' type: final decisions (an int8 row a frame), int32 iterations and flags."""
     (w, thresholds), params, q = setup.weight_and_thresholds, setup.params, setup.quantizer
-    y, t_max, chains = setup.samples(y_sat), params.t_max, None
-    if q is not None:   # the narrowest type that holds |E| <= (2 + max_dv) * (2**q_bits - 1)
-        level = np.min_scalar_type(-(2 + len(code.col_slots)) * (q.n_levels - 1) - 1)
-        y, thresholds = y.astype(level), thresholds.astype(level)
+    t_max, chains = params.t_max, None
+    thresholds = thresholds if q is None else thresholds.astype(y.dtype)
     if setup.perturbed:
         chains = np.empty((len(y), code.n + t_max), y.dtype)
         for i, row in enumerate(chains):
@@ -202,10 +201,10 @@ class FrameStats(NamedTuple):
 
 def _transmit(code: ParityCheckCode, setup: DecoderSetup, sigma: float, y_max: float,
               master_seed: int, snr_index: int, start: int, stop: int) -> np.ndarray:
-    """Samples of all-ones frames ``start`` to ``stop - 1``, one row a frame:
-    raw for min-sum, saturated for the bit-flip rule."""
+    """Samples of all-ones frames ``start`` to ``stop - 1`` (at least one), one row
+    a frame: raw for min-sum, saturated for the bit-flip rule."""
     y = np.array([transmit(code.zero_codeword, sigma, frame_rng(master_seed, snr_index, fi, 0))
-                  for fi in range(start, stop)]).reshape(-1, code.n)
+                  for fi in range(start, stop)])
     return y if setup.variant == "minsum" else saturate(y, y_max)
 
 
@@ -222,23 +221,32 @@ def _decode_one(code: ParityCheckCode, setup: DecoderSetup, sigma: float, y: np.
             noise = NoiseSource(code.n, params.eta * sigma, params.noise_policy,
                                 frame_rng(master_seed, snr_index, start + i, 1),
                                 quantizer=setup.quantizer)
-            result = decode(code, setup.samples(row), params.t_max, *setup.weight_and_thresholds,
-                            noise, setup.smoothing_window)
+            result = decode(code, row, params.t_max, *setup.weight_and_thresholds, noise,
+                            setup.smoothing_window)
         decisions[i], stats[:, i] = result.decisions, (result.iterations, result.smoothing_engaged)
     return decisions, stats[0], stats[1]
 
 
 def _decode_batches(code: ParityCheckCode, setup: DecoderSetup, sigma: float, y_max: float,
                     master_seed: int, snr_index: int, start: int, stop: int):
-    """Transmit and decode frames ``start`` to ``stop - 1`` of one SNR point, at most
-    CHAIN_BATCH perturbed or STOP_CHUNK other frames at a time (an empty range is
-    one empty batch): yields each batch's samples and :func:`decode_batched`'s
-    results, from :func:`_decode_one` for a setup that is not batched."""
-    size = CHAIN_BATCH if setup.perturbed else STOP_CHUNK
+    """Transmit and decode frames ``start`` to ``stop - 1`` of one SNR point (an empty range is
+    one empty batch): yield each batch's samples and :func:`decode_batched`'s results, from
+    :func:`_decode_one` for a setup that is not batched.  Samples are floats or quantizer levels
+    in the narrowest type that holds |E| <= (2 + max_dv) * (2**q_bits - 1), written CHAIN_BATCH
+    frames at a time.  A batch is at most STOP_CHUNK frames; a perturbed one's chains take at
+    most CHAIN_BYTES (or one chain) and 8 * CHAIN_BATCH bytes a position (32 float64 chains)."""
+    q, dtype = setup.quantizer, np.dtype(np.float64)
+    if q is not None:
+        dtype = np.min_scalar_type(-(2 + len(code.col_slots)) * (q.n_levels - 1) - 1)
+    size = STOP_CHUNK if not setup.perturbed else max(1, min(
+        8 * CHAIN_BATCH, CHAIN_BYTES // (code.n + setup.params.t_max)) // dtype.itemsize)
     decoder = decode_batched if setup.batched else _decode_one
     for first in range(start, max(stop, start + 1), size):
-        y = _transmit(code, setup, sigma, y_max, master_seed, snr_index, first,
-                      min(first + size, stop))
+        y = np.empty((min(size, stop - first), code.n), dtype)
+        for i in range(0, len(y), CHAIN_BATCH):
+            y[i:i + CHAIN_BATCH] = setup.samples(_transmit(
+                code, setup, sigma, y_max, master_seed, snr_index, first + i,
+                first + min(i + CHAIN_BATCH, len(y))))
         yield y, *decoder(code, setup, sigma, y, master_seed, snr_index, first)
 
 
@@ -469,15 +477,15 @@ def run_convergence(code: ParityCheckCode, setups: dict, ebn0_db: float, frames:
     Every decoder sees the identical channel realizations (same per-frame
     streams), which is the variance-reduced way to compare convergence
     errors.  Frames are decoded a batch at a time, as in :func:`decode_chunk`;
-    objectives are scored on the samples the decoder saw, as levels if it
-    quantizes them.  Returns {name: mean(f(x(T)) - f_max)}.
+    objectives are scored on the samples the decoder saw, as the values of
+    its quantizer's levels if it has one.  Returns {name: mean(f(x(T)) - f_max)}.
     """
     sigma = ebn0_to_sigma(ebn0_db, float(code.rate))
     out = {}
     for name, setup in setups.items():
         finals, maxes = [], []
         for ys, xs, *_ in _decode_batches(code, setup, sigma, y_max, master_seed, 0, 0, frames):
-            ys = ys if setup.quantizer is None else setup.quantizer.quantize(ys)
+            ys = ys if setup.quantizer is None else setup.quantizer.from_index(ys)
             finals += [objective(code, x, y) for x, y in zip(xs, ys)]
             maxes += [f_max(code, code.zero_codeword, y) for y in ys]
         out[name] = convergence_error(finals, maxes)

@@ -25,7 +25,7 @@ class TestInitState:
         assert tiny_code.is_codeword(x[0]) and iterations[0] == 0
 
     def test_length_check(self, tiny_code):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="length 5, code needs 6"):
             decode_batch(tiny_code, np.ones((1, 5)), 1)
 
 
@@ -95,8 +95,9 @@ class TestDecodeLoop:
         rng = np.random.default_rng(17)
         for code in (tiny_code, bench_code):
             c = np.ones(code.n, dtype=np.int8)
-            y = np.array([saturate(transmit(c, 0.7, rng), 2.5) for trial in range(10)])
+            y = np.array([saturate(transmit(c, 0.5, rng), 2.5) for trial in range(10)])
             x, iterations, _ = decode_batch(code, y, 40, 0.75, thresholds_by_count(-0.9, 0.99, 40))
+            assert np.count_nonzero(iterations < 40) > 0, code.n    # some frames to check
             for xj in x[iterations < 40]:      # a frame that stopped early satisfied every check
                 assert code.is_codeword(xj)
 

@@ -15,9 +15,9 @@ from ngdbf.analysis import convergence_error, f_max
 from ngdbf.channel import QuantizerSpec, ebn0_to_sigma
 from ngdbf.core import objective
 from ngdbf.gdbf import MAX_ITERATIONS, thresholds_by_count
-from ngdbf.harness import (CHAIN_BATCH, STOP_CHUNK, SWEEPABLE, VARIANTS, CampaignConfig,
-                           ConfigError, DecoderSetup, NgdbfParams, decode_chunk, decode_frame,
-                           load_config, run_campaign, run_convergence, run_sweep,
+from ngdbf.harness import (CHAIN_BATCH, CHAIN_BYTES, STOP_CHUNK, SWEEPABLE, VARIANTS,
+                           CampaignConfig, ConfigError, DecoderSetup, NgdbfParams, decode_chunk,
+                           decode_frame, load_config, run_campaign, run_convergence, run_sweep,
                            wilson_interval)
 from ngdbf.noisy import shift_chain
 
@@ -294,32 +294,47 @@ class TestConvergenceRunner:
         for v in eps.values():
             assert v <= 0.0 or v == pytest.approx(0.0)
 
-    @pytest.mark.parametrize("variant, frames, batch", [("atgdbf", STOP_CHUNK + 1, STOP_CHUNK),
-                                                        ("mngdbf", CHAIN_BATCH + 1, CHAIN_BATCH)])
-    def test_holds_one_batch_at_a_time(self, tiny_code, monkeypatch, variant, frames, batch):
-        # a noise-free and a shift-chain setup; the deficit is that of the whole
-        # range transmitted and decoded at once
+    @pytest.mark.parametrize("variant, quantizer, frames, sizes", [
+        # a noise-free range: a stop chunk, then the frame past it
+        pytest.param("atgdbf", None, STOP_CHUNK + 1,
+                     [("transmit", CHAIN_BATCH)] * (STOP_CHUNK // CHAIN_BATCH)
+                     + [("decode", STOP_CHUNK), ("transmit", 1), ("decode", 1)],
+                     id="atgdbf-513-512"),
+        # a float64 shift-chain range: no larger a batch than CHAIN_BATCH frames
+        pytest.param("mngdbf", None, CHAIN_BATCH + 1,
+                     [("transmit", CHAIN_BATCH), ("decode", CHAIN_BATCH), ("transmit", 1),
+                      ("decode", 1)], id="mngdbf-33-32"),
+        # a Q4 int8 shift-chain range of 128 frames: one batch
+        pytest.param("mngdbf", QuantizerSpec(4, 1.75), 128,
+                     [("transmit", CHAIN_BATCH)] * 4 + [("decode", 128)], id="mngdbf-q4-128-128"),
+    ])
+    def test_holds_one_batch_at_a_time(self, bench_code, monkeypatch, variant, quantizer, frames,
+                                       sizes):
+        # the deficit is that of the whole range transmitted and decoded at once,
+        # scored on the quantized samples if the setup quantizes them
         setup = DecoderSetup(variant, NgdbfParams(theta=-0.9, lam=0.99, eta=0.95, w=0.75,
-                                                  t_max=20, noise_policy="shift_chain"))
-        sigma = ebn0_to_sigma(2.0, float(tiny_code.rate))
-        ys = harness._transmit(tiny_code, setup, sigma, 2.5, 3, 0, 0, frames)
-        xs = harness.decode_batched(tiny_code, setup, sigma, ys, 3, 0, 0)[0]
-        want = convergence_error([objective(tiny_code, x, y) for x, y in zip(xs, ys)],
-                                 [f_max(tiny_code, tiny_code.zero_codeword, y) for y in ys])
-        sizes, transmit, engine = [], harness._transmit, harness.decode_batched
+                                                  t_max=20, noise_policy="shift_chain"),
+                             quantizer)
+        sigma = ebn0_to_sigma(2.0, float(bench_code.rate))
+        ys = harness._transmit(bench_code, setup, sigma, 2.5, 3, 0, 0, frames)
+        xs = harness.decode_batched(bench_code, setup, sigma, setup.samples(ys), 3, 0, 0)[0]
+        ys = ys if quantizer is None else quantizer.quantize(ys)
+        want = convergence_error([objective(bench_code, x, y) for x, y in zip(xs, ys)],
+                                 [f_max(bench_code, bench_code.zero_codeword, y) for y in ys])
+        got, transmit, engine = [], harness._transmit, harness.decode_batched
 
         def record_transmit(*args):
-            sizes.append(("transmit", args[-1] - args[-2]))
+            got.append(("transmit", args[-1] - args[-2]))
             return transmit(*args)
 
         def record_decode(code, setup, sigma, y, *args):
-            sizes.append(("decode", len(y)))
+            got.append(("decode", len(y)))
             return engine(code, setup, sigma, y, *args)
 
         monkeypatch.setattr(harness, "_transmit", record_transmit)
         monkeypatch.setattr(harness, "decode_batched", record_decode)
-        eps = run_convergence(tiny_code, {variant: setup}, 2.0, frames, master_seed=3)
-        assert sizes == [("transmit", batch), ("decode", batch), ("transmit", 1), ("decode", 1)]
+        eps = run_convergence(bench_code, {variant: setup}, 2.0, frames, master_seed=3)
+        assert got == sizes
         assert eps[variant] == want
 
     @pytest.mark.parametrize("variant", ["mgdbf", "mngdbf", "minsum"])
@@ -330,6 +345,32 @@ class TestConvergenceRunner:
 
 
 class TestFrameDecode:
+    @pytest.mark.parametrize("quantizer, t_max, frames, batches", [
+        (None, 100, 70, [32, 32, 6]),       # float64: at most CHAIN_BATCH chains a batch
+        (QuantizerSpec(4, 1.75), 100, 300, [256, 44]),  # int8: 8 * CHAIN_BATCH chains
+        (None, MAX_ITERATIONS, 3, [1, 1, 1]),   # a huge t_max shrinks the batch
+    ], ids=["float64", "q4-int8", "float64-huge-t_max"])
+    def test_chain_block_is_bounded(self, bench_code, monkeypatch, quantizer, t_max, frames,
+                                    batches):
+        setup = DecoderSetup("mngdbf", NgdbfParams(theta=-0.7, lam=0.99, eta=0.95, w=0.75,
+                                                   t_max=t_max, noise_policy="shift_chain"),
+                             quantizer)
+        got, engine = [], harness.decode_batch
+
+        def record(code, y, t_max, w, thresholds, switching, window, chains):
+            got.append((len(y), chains.shape, chains.nbytes))
+            return engine(code, y, t_max, w, thresholds, switching, window, chains)
+
+        monkeypatch.setattr(harness, "decode_batch", record)
+        stats = decode_chunk(bench_code, setup, ebn0_to_sigma(6.0, float(bench_code.rate)), 2.5,
+                             3, 0, 0, frames)
+        assert stats.iterations.max() < 100     # no frame ran a huge budget
+        assert [size for size, _, _ in got] == batches
+        chain = bench_code.n + t_max
+        for size, shape, nbytes in got:
+            assert shape == (size, chain)
+            assert nbytes <= min(CHAIN_BATCH * 8 * chain, CHAIN_BYTES)
+
     def test_statistics_are_int_int_bool_for_every_setup_kind(self, bench_code):
         params = NgdbfParams(theta=-0.9, lam=0.99, eta=0.95, w=0.75, t_max=20)
         chain = params.replace(noise_policy="shift_chain")
