@@ -11,6 +11,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +30,28 @@ _PAD_SYMBOL, _PAD_CHECK = np.ones(1, dtype=np.int8), np.zeros(1, dtype=np.int8)
 
 def bipolar_sign(values) -> np.ndarray:
     """Hard decisions sign(v) with the convention sign(0) = +1."""
-    v = np.asarray(values)
-    return np.where(v >= 0, 1, -1).astype(np.int8)
+    x = (np.asarray(values) >= 0).astype(np.int8)
+    x *= 2
+    x -= 1
+    return x
+
+
+def _sorted_edges(lists, rows: bool) -> np.ndarray:
+    """(2, E): the (check, symbol) pair of each entry of a code's row lists
+    (``rows``) or column lists, sorted by check, then symbol."""
+    outer = np.repeat(np.arange(len(lists)), [len(x) for x in lists])
+    pairs = np.stack((outer, np.concatenate(lists)) if rows else (np.concatenate(lists), outer))
+    return pairs[:, np.lexsort(pairs[::-1])]
+
+
+def _first_asymmetric_check(by_rows: np.ndarray, by_cols: np.ndarray) -> int | None:
+    """The first check i whose N(i) differs from {k : i in M(k)}, given both
+    lists' ``_sorted_edges``; None when the two describe one graph."""
+    size = min(by_rows.shape[1], by_cols.shape[1])
+    differ = np.flatnonzero((by_rows[:, :size] != by_cols[:, :size]).any(axis=0))
+    at = differ[0] if differ.size else size
+    firsts = [edges[0, at] for edges in (by_rows, by_cols) if at < edges.shape[1]]
+    return int(min(firsts)) if firsts else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,10 +87,14 @@ class ParityCheckCode:
         for k, col in enumerate(self.col_neighbors):
             if len(col) < 1:
                 raise ValueError(f"symbol {k} has degree 0")
+        by_rows = _sorted_edges(self.row_neighbors, rows=True)
+        by_cols = _sorted_edges(self.col_neighbors, rows=False)
+        for edges, side, what in ((by_rows, 0, "check"), (by_cols, 1, "symbol")):
+            repeats = np.flatnonzero((edges[:, 1:] == edges[:, :-1]).all(axis=0))
+            if repeats.size:
+                raise ValueError(f"{what} {edges[side, repeats[0]]} lists an index twice")
         # Membership symmetry: k in N(i)  <=>  i in M(k).
-        edges_from_rows = {(i, int(k)) for i, row in enumerate(self.row_neighbors) for k in row}
-        edges_from_cols = {(int(i), k) for k, col in enumerate(self.col_neighbors) for i in col}
-        if edges_from_rows != edges_from_cols:
+        if _first_asymmetric_check(by_rows, by_cols) is not None:
             raise ValueError("row/column neighbor lists describe different edge sets")
 
     @classmethod
@@ -213,44 +238,58 @@ def parse_alist(text: str) -> ParityCheckCode:
         if d < 2:
             raise AlistError(4, f"row {i + 1} declares degree {d} < 2")
 
-    def index_list(lineno: int, degree: int, bound: int, what: str) -> np.ndarray:
-        vals = ints(lineno, None, what)
-        nonzero = [v for v in vals if v != 0]
+    def index_list(j: int) -> None:
+        """Raise the fault of list line j (0-based, columns first), if it has one."""
+        what, degree, bound = ((f"column {j + 1}", col_degs[j], m) if j < n
+                               else (f"row {j - n + 1}", row_degs[j - n], n))
+        nonzero = [v for v in ints(5 + j, None, what) if v != 0]
         if len(nonzero) != degree:
-            raise AlistError(
-                lineno, f"{what} lists {len(nonzero)} indices, degree {degree} declared"
-            )
+            raise AlistError(5 + j, f"{what} lists {len(nonzero)} indices, "
+                                    f"degree {degree} declared")
         for v in nonzero:
             if not (1 <= v <= bound):
-                raise AlistError(lineno, f"{what} index {v} outside 1..{bound}")
+                raise AlistError(5 + j, f"{what} index {v} outside 1..{bound}")
         if len(set(nonzero)) != degree:
-            raise AlistError(lineno, f"{what} contains a duplicate index")
-        return np.asarray(nonzero, dtype=np.int64) - 1
+            raise AlistError(5 + j, f"{what} contains a duplicate index")
 
-    cols = [
-        index_list(5 + k, col_degs[k], m, f"column {k + 1}") for k in range(n)
-    ]
-    rows = [
-        index_list(5 + n + i, row_degs[i], n, f"row {i + 1}") for i in range(m)
-    ]
+    # Every list line at once; index_list words the first fault.  Nonzero
+    # token t of the file's lists is ``vals[t]``, on list line ``line_of[t]``.
+    body = [line.split() for line in lines[4:4 + n + m]]
+    width = [len(tokens) for tokens in body]
+    try:
+        degree = np.array(col_degs + row_degs, dtype=np.int64)
+        vals = np.fromiter(map(int, chain.from_iterable(body)), np.int64, sum(width))
+    except (ValueError, OverflowError):     # a token int() rejects, or one past int64
+        for j in range(n + m):
+            index_list(j)                   # raises at the first faulty line
+    line_of = np.repeat(np.arange(len(body)), width)[vals != 0]
+    vals = vals[vals != 0]
+    pairs = np.stack((line_of, vals))[:, np.lexsort((vals, line_of))]
+    faulty = np.bincount(line_of, minlength=len(body)) != degree[:len(body)]
+    faulty[line_of[(vals < 1) | (vals > np.where(line_of < n, m, n))]] = True
+    faulty[pairs[0, 1:][(pairs[:, 1:] == pairs[:, :-1]).all(axis=0)]] = True
+    first = int(np.argmax(faulty)) if faulty.any() else len(body)
+    if first < n + m:
+        index_list(first)                   # the first faulty line, or the first missing one
 
-    # Cross-check membership symmetry before constructing the code so the
-    # error can still point at a file line.
-    from_cols = [set() for _ in range(m)]
-    for k, col in enumerate(cols):
-        for i in col:
-            from_cols[int(i)].add(k)
-    for i, row in enumerate(rows):
-        if set(int(k) for k in row) != from_cols[i]:
-            raise AlistError(
-                5 + n + i, f"row {i + 1} disagrees with the column lists (asymmetric membership)"
-            )
+    vals -= 1
+    ends = np.cumsum(degree).tolist()
+    lists = [vals[a:b] for a, b in zip([0] + ends[:-1], ends)]
+    cols, rows = tuple(lists[:n]), tuple(lists[n:])
+    try:
+        code = ParityCheckCode(n=n, m=m, col_neighbors=cols, row_neighbors=rows)
+    except ValueError:      # every list line passed, so only membership can disagree
+        i = _first_asymmetric_check(_sorted_edges(rows, rows=True),
+                                    _sorted_edges(cols, rows=False))
+        raise AlistError(
+            5 + n + i, f"row {i + 1} disagrees with the column lists (asymmetric membership)"
+        ) from None
 
     for extra in range(5 + n + m, len(lines) + 1):
         if extra <= len(lines) and lines[extra - 1].strip():
             raise AlistError(extra, "unexpected trailing content")
 
-    return ParityCheckCode(n=n, m=m, col_neighbors=tuple(cols), row_neighbors=tuple(rows))
+    return code
 
 
 def serialize_alist(code: ParityCheckCode) -> str:

@@ -1,4 +1,5 @@
-"""Reference forms of the flip rule that the decoders are checked against.
+"""Reference forms of the flip rule, and of alist parsing, that the package
+is checked against.
 
 The package computes these quantities vectorised, per frame or per frame
 batch; the forms here follow the paper's definitions one symbol or one
@@ -10,6 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
+
+from ngdbf.codes import AlistError
 
 
 def inversion(x_k: float, y_k: float, adj_syndromes, w: float = 1.0, q_k: float = 0.0) -> float:
@@ -227,3 +230,69 @@ class PlainMinSum:
                     self.v2c[i, k] = total - c2v[i, k]
                 x[k] = 1 if total >= 0 else -1
         return False, t_max, np.array(x, dtype=np.int8)
+
+
+def sequential_parse_alist(text: str) -> tuple:
+    """Parse alist text one line and one index at a time, as ``(n, m, cols, rows)``.
+
+    The lists are 0-based int64 arrays.  A fault raises ``AlistError`` with
+    the line and message that ``codes.parse_alist`` gives: header lines first,
+    then each index list in file order (its token count, bounds and
+    duplicates), then membership symmetry by row, then trailing content.
+    """
+    lines = text.splitlines()
+
+    def ints(lineno, expect=None, what=""):
+        if lineno > len(lines):
+            raise AlistError(lineno, f"file ends early, expected {what}")
+        try:
+            vals = [int(tok) for tok in lines[lineno - 1].split()]
+        except ValueError:
+            raise AlistError(lineno, f"non-integer token in {what}") from None
+        if expect is not None and len(vals) != expect:
+            raise AlistError(lineno, f"expected {expect} integers for {what}, got {len(vals)}")
+        return vals
+
+    n, m = ints(1, 2, "header 'n m'")
+    if not (n > m >= 1):
+        raise AlistError(1, f"header requires n > m >= 1, got n={n}, m={m}")
+    max_dv, max_dc = ints(2, 2, "header 'max_dv max_dc'")
+    col_degs = ints(3, n, "column degrees")
+    row_degs = ints(4, m, "row degrees")
+    if max(col_degs) != max_dv:
+        raise AlistError(3, f"column degrees peak at {max(col_degs)}, header claims {max_dv}")
+    if max(row_degs) != max_dc:
+        raise AlistError(4, f"row degrees peak at {max(row_degs)}, header claims {max_dc}")
+    for k, d in enumerate(col_degs):
+        if d < 1:
+            raise AlistError(3, f"column {k + 1} declares degree {d} < 1")
+    for i, d in enumerate(row_degs):
+        if d < 2:
+            raise AlistError(4, f"row {i + 1} declares degree {d} < 2")
+
+    def index_list(lineno, degree, bound, what):
+        nonzero = [v for v in ints(lineno, None, what) if v != 0]
+        if len(nonzero) != degree:
+            raise AlistError(lineno,
+                             f"{what} lists {len(nonzero)} indices, degree {degree} declared")
+        for v in nonzero:
+            if not (1 <= v <= bound):
+                raise AlistError(lineno, f"{what} index {v} outside 1..{bound}")
+        if len(set(nonzero)) != degree:
+            raise AlistError(lineno, f"{what} contains a duplicate index")
+        return np.asarray(nonzero, dtype=np.int64) - 1
+
+    cols = [index_list(5 + k, col_degs[k], m, f"column {k + 1}") for k in range(n)]
+    rows = [index_list(5 + n + i, row_degs[i], n, f"row {i + 1}") for i in range(m)]
+    from_cols = [set() for _ in range(m)]
+    for k, col in enumerate(cols):
+        for i in col:
+            from_cols[int(i)].add(k)
+    for i, row in enumerate(rows):
+        if {int(k) for k in row} != from_cols[i]:
+            raise AlistError(
+                5 + n + i, f"row {i + 1} disagrees with the column lists (asymmetric membership)")
+    for extra in range(5 + n + m, len(lines) + 1):
+        if lines[extra - 1].strip():
+            raise AlistError(extra, "unexpected trailing content")
+    return n, m, cols, rows

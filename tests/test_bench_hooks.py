@@ -12,6 +12,7 @@ import pytest
 
 from ngdbf import harness
 from ngdbf.channel import QuantizerSpec, ebn0_to_sigma
+from ngdbf.codes import load_alist
 from ngdbf.harness import DecoderSetup, NgdbfParams
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -87,3 +88,20 @@ def test_every_workload_decodes_frames_through_decode_frame(tmp_path, perfbench,
             tracer.restore()
         assert tracer.calls["harness.decode_frame"] >= 1, name
     assert set(not_found(capsys.readouterr().err)) == set(MISSING)
+
+
+def test_load_config_reads_the_code_through_harness_load_alist(monkeypatch, tmp_path, perfbench):
+    # The traced codes.load_alist layer wraps harness.load_alist, so
+    # load_config must look the loader up there, once per config.
+    from workloads import WORKLOADS, write_configs
+
+    calls = []
+
+    def counting(path):
+        calls.append(path)
+        return load_alist(path)
+
+    monkeypatch.setattr(harness, "load_alist", counting)
+    workload = WORKLOADS["waterfall-float"]
+    config = harness.load_config(write_configs(workload, 1, PERFBENCH.parent, tmp_path)[0])
+    assert len(calls) == 1 and config.code.n == 1008

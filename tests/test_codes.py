@@ -3,10 +3,63 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ngdbf.codes import AlistError, ParityCheckCode, parse_alist, serialize_alist
+from ngdbf.codes import AlistError, ParityCheckCode, bipolar_sign, parse_alist, serialize_alist
 
-from .conftest import TINY_ALIST, brute_syndrome, dense_h
+from .conftest import DATA_DIR, TINY_ALIST, brute_syndrome, dense_h
 from .support.irregular import irregular_codes
+from .support.oracles import sequential_parse_alist
+
+MUTATIONS = ("non-integer", "zero", "out-of-range", "repeated", "dropped", "extra",
+             "asymmetric", "truncated", "trailing")
+
+
+@st.composite
+def mutated_alists(draw):
+    """An irregular code's alist text with one or two single-token faults."""
+    code = draw(irregular_codes(max_n=24))
+    lines = serialize_alist(code).splitlines()
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(MUTATIONS))
+        if kind == "trailing":
+            lines.append(draw(st.sampled_from(["7", "0 0", "x"])))
+            continue
+        if len(lines) <= 4:
+            continue
+        j = draw(st.integers(4, len(lines) - 1))        # an index list line
+        if kind == "truncated":
+            lines = lines[:j]
+            continue
+        tokens = lines[j].split()
+        t = draw(st.integers(0, max(len(tokens) - 1, 0)))
+        bound = code.m if j < 4 + code.n else code.n
+        indices = [i for i, tok in enumerate(tokens) if tok != "0"]
+        if kind == "extra":
+            tokens.insert(t, str(draw(st.integers(0, bound))))
+        elif len(indices) < 1 + (kind == "repeated"):
+            continue
+        elif kind == "dropped":
+            del tokens[t]
+        elif kind == "non-integer":
+            tokens[t] = draw(st.sampled_from(["x", "1.5", "--1", "0x3"]))
+        else:                                           # change one listed index
+            t = draw(st.sampled_from(indices))
+            if kind == "zero":
+                tokens[t] = "0"
+            elif kind == "out-of-range":
+                tokens[t] = str(draw(st.sampled_from([-1, bound + 1, 2**64, -2**70])))
+            elif kind == "repeated":
+                tokens[t] = tokens[draw(st.sampled_from([i for i in indices if i != t]))]
+            else:                                       # asymmetric, unless it repeats or keeps it
+                tokens[t] = str(draw(st.integers(1, bound)))
+        lines[j] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+def assert_same_lists(code, expected):
+    n, m, cols, rows = expected
+    assert (code.n, code.m) == (n, m)
+    for got, want in zip(code.col_neighbors + code.row_neighbors, cols + rows, strict=True):
+        assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
 class TestParse:
@@ -66,6 +119,51 @@ class TestParse:
         with pytest.raises(AlistError, match="trailing"):
             parse_alist(TINY_ALIST + "7 7\n")
 
+    def test_bundled_code_matches_the_sequential_parser(self, bench_code):
+        text = (DATA_DIR / "reg3x6_504x1008.alist").read_text()
+        assert_same_lists(bench_code, sequential_parse_alist(text))
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(code=irregular_codes())
+    def test_irregular_codes_round_trip(self, code):
+        text = serialize_alist(code)
+        again = parse_alist(text)
+        assert_same_lists(again, (code.n, code.m, list(code.col_neighbors),
+                                  list(code.row_neighbors)))
+        assert_same_lists(again, sequential_parse_alist(text))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(text=mutated_alists())
+    def test_faults_match_the_sequential_parser(self, text):
+        try:
+            expected = sequential_parse_alist(text)
+        except AlistError as err:
+            with pytest.raises(AlistError) as got:
+                parse_alist(text)
+            assert (got.value.line, str(got.value)) == (err.line, str(err))
+        else:
+            assert_same_lists(parse_alist(text), expected)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(code=irregular_codes(), data=st.data())
+    def test_asymmetry_names_the_first_disagreeing_row(self, code, data):
+        # Symbol k moves from check i to check j in the column lists only.
+        movable = [k for k, col in enumerate(code.col_neighbors) if len(col) < code.m]
+        k = data.draw(st.sampled_from(movable))
+        col = code.col_neighbors[k]
+        i = data.draw(st.sampled_from(sorted(int(c) for c in col)))
+        j = data.draw(st.sampled_from(sorted(set(range(code.m)) - {int(c) for c in col})))
+        lines = serialize_alist(code).splitlines()
+        lines[4 + k] = " ".join(str(j + 1) if tok == str(i + 1) else tok
+                                for tok in lines[4 + k].split())
+        text = "\n".join(lines) + "\n"
+        with pytest.raises(AlistError) as err:
+            parse_alist(text)
+        row = min(i, j)
+        assert err.value.line == 5 + code.n + row
+        assert str(err.value) == (f"line {5 + code.n + row}: row {row + 1} disagrees with "
+                                  "the column lists (asymmetric membership)")
+
     def test_round_trip_preserves_neighborhoods(self, tiny_code, bench_code):
         for code in (tiny_code, bench_code):
             again = parse_alist(serialize_alist(code))
@@ -74,6 +172,14 @@ class TestParse:
                 assert list(a) == list(b)
             for a, b in zip(again.row_neighbors, code.row_neighbors):
                 assert list(a) == list(b)
+
+
+def test_bipolar_sign_maps_zero_and_nan_like_a_comparison():
+    values = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e-300, -1e-300])
+    assert bipolar_sign(values).tolist() == [1, 1, -1, 1, -1, 1, -1]
+    block = np.array([[0, -1], [7, -8]], dtype=np.int8)
+    x = bipolar_sign(block)
+    assert x.dtype == np.int8 and x.tolist() == [[1, -1], [1, -1]]
 
 
 class TestSyndrome:
@@ -132,6 +238,21 @@ class TestConstruction:
     def test_rejects_degree_one_row(self):
         with pytest.raises(ValueError, match="degree 1"):
             ParityCheckCode.from_rows(4, [[0], [0, 1, 2, 3]])
+
+    def test_rejects_a_repeated_index(self):
+        # A repeat passes a set comparison, and syndrome would count x_0 twice.
+        with pytest.raises(ValueError, match="check 0 lists an index twice"):
+            ParityCheckCode.from_rows(3, [[0, 0, 1, 2]])
+        rows = (np.array([0, 1]), np.array([1, 2]))
+        cols = (np.array([0]), np.array([0, 1, 1]), np.array([1]))
+        with pytest.raises(ValueError, match="symbol 1 lists an index twice"):
+            ParityCheckCode(n=3, m=2, col_neighbors=cols, row_neighbors=rows)
+
+    def test_rejects_asymmetric_lists(self):
+        rows = (np.array([0, 1]), np.array([1, 2]))
+        cols = (np.array([0]), np.array([0, 1]), np.array([0]))
+        with pytest.raises(ValueError, match="different edge sets"):
+            ParityCheckCode(n=3, m=2, col_neighbors=cols, row_neighbors=rows)
 
     def test_degree_histograms(self, tiny_code):
         cols, rows = tiny_code.degree_histograms()
