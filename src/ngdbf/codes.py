@@ -113,11 +113,11 @@ class ParityCheckCode:
 
     # -- basic descriptors -------------------------------------------------
 
-    @property
+    @cached_property
     def max_dv(self) -> int:
         return max(len(c) for c in self.col_neighbors)
 
-    @property
+    @cached_property
     def max_dc(self) -> int:
         return max(len(r) for r in self.row_neighbors)
 
@@ -125,7 +125,7 @@ class ParityCheckCode:
     def rate(self) -> Fraction:
         return Fraction(self.n - self.m, self.n)
 
-    @property
+    @cached_property
     def n_edges(self) -> int:
         return sum(len(r) for r in self.row_neighbors)
 
@@ -286,7 +286,7 @@ def parse_alist(text: str) -> ParityCheckCode:
         ) from None
 
     for extra in range(5 + n + m, len(lines) + 1):
-        if extra <= len(lines) and lines[extra - 1].strip():
+        if lines[extra - 1].strip():
             raise AlistError(extra, "unexpected trailing content")
 
     return code

@@ -15,8 +15,6 @@ flip set is exactly {k : E_k < threshold} of the pre-step state.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .codes import ParityCheckCode, bipolar_sign
@@ -128,12 +126,8 @@ def decode_batch(code: ParityCheckCode, y: np.ndarray, t_max: int, w=1.0,
     smooth = np.zeros((n, frames), dtype=np.int32) if smoothing_window else None
     decisions = np.empty((frames, n), dtype=np.int8)
     out = np.zeros((2, frames), dtype=np.int32)
-    # Work arrays, made once: b running frames use the first b/B of each.
     sum_type = np.min_scalar_type(-len(code.col_slots) - 1)    # holds +-max_dv
-    work = [np.empty(frames * size, dtype) for size, dtype in (
-        (n, xy.dtype), (n, sum_type), (code.col_slots.size, np.int8),
-        (code.row_slots.size, np.int8))]
-    t, e = 0, None
+    t = 0
     while cols.size:
         ok = S[:m].min(axis=0) == 1
         done = ok | (t == t_max)
@@ -153,19 +147,12 @@ def decode_batch(code: ParityCheckCode, y: np.ndarray, t_max: int, w=1.0,
                 chains = chains[keep]
             if smoothing_window:
                 smooth = np.compress(keep, smooth, axis=1)
-            e = None
             continue
-        if e is None:
-            b = cols.size
-            shapes = ((b, n), (n, b), (*code.col_slots.shape, b), (*code.row_slots.shape, b))
-            e, sums, adj, members = (buf[:math.prod(shape)].reshape(shape)
-                                     for buf, shape in zip(work, shapes))
         # E = x*y + w*sums + q from the syndromes at step start; the sums are
         # cast to the metric's type before w multiplies them
-        np.take(S, code.col_slots, axis=0, out=adj)
-        np.sum(adj, axis=0, dtype=sum_type, out=sums)
-        np.multiply(sums.T, w, out=e, dtype=e.dtype)
-        np.add(xy, e, out=e)
+        sums = np.take(S, code.col_slots, axis=0).sum(axis=0, dtype=sum_type)
+        e = np.multiply(sums.T, w, dtype=xy.dtype, order="C")     # e.ravel() is a view
+        e += xy
         if chains is not None:
             e += chains[:, t_max - t:t_max - t + n]
         multi, single = mu.any(), not mu.all()
@@ -187,8 +174,7 @@ def decode_batch(code: ParityCheckCode, y: np.ndarray, t_max: int, w=1.0,
             X[ks, js] *= -1
             xy[js, ks] *= -1
         if flipped:
-            np.take(X, code.row_slots, axis=0, out=members)
-            np.prod(members, axis=0, dtype=np.int8, out=S[:m])
+            S[:m] = np.take(X, code.row_slots, axis=0).prod(axis=0, dtype=np.int8)
         elif single:
             checks = code.col_slots[:, ks]
             S[checks, js] *= -1

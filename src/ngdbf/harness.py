@@ -368,8 +368,6 @@ class CampaignResult:
 
 
 def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return str(int(v))
     if isinstance(v, int):
         return str(v)
     return format(v, ".10g")

@@ -20,7 +20,8 @@ frame is perturbed by ``ShiftRegister``, the paper's register fed one
 sample an iteration from an identically seeded generator.  Frames perturbed
 by iid or uniform draws, which ``gdbf.decode`` steps one by one, are checked
 whole-frame the same way through ``decode_chunk``, against ``plain_decode``
-fed by ``IidDraws``.
+fed by ``IidDraws``.  Last, the engine must give each frame the same result
+wherever its row sits in the batch.
 """
 
 from dataclasses import replace
@@ -345,6 +346,41 @@ def test_engine_on_irregular_code_matches_plain_decoding(monkeypatch, name):
     """Padded slots of both tables, decoded by every noise-free and shift-chain setup."""
     code = random_irregular_code(240, 100, 8, seed=11)
     assert_engine_matches_plain(code, ALL_CASES[name], 0.6, SEED, 8, (3,), monkeypatch)
+
+
+ORDER_FRAMES = 32
+ORDER_CASES = {
+    "mgdbf": ENGINE_CASES["mgdbf"],
+    "smngdbf-chain-window16": DecoderSetup("smngdbf", MN.replace(noise_policy="shift_chain",
+                                                                 smoothing_window=16)),
+    "mngdbf-q4-chain": CHAIN_CASES["mngdbf-q4-chain"],
+}
+
+
+@pytest.mark.parametrize("irregular", [False, True])
+@pytest.mark.parametrize("name", ORDER_CASES)
+def test_engine_results_do_not_depend_on_row_order(bench_code, monkeypatch, name, irregular):
+    """A frame's decisions, iterations and engaged flag are the same wherever its row
+    sits in the batch, so rows retiring in another order leave every frame alone."""
+    setup = ORDER_CASES[name]
+    code, sigma = ((random_irregular_code(240, 100, 8, seed=11), 0.6) if irregular
+                   else (bench_code, ebn0_to_sigma(3.0, float(bench_code.rate))))
+    calls, engine = [], harness.decode_batch
+
+    def record(code, y, *args):
+        calls.append((y, args))
+        return engine(code, y, *args)
+
+    monkeypatch.setattr(harness, "decode_batch", record)
+    decode_chunk(code, setup, sigma, 2.5, SEED, 0, 0, ORDER_FRAMES)
+    [(y, (t_max, w, thresholds, mode_switching, window, chains))] = calls
+    x, iterations, engaged = engine(code, y, t_max, w, thresholds, mode_switching, window, chains)
+    assert len(np.unique(iterations)) > 2       # frames retire at several steps
+    p = np.random.default_rng(5).permutation(ORDER_FRAMES)
+    got = engine(code, y[p], t_max, w, thresholds, mode_switching, window,
+                 None if chains is None else chains[p])
+    for a, b in zip(got, (x, iterations, engaged)):
+        assert np.array_equal(a, b[p])
 
 
 @st.composite
