@@ -103,7 +103,9 @@ def decode_batch(code: ParityCheckCode, y: np.ndarray, t_max: int, w=1.0,
     gather per slot table serves the batch; their last rows are the dummy
     symbol (+1) and dummy check (0) that pad the tables.  Metrics, x*y and flip
     counts are (B, n), one row a frame.  Every running frame has taken the same
-    t steps, so a symbol's non-flip count is t minus its flips.  Returns the
+    t steps, so a symbol's non-flip count is t minus its flips.  A frame is recorded
+    at the step it stops; its dead column steps on unread until dead columns are a
+    quarter of the width, when every array drops them at once.  Returns the
     final decisions, an int8 row a frame, and int32 arrays of iterations and
     the smoothing-engaged flag, one entry a frame.
     """
@@ -112,7 +114,7 @@ def decode_batch(code: ParityCheckCode, y: np.ndarray, t_max: int, w=1.0,
     if np.ndim(y) != 2 or np.shape(y)[1] != code.n:
         raise ValueError(f"sample rows have length {np.shape(y)[-1]}, code needs {code.n}")
     n, m, frames = code.n, code.m, len(y)
-    cols = np.arange(frames)                    # the running frames' rows of y
+    cols, live = np.arange(frames), np.ones(frames, dtype=bool)    # rows of y; unrecorded
     X = np.ones((n + 1, frames), dtype=np.int8)
     X[:n] = bipolar_sign(y.T)
     xy = np.multiply(X[:n].T, y, order="C")     # x*y, negated with each flip
@@ -130,7 +132,7 @@ def decode_batch(code: ParityCheckCode, y: np.ndarray, t_max: int, w=1.0,
     t = 0
     while cols.size:
         ok = S[:m].min(axis=0) == 1
-        done = ok | (t == t_max)
+        done = (ok | (t == t_max)) & live
         if done.any():
             engaged = bool(smoothing_window) and t > t_max - smoothing_window
             x = X[:n, done]
@@ -138,16 +140,19 @@ def decode_batch(code: ParityCheckCode, y: np.ndarray, t_max: int, w=1.0,
                 x = np.where(ok[done], x, smoothed_decision(smooth[:, done], x))
             decisions[cols[done]] = x.T
             out[:, cols[done]] = [[t], [engaged]]
-            keep = ~done        # the arrays stay C-contiguous, for ravel() views
-            cols, mu, xy, flips = cols[keep], mu[keep], xy[keep], flips[keep]
-            X, S = np.compress(keep, X, axis=1), np.compress(keep, S, axis=1)
-            if mode_switching:
-                prev = prev[keep]
-            if chains is not None:
-                chains = chains[keep]
-            if smoothing_window:
-                smooth = np.compress(keep, smooth, axis=1)
-            continue
+            live &= ~done
+            if not live.any():
+                break
+            if 4 * np.count_nonzero(~live) >= live.size:   # a quarter dead: drop them
+                keep = live     # the arrays stay C-contiguous, for ravel() views
+                cols, mu, xy, flips, live = cols[keep], mu[keep], xy[keep], flips[keep], live[keep]
+                X, S = np.compress(keep, X, axis=1), np.compress(keep, S, axis=1)
+                if mode_switching:
+                    prev = prev[keep]
+                if chains is not None:
+                    chains = chains[keep]
+                if smoothing_window:
+                    smooth = np.compress(keep, smooth, axis=1)
         # E = x*y + w*sums + q from the syndromes at step start; the sums are
         # cast to the metric's type before w multiplies them
         sums = np.take(S, code.col_slots, axis=0).sum(axis=0, dtype=sum_type)

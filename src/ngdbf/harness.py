@@ -232,9 +232,9 @@ def _decode_batches(code: ParityCheckCode, setup: DecoderSetup, sigma: float, y_
     """Transmit and decode frames ``start`` to ``stop - 1`` of one SNR point (an empty range is
     one empty batch): yield each batch's samples and :func:`decode_batched`'s results, from
     :func:`_decode_one` for a setup that is not batched.  Samples are floats or quantizer levels
-    in the narrowest type that holds |E| <= (2 + max_dv) * (2**q_bits - 1), written CHAIN_BATCH
-    frames at a time.  A batch is at most STOP_CHUNK frames; a perturbed one's chains take at
-    most CHAIN_BYTES (or one chain) and 8 * CHAIN_BATCH bytes a position (32 float64 chains)."""
+    in the narrowest type that holds |E| <= (2 + max_dv) * (2**q_bits - 1), one transmit's block
+    up to CHAIN_BATCH frames.  A batch is at most STOP_CHUNK frames; a perturbed one's chains
+    take at most CHAIN_BYTES (or one chain) and 8 * CHAIN_BATCH bytes a position (32 float64)."""
     q, dtype = setup.quantizer, np.dtype(np.float64)
     if q is not None:
         dtype = np.min_scalar_type(-(2 + len(code.col_slots)) * (q.n_levels - 1) - 1)
@@ -242,11 +242,16 @@ def _decode_batches(code: ParityCheckCode, setup: DecoderSetup, sigma: float, y_
         8 * CHAIN_BATCH, CHAIN_BYTES // (code.n + setup.params.t_max)) // dtype.itemsize)
     decoder = decode_batched if setup.batched else _decode_one
     for first in range(start, max(stop, start + 1), size):
-        y = np.empty((min(size, stop - first), code.n), dtype)
-        for i in range(0, len(y), CHAIN_BATCH):
-            y[i:i + CHAIN_BATCH] = setup.samples(_transmit(
-                code, setup, sigma, y_max, master_seed, snr_index, first + i,
-                first + min(i + CHAIN_BATCH, len(y))))
+        count = min(size, stop - first)
+        if 0 < count <= CHAIN_BATCH:    # one transmit, whose block is the batch's
+            y = setup.samples(_transmit(code, setup, sigma, y_max, master_seed, snr_index,
+                                        first, first + count)).astype(dtype, copy=False)
+        else:
+            y = np.empty((count, code.n), dtype)
+            for i in range(0, count, CHAIN_BATCH):
+                y[i:i + CHAIN_BATCH] = setup.samples(_transmit(
+                    code, setup, sigma, y_max, master_seed, snr_index, first + i,
+                    first + min(i + CHAIN_BATCH, count)))
         yield y, *decoder(code, setup, sigma, y, master_seed, snr_index, first)
 
 

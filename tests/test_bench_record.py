@@ -1,12 +1,16 @@
 """``tools/bench_record.py`` scales the tier-1 wall time by the calibration
 kernel timed throughout the suite, and the traced per-layer times and the
 per-variant rates by the kernel timed right before and right after each run;
-it traces one run per seed and records each figure's median and every run."""
+it traces one run per seed and records each figure's median and every run.
+Against a parent checkout it runs the two in A B B A order, pairs adjacent
+runs, and records each metric's ratios, wins and exact sign test."""
 
 import importlib.util
+import json
 import subprocess
+import sys
 from pathlib import Path
-from types import SimpleNamespace
+from types import ModuleType, SimpleNamespace
 
 import pytest
 
@@ -118,3 +122,112 @@ def test_per_layer_times_are_scaled_by_the_kernel_around_the_traced_run(monkeypa
                                           lambda values: sorted(values))
     assert {"per_layer", "per_layer_runs", "per_layer_scaled"} <= set(record)
 
+
+
+def test_alternating_runs_go_abba_and_pair_adjacent_runs(monkeypatch):
+    bench_record = load_bench_record(monkeypatch)
+    events = []
+
+    def runner(side):
+        def run(workload, seed, seconds, trace):
+            events.append((side, workload, seed, seconds, trace))
+            return {"side": side, "seed": seed, "order": len(events)}
+        return run
+
+    pairs = bench_record.alternate("sweep-early-stop", runner("a"), runner("b"))
+    assert [e[0] for e in events] == list("abba") * len(bench_record.SEEDS)
+    assert {e[1:] for e in events} == {("sweep-early-stop", seed, bench_record.SECONDS, 0)
+                                       for seed in bench_record.SEEDS}
+    # each A run is paired with the B run next to it: 1-2 and 4-3, 5-6 and 8-7, ...
+    assert [(a["order"], b["order"]) for a, b in pairs] == [
+        (4 * i + 1, 4 * i + 2) if j == 0 else (4 * i + 4, 4 * i + 3)
+        for i in range(len(bench_record.SEEDS)) for j in (0, 1)]
+    assert all(a["side"] == "a" and b["side"] == "b" and a["seed"] == b["seed"]
+               for a, b in pairs)
+
+
+def test_sign_test_is_exact_and_two_sided(monkeypatch):
+    bench_record = load_bench_record(monkeypatch)
+    assert bench_record.sign_test(6, 0) == bench_record.sign_test(0, 6) == 2 / 64
+    assert bench_record.sign_test(5, 1) == 2 * (1 + 6) / 64
+    assert bench_record.sign_test(9, 1) == 2 * (1 + 10) / 1024
+    assert bench_record.sign_test(3, 3) == bench_record.sign_test(0, 0) == 1.0
+    scipy_stats = pytest.importorskip("scipy.stats")
+    for wins, losses in ((7, 2), (4, 4), (12, 1), (0, 5)):
+        assert bench_record.sign_test(wins, losses) == pytest.approx(
+            scipy_stats.binomtest(wins, wins + losses).pvalue, rel=1e-12)
+
+
+def test_paired_metrics_hold_ratios_quartiles_wins_and_the_sign_test(monkeypatch):
+    bench_record = load_bench_record(monkeypatch)
+    from baseline import summarize
+
+    a_fps, b_fps = [110, 105, 99, 120, 102, 100], [100, 100, 100, 100, 100, 100]
+    a_rss, b_rss = [40, 40, 41, 40, 40, 40], [44, 44, 44, 44, 44, 44]
+    pairs = [({"frames_per_s": fa, "peak_rss_mb": ra, "extra": 1.0},
+              {"frames_per_s": fb, "peak_rss_mb": rb, "extra": 2.0})
+             for fa, fb, ra, rb in zip(a_fps, b_fps, a_rss, b_rss)]
+    got = bench_record.compare(pairs, {"frames_per_s": "higher", "peak_rss_mb": "lower"},
+                               summarize)
+    assert set(got) == {"frames_per_s", "peak_rss_mb"}     # only the declared metrics
+    fps, rss = got["frames_per_s"], got["peak_rss_mb"]
+    assert fps["ratios"] == pytest.approx([1.10, 1.05, 0.99, 1.20, 1.02, 1.00])
+    # statistics.quantiles(n=4) of the sorted ratios 0.99 1.00 1.02 1.05 1.10 1.20
+    assert fps["median"] == pytest.approx(1.035)
+    assert fps["q1"] == pytest.approx(0.9975) and fps["q3"] == pytest.approx(1.125)
+    assert (fps["wins"], fps["losses"], fps["ties"]) == (4, 1, 1)
+    assert fps["sign_test_p"] == pytest.approx(2 * (1 + 5) / 32)
+    # lower is better: every smaller RSS is a win
+    assert (rss["wins"], rss["losses"], rss["ties"]) == (6, 0, 0)
+    assert rss["median"] == pytest.approx(40 / 44) and rss["sign_test_p"] == 2 / 64
+
+
+def test_a_record_against_a_parent_keeps_the_single_commit_fields(monkeypatch, tmp_path):
+    bench_record = load_bench_record(monkeypatch)
+    import calibrate
+    from baseline import summarize
+    from workloads import WORKLOADS
+
+    order = []
+
+    def runner(side, fps):
+        def run(workload, seed, seconds, trace):
+            order.append((side, workload, seed, trace))
+            metrics = {"frames_per_s": fps, "cpu_ms_per_frame": 1000 / fps,
+                       "setup_s": 0.5, "peak_rss_mb": 40.0}
+            return {"seed": seed, "environment": {"side": side}, "metrics": metrics,
+                    "unscaled": dict(metrics)}
+        return run
+
+    fake = ModuleType("baseline")
+    fake.run, fake.summarize = runner("a", 110.0), summarize
+    monkeypatch.setitem(sys.modules, "baseline", fake)
+    monkeypatch.setattr(bench_record, "load_baseline",
+                        lambda checkout, name: SimpleNamespace(run=runner("b", 100.0)))
+    monkeypatch.setattr(bench_record, "git", lambda checkout, *args: (
+        "" if args[0] == "status" else f"{checkout.name}0123456789"))
+    monkeypatch.setattr(calibrate, "calibrate", lambda runs: [0.01] * runs)
+    monkeypatch.setattr(sys, "argv", ["bench_record.py", "--checkout", str(ROOT), "--against",
+                                      str(tmp_path / "parent"), "--out", str(tmp_path)])
+    assert bench_record.main() == 0
+
+    [path] = tmp_path.glob("BENCH_*.json")
+    record = json.loads(path.read_text())
+    assert record["git_sha"] == f"{ROOT.name}0123456789"
+    assert record["against"]["git_sha"] == "parent0123456789"
+    for name in WORKLOADS:
+        untraced = [o[0] for o in order if o[1] == name and o[3] == 0]
+        assert untraced == list("abba") * len(bench_record.SEEDS)
+        paired = record["against"]["workloads"][name]
+        assert paired["frames_per_s"]["median"] == pytest.approx(1.1)
+        assert paired["frames_per_s"]["wins"] == 2 * len(bench_record.SEEDS)
+        assert paired["cpu_ms_per_frame"]["wins"] == 2 * len(bench_record.SEEDS)
+        assert paired["peak_rss_mb"]["ties"] == 2 * len(bench_record.SEEDS)
+        assert len(paired["runs"]) == 2 * len(bench_record.SEEDS)
+        # the single-commit fields come from the checkout's runs only
+        single = record["workloads"][name]
+        assert single["end_to_end"]["frames_per_s"]["median"] == 110.0
+        assert single["environment"] == {"side": "a"}
+        assert [r["seed"] for r in single["runs"]] == [s for s in bench_record.SEEDS
+                                                      for _ in (0, 1)]
+        assert {"per_layer", "per_layer_runs", "per_layer_scaled"} <= set(single)

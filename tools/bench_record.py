@@ -1,6 +1,6 @@
 """Write a before/after benchmark record, ``BENCH_<short sha>.json``.
 
-    python3 tools/bench_record.py [--checkout DIR] [--out DIR] [--tier1]
+    python3 tools/bench_record.py [--checkout DIR] [--against DIR] [--out DIR] [--tier1]
 
 Runs every perfbench workload of the checkout (this repository by
 default) untraced once per seed 1, 2 and 3 and traced once per seed too,
@@ -25,12 +25,27 @@ machine can be compared side by side.  A checkout with uncommitted changes
 under ``src``, ``perfbench`` or ``tests`` is refused, since its record
 would be filed under a commit whose code it did not measure.  Any run that
 is not correct stops the tool without writing a record.
+
+``--against DIR`` names a second clean checkout, normally the parent
+commit's, and compares the two by alternating runs: for each workload and
+seed it runs the checkout (A) and DIR (B) untraced in the order A B B A,
+each through its own ``perfbench/run.py``, and pairs each A run with the B
+run next to it.  For each end-to-end metric of the checkout's
+``BENCHMARK.json`` the record's ``against`` entry holds every pair's ratio
+(checkout over DIR), the median ratio with its quartiles, the number of
+pairs in which the checkout was better, worse and equal, and the exact
+two-sided sign-test p-value of those wins and losses.  The single-commit
+fields are kept, from the checkout's A runs (two a seed).  With
+``--tier1`` both checkouts also run tier-1 as one A B B A group, and the
+record pairs their wall times the same way.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
+import math
 import os
 import re
 import statistics
@@ -142,18 +157,62 @@ def tier1(checkout: Path) -> dict:
             "cpus_usable": len(os.sched_getaffinity(0))}
 
 
+def alternate(workload: str, run_a, run_b) -> list:
+    """Untraced runs of ``workload`` by ``run_a`` and ``run_b`` in the order A B B A
+    for each seed in ``SEEDS``: the (A, B) pairs of adjacent runs, two a seed."""
+    pairs = []
+    for seed in SEEDS:
+        a1, b1, b2, a2 = (run(workload, seed, SECONDS, 0) for run in (run_a, run_b, run_b, run_a))
+        pairs += [(a1, b1), (a2, b2)]
+    return pairs
+
+
+def sign_test(wins: int, losses: int) -> float:
+    """Exact two-sided sign-test p-value of ``wins`` against ``losses`` (ties dropped)."""
+    n = wins + losses
+    tail = sum(math.comb(n, i) for i in range(min(wins, losses) + 1))
+    return min(1.0, 2 * tail / 2 ** n)
+
+
+def compare(pairs: list, better: dict, summarize) -> dict:
+    """For each metric in ``better`` (its ``"higher"`` or ``"lower"``), the ratios
+    A / B of ``pairs`` of run values, their median and quartiles (``summarize``),
+    the counts of pairs where A was better, worse and equal, and the sign test."""
+    out = {}
+    for metric, direction in better.items():
+        ratios = [a[metric] / b[metric] for a, b in pairs]
+        sign = 1 if direction == "higher" else -1
+        wins = sum(sign * (a[metric] - b[metric]) > 0 for a, b in pairs)
+        losses = sum(sign * (a[metric] - b[metric]) < 0 for a, b in pairs)
+        out[metric] = {"ratios": ratios, **summarize(ratios), "wins": wins, "losses": losses,
+                       "ties": len(pairs) - wins - losses, "sign_test_p": sign_test(wins, losses)}
+    return out
+
+
+def load_baseline(checkout: Path, name: str):
+    """``checkout``'s ``perfbench/baseline.py`` as module ``name``, whose ``run`` runs
+    that checkout's ``run.py``."""
+    spec = importlib.util.spec_from_file_location(name, checkout / "perfbench" / "baseline.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--checkout", type=Path, default=ROOT,
                         help="git checkout to measure (default: this repository)")
     parser.add_argument("--out", type=Path, default=ROOT, help="directory to write the record to")
     parser.add_argument("--tier1", action="store_true", help="also time the tier-1 suite")
+    parser.add_argument("--against", type=Path,
+                        help="checkout to compare with by alternating runs (the parent commit)")
     args = parser.parse_args()
-    checkout = args.checkout.resolve()
-    sha = git(checkout, "rev-parse", "HEAD")
-    dirty = git(checkout, "status", "--porcelain", "--", *MEASURED)
-    if dirty:
-        parser.error(f"{checkout} has uncommitted changes; commit them first:\n{dirty}")
+    checkouts = [args.checkout.resolve()] + ([args.against.resolve()] if args.against else [])
+    for checkout in checkouts:
+        dirty = git(checkout, "status", "--porcelain", "--", *MEASURED)
+        if dirty:
+            parser.error(f"{checkout} has uncommitted changes; commit them first:\n{dirty}")
+    checkout, sha = checkouts[0], git(checkouts[0], "rev-parse", "HEAD")
 
     # The checkout's own runner and summary, so both sides of a comparison
     # are measured with the benchmark code of their commit.
@@ -162,15 +221,38 @@ def main() -> int:
     from workloads import WORKLOADS
 
     record = {"git_sha": sha, "seeds": list(SEEDS), "seconds": SECONDS, "workloads": {}}
+    if args.against:
+        run_b = load_baseline(checkouts[1], "against_baseline").run
+        better = {m["name"]: m["better"] for m in
+                  json.loads((checkout / "BENCHMARK.json").read_text())["end_to_end"]}
+        record["against"] = {"git_sha": git(checkouts[1], "rev-parse", "HEAD"), "order": "ABBA",
+                             "workloads": {}}
     for name in sorted(WORKLOADS):
-        runs = [run(name, seed, SECONDS, 0) for seed in SEEDS]
+        if args.against:
+            pairs = alternate(name, run, run_b)
+            runs = [a for a, _ in pairs]
+            paired = compare([(a["metrics"], b["metrics"]) for a, b in pairs], better, summarize)
+            record["against"]["workloads"][name] = {
+                **paired, "runs": [{"seed": a["seed"], "a": a["metrics"], "b": b["metrics"]}
+                                   for a, b in pairs]}
+            for metric, c in paired.items():
+                print(f"{name}: {metric} ratio median {c['median']:.4f} "
+                      f"(q1 {c['q1']:.4f}, q3 {c['q3']:.4f}), better in {c['wins']} of "
+                      f"{len(pairs)}, sign test p {c['sign_test_p']:.3g}", flush=True)
+        else:
+            runs = [run(name, seed, SECONDS, 0) for seed in SEEDS]
         record["workloads"][name] = workload_record(runs, per_layer(name, run), summarize)
         fps = record["workloads"][name]["end_to_end"]["frames_per_s"]
         print(f"{name}: frames_per_s median {fps['median']:.6g} "
               f"(q1 {fps['q1']:.6g}, q3 {fps['q3']:.6g})", flush=True)
     if args.tier1:
-        record["tier1"] = tier1(checkout)
-        print(f"tier-1: {record['tier1']['summary']}", flush=True)
+        record["tier1"] = a1 = tier1(checkout)
+        print(f"tier-1: {a1['summary']}", flush=True)
+        if args.against:    # the rest of one A B B A group
+            b1, b2, a2 = tier1(checkouts[1]), tier1(checkouts[1]), tier1(checkout)
+            record["against"]["tier1"] = {"a": [a1, a2], "b": [b1, b2],
+                                          "wall_ratios": [a1["wall_s"] / b1["wall_s"],
+                                                          a2["wall_s"] / b2["wall_s"]]}
     path = args.out / f"BENCH_{sha[:7]}.json"
     path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"wrote {path}")
