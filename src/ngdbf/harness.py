@@ -232,9 +232,9 @@ def _decode_batches(code: ParityCheckCode, setup: DecoderSetup, sigma: float, y_
     """Transmit and decode frames ``start`` to ``stop - 1`` of one SNR point (an empty range is
     one empty batch): yield each batch's samples and :func:`decode_batched`'s results, from
     :func:`_decode_one` for a setup that is not batched.  Samples are floats or quantizer levels
-    in the narrowest type that holds |E| <= (2 + max_dv) * (2**q_bits - 1), one transmit's block
-    up to CHAIN_BATCH frames.  A batch is at most STOP_CHUNK frames; a perturbed one's chains
-    take at most CHAIN_BYTES (or one chain) and 8 * CHAIN_BATCH bytes a position (32 float64)."""
+    in the narrowest type that holds |E| <= (2 + max_dv) * (2**q_bits - 1), written CHAIN_BATCH
+    frames at a time.  A batch is at most STOP_CHUNK frames; a perturbed one's chains take at
+    most CHAIN_BYTES (or one chain) and 8 * CHAIN_BATCH bytes a position (32 float64 chains)."""
     q, dtype = setup.quantizer, np.dtype(np.float64)
     if q is not None:
         dtype = np.min_scalar_type(-(2 + len(code.col_slots)) * (q.n_levels - 1) - 1)
