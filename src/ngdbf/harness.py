@@ -242,16 +242,11 @@ def _decode_batches(code: ParityCheckCode, setup: DecoderSetup, sigma: float, y_
         8 * CHAIN_BATCH, CHAIN_BYTES // (code.n + setup.params.t_max)) // dtype.itemsize)
     decoder = decode_batched if setup.batched else _decode_one
     for first in range(start, max(stop, start + 1), size):
-        count = min(size, stop - first)
-        if 0 < count <= CHAIN_BATCH:    # one transmit, whose block is the batch's
-            y = setup.samples(_transmit(code, setup, sigma, y_max, master_seed, snr_index,
-                                        first, first + count)).astype(dtype, copy=False)
-        else:
-            y = np.empty((count, code.n), dtype)
-            for i in range(0, count, CHAIN_BATCH):
-                y[i:i + CHAIN_BATCH] = setup.samples(_transmit(
-                    code, setup, sigma, y_max, master_seed, snr_index, first + i,
-                    first + min(i + CHAIN_BATCH, count)))
+        y = np.empty((min(size, stop - first), code.n), dtype)
+        for i in range(0, len(y), CHAIN_BATCH):
+            y[i:i + CHAIN_BATCH] = setup.samples(_transmit(
+                code, setup, sigma, y_max, master_seed, snr_index, first + i,
+                first + min(i + CHAIN_BATCH, len(y))))
         yield y, *decoder(code, setup, sigma, y, master_seed, snr_index, first)
 
 

@@ -350,59 +350,20 @@ def test_engine_on_irregular_code_matches_plain_decoding(monkeypatch, name):
 
 
 ORDER_FRAMES = 32
+# Every batched kind: noise-free single-flip, mgdbf with its mode switch,
+# adaptive thresholds and a smoothing window, and float and Q4 shift chains; each
+# with its Eb/N0 on the bundled code and its sigma on the irregular one, at which a
+# batch retires frames at several steps, some at t_max, on both sides of a quarter.
 ORDER_CASES = {
-    "mgdbf": ENGINE_CASES["mgdbf"],
-    "smngdbf-chain-window16": DecoderSetup("smngdbf", MN.replace(noise_policy="shift_chain",
-                                                                 smoothing_window=16)),
-    "mngdbf-q4-chain": CHAIN_CASES["mngdbf-q4-chain"],
-}
-
-
-def engine_batch(code, setup, sigma, frames, monkeypatch) -> tuple:
-    """The samples and the other arguments of the one gdbf.decode_batch call that
-    decode_chunk makes for frames 0..frames-1."""
-    calls, engine = [], harness.decode_batch
-
-    def record(code, y, *args):
-        calls.append((y, args))
-        return engine(code, y, *args)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(harness, "decode_batch", record)
-        decode_chunk(code, setup, sigma, 2.5, SEED, 0, 0, frames)
-    [call] = calls
-    return call
-
-
-@pytest.mark.parametrize("irregular", [False, True])
-@pytest.mark.parametrize("name", ORDER_CASES)
-def test_engine_results_do_not_depend_on_row_order(bench_code, monkeypatch, name, irregular):
-    """A frame's decisions, iterations and engaged flag are the same wherever its row
-    sits in the batch, so rows retiring in another order leave every frame alone."""
-    setup, engine = ORDER_CASES[name], harness.decode_batch
-    code, sigma = ((random_irregular_code(240, 100, 8, seed=11), 0.6) if irregular
-                   else (bench_code, ebn0_to_sigma(3.0, float(bench_code.rate))))
-    y, (t_max, w, thresholds, mode_switching, window, chains) = engine_batch(
-        code, setup, sigma, ORDER_FRAMES, monkeypatch)
-    x, iterations, engaged = engine(code, y, t_max, w, thresholds, mode_switching, window, chains)
-    assert len(np.unique(iterations)) > 2       # frames retire at several steps
-    p = np.random.default_rng(5).permutation(ORDER_FRAMES)
-    got = engine(code, y[p], t_max, w, thresholds, mode_switching, window,
-                 None if chains is None else chains[p])
-    for a, b in zip(got, (x, iterations, engaged)):
-        assert np.array_equal(a, b[p])
-
-
-# Every batched kind, each with its Eb/N0 on the bundled code and its sigma on
-# the irregular one, at which a 32-frame batch retires frames at several steps,
-# some at t_max.
-RETIRE_CASES = {
-    "sgdbf": (ENGINE_CASES["sgdbf"], 4.0, 0.5),
-    "mgdbf": (ENGINE_CASES["mgdbf"], 4.0, 0.5),
+    "sgdbf": (ENGINE_CASES["sgdbf"], 3.0, 0.6),
+    "mgdbf": (ENGINE_CASES["mgdbf"], 3.5, 0.6),
     "atgdbf": (ENGINE_CASES["atgdbf"], 4.0, 0.5),
     "smngdbf-eta0-window16": (DecoderSetup("smngdbf", NOISELESS.replace(smoothing_window=16)),
                               5.0, 0.5),
     "mngdbf-chain": (CHAIN_CASES["mngdbf-chain"], 3.0, 0.6),
+    "smngdbf-chain-window16": (DecoderSetup("smngdbf", MN.replace(noise_policy="shift_chain",
+                                                                  smoothing_window=16)),
+                               3.0, 0.6),
     "mngdbf-q4-chain": (CHAIN_CASES["mngdbf-q4-chain"], 3.0, 0.6),
 }
 
@@ -422,21 +383,37 @@ def retire_events(iterations) -> tuple:
 
 
 @pytest.mark.parametrize("irregular", [False, True])
-@pytest.mark.parametrize("name", RETIRE_CASES)
-def test_retiring_frames_leaves_each_result_alone(bench_code, monkeypatch, name, irregular):
-    """A frame decoded in a batch, whose finished columns step on unread until a
-    quarter of them are dead, gets the result it gets decoded alone (B = 1)."""
-    (setup, ebn0, sigma), engine = RETIRE_CASES[name], harness.decode_batch
-    code = random_irregular_code(240, 100, 8, seed=11) if irregular else bench_code
-    sigma = sigma if irregular else ebn0_to_sigma(ebn0, float(code.rate))
-    y, (t_max, *args, chains) = engine_batch(code, setup, sigma, 32, monkeypatch)
-    x, iterations, engaged = engine(code, y, t_max, *args, chains)
-    assert len(np.unique(iterations)) >= 3 and np.any(iterations == t_max)
+@pytest.mark.parametrize("name", ORDER_CASES)
+def test_engine_results_do_not_depend_on_row_order(bench_code, monkeypatch, name, irregular):
+    """A frame's decisions, iterations and engaged flag are the same wherever its row
+    sits in the batch, so rows retiring in another order leave every frame alone, and
+    the same as decoded alone (B = 1), so finished columns that step on unread until a
+    quarter of the batch is dead leave every frame alone too."""
+    setup, ebn0, sigma = ORDER_CASES[name]
+    code, sigma = ((random_irregular_code(240, 100, 8, seed=11), sigma) if irregular
+                   else (bench_code, ebn0_to_sigma(ebn0, float(bench_code.rate))))
+    calls, engine = [], harness.decode_batch
+
+    def record(code, y, *args):
+        calls.append((y, args))
+        return engine(code, y, *args)
+
+    monkeypatch.setattr(harness, "decode_batch", record)
+    decode_chunk(code, setup, sigma, 2.5, SEED, 0, 0, ORDER_FRAMES)
+    [(y, (t_max, w, thresholds, mode_switching, window, chains))] = calls
+    x, iterations, engaged = engine(code, y, t_max, w, thresholds, mode_switching, window, chains)
+    assert len(np.unique(iterations)) > 2       # frames retire at several steps
+    assert np.any(iterations == t_max)
     kept, dropped = retire_events(iterations)
     assert kept > 0 and dropped > 0     # retire steps on both sides of the quarter
     assert engaged.any() == bool(setup.smoothing_window)
-    for i in range(len(y)):
-        alone = engine(code, y[i:i + 1], t_max, *args,
+    p = np.random.default_rng(5).permutation(ORDER_FRAMES)
+    got = engine(code, y[p], t_max, w, thresholds, mode_switching, window,
+                 None if chains is None else chains[p])
+    for a, b in zip(got, (x, iterations, engaged)):
+        assert np.array_equal(a, b[p])
+    for i in range(ORDER_FRAMES):
+        alone = engine(code, y[i:i + 1], t_max, w, thresholds, mode_switching, window,
                        None if chains is None else chains[i:i + 1])
         for a, b in zip(alone, (x, iterations, engaged)):
             assert np.array_equal(a, b[i:i + 1]), (i, iterations[i])
