@@ -522,6 +522,14 @@ def _number(value, key: str, positive: bool = False) -> float:
     raise ConfigError(f"{key!r} must be {kind} number, not {value!r}")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's members; ``json`` alone keeps a repeated key's last value."""
+    keys = [key for key, _ in pairs]
+    if len(set(keys)) < len(keys):
+        raise ConfigError(f"repeated key(s) {sorted({k for k in keys if keys.count(k) > 1})}")
+    return dict(pairs)
+
+
 def _object(value, key: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{key!r} must be a JSON object, not {value!r}")
@@ -554,8 +562,8 @@ def load_config(path, master_seed: int | None = None) -> CampaignConfig:
     """
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
-    except ValueError as exc:       # bad JSON, or bytes that are not UTF-8
+        doc = json.loads(path.read_text(), object_pairs_hook=_unique_keys)
+    except ValueError as exc:       # bad JSON, a repeated key, or bytes that are not UTF-8
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
@@ -598,10 +606,12 @@ def load_config(path, master_seed: int | None = None) -> CampaignConfig:
         key = f"schedules.{name}"
         schedules[name] = {}
         for snr, value in _object(table, key).items():
-            try:
-                ebn0 = float(snr)
+            try:    # float() also reads 'nan' and 'inf', which _number refuses
+                ebn0 = _number(float(snr), key)
             except ValueError:
                 raise ConfigError(f"{key!r}: key {snr!r} is not an Eb/N0 in dB") from None
+            if ebn0 in schedules[name]:
+                raise ConfigError(f"'{key}.{snr}': Eb/N0 {ebn0} dB is scheduled twice")
             schedules[name][ebn0] = _number(value, f"{key}.{snr}")
     if not isinstance(doc["ebn0_db"], list):
         raise ConfigError(f"'ebn0_db' must be a list of numbers, not {doc['ebn0_db']!r}")

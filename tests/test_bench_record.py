@@ -1,9 +1,8 @@
-"""``tools/bench_record.py`` scales the tier-1 wall time by the calibration
-kernel timed throughout the suite, and the traced per-layer times and the
-per-variant rates by the kernel timed right before and right after each run;
-it traces one run per seed and records each figure's median and every run.
-Against a parent checkout it runs the two in A B B A order, pairs adjacent
-runs, and records each metric's ratios, wins and exact sign test."""
+"""``tools/bench_record.py`` runs this repository against a parent checkout
+in A B B A order, pairs adjacent runs, and records each metric's ratios,
+wins and exact sign test.  It traces one run of this repository per seed and
+records each per-layer figure's median and every run, times each tier-1 run
+whole, and times no calibration kernel."""
 
 import importlib.util
 import json
@@ -26,18 +25,19 @@ def load_bench_record(monkeypatch):
     return bench_record
 
 
-def test_tier1_wall_time_is_scaled_by_the_kernel(monkeypatch):
+def no_kernel(runs):
+    raise AssertionError("the calibration kernel is not timed")
+
+
+def test_tier1_records_wall_time_counts_and_failed_tests(monkeypatch):
     bench_record = load_bench_record(monkeypatch)
     import calibrate
 
-    kernels = iter(([0.5], [0.02], [0.03], [0.025]))     # the first is a warm-up
     clock = iter((100.0, 150.0))
     out = "FAILED tests/test_x.py::test_y\n1 failed, 2 passed in 50.0s\n"
     waits = []
 
     class Suite:
-        """The suite runs through two kernel intervals, then exits."""
-
         def __init__(self, argv, **kw):
             assert kw["stdout"] == subprocess.PIPE and kw["cwd"] == ROOT
 
@@ -47,81 +47,53 @@ def test_tier1_wall_time_is_scaled_by_the_kernel(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def communicate(self, timeout):
+        def communicate(self, timeout=None):
             waits.append(timeout)
-            if len(waits) < 3:
-                raise subprocess.TimeoutExpired("pytest", timeout)
             return out, ""
 
-    monkeypatch.setattr(calibrate, "calibrate", lambda runs: next(kernels))
+    monkeypatch.setattr(calibrate, "calibrate", no_kernel)
     monkeypatch.setattr(bench_record, "time", SimpleNamespace(monotonic=lambda: next(clock)))
-    monkeypatch.setattr(bench_record, "subprocess", SimpleNamespace(
-        Popen=Suite, PIPE=subprocess.PIPE, TimeoutExpired=subprocess.TimeoutExpired))
-
+    monkeypatch.setattr(bench_record, "subprocess", SimpleNamespace(Popen=Suite,
+                                                                    PIPE=subprocess.PIPE))
     record = bench_record.tier1(ROOT)
-    # one kernel sample as the suite starts and one after each interval it outlasts
-    assert waits == [bench_record.KERNEL_EVERY_S] * 3
+    assert waits == [None]      # one wait for the whole suite, with no kernel timed beside it
     assert record["wall_s"] == 50.0
-    assert record["kernel_s"] == [0.02, 0.03, 0.025]
-    assert record["scaled_wall_s"] == 20.0     # 50 s * 0.010 s / mean(0.025 s)
     assert record["passed"] == 2 and record["failed"] == 1
     assert record["failed_tests"] == ["tests/test_x.py::test_y"]
+    assert record["summary"] == "1 failed, 2 passed in 50.0s"
 
 
-def test_per_layer_times_are_scaled_by_the_kernel_around_the_traced_run(monkeypatch):
+def test_per_layer_holds_each_figures_median_and_every_run(monkeypatch):
     bench_record = load_bench_record(monkeypatch)
     import calibrate
 
     events = []
-    # mean kernel time around each seed's run: 0.025, 0.0125 and 0.05 s, so
-    # each run's scale is 0.4, 0.8 and 0.2
-    kernels = iter(([0.02], [0.03], [0.01], [0.015], [0.05], [0.05]))
     speed = {1: 1.0, 2: 2.0, 3: 0.5}     # seed 2 ran twice as fast, seed 3 half
-
-    def fake_calibrate(runs):
-        events.append("kernel")
-        return next(kernels) * runs
 
     def fake_run(workload, seed, seconds, trace):
         events.append((workload, seed, seconds, trace))
         f = speed[seed]
         return {"metrics": {"codes.syndrome.us_per_call": 5.0 / f,
                             "codes.syndrome.calls": 6 + seed,
-                            "gdbf.step.self_us_per_iter": 2.5 / f, "codes.load_alist_s": 0.02 / f,
                             "harness.run_campaign.sgdbf.frames_per_s": 400.0 * f,
-                            "harness.run_campaign.mngdbf-q4.frames_per_s": 100.0 * f,
-                            "sweep.frames_per_s": 50.0, "trace.overhead_frac": 0.3}}
+                            "trace.overhead_frac": 0.3}}
 
-    monkeypatch.setattr(calibrate, "calibrate", fake_calibrate)
+    monkeypatch.setattr(calibrate, "calibrate", no_kernel)
     layers = bench_record.per_layer("waterfall-float", fake_run)
-    run = ("waterfall-float", bench_record.SECONDS, 1)
-    assert events == [e for seed in bench_record.SEEDS
-                      for e in ("kernel", (run[0], seed, *run[1:]), "kernel")]
+    assert events == [("waterfall-float", seed, bench_record.SECONDS, 1)
+                      for seed in bench_record.SEEDS]
     runs = layers["per_layer_runs"]
     assert [r["seed"] for r in runs] == [1, 2, 3]
     assert [r["per_layer"] for r in runs] == [fake_run("", s, 0, 0)["metrics"] for s in (1, 2, 3)]
-    assert runs[1]["kernel_s"] == {"before": [0.01] * 20, "after": [0.015] * 20}
-    # times go by 0.010 s / mean kernel time and per-variant rates by the
-    # inverse; counts, ratios and other rates are left out.  The kernel read
-    # each run's speed, so every run scales to the same figures.
-    for r in runs:
-        assert r["per_layer_scaled"] == pytest.approx({
-            "codes.syndrome.us_per_call": 2.0, "gdbf.step.self_us_per_iter": 1.0,
-            "codes.load_alist_s": 0.008, "harness.run_campaign.sgdbf.frames_per_s": 1000.0,
-            "harness.run_campaign.mngdbf-q4.frames_per_s": 250.0})
-    assert layers["per_layer_scaled"] == pytest.approx(runs[0]["per_layer_scaled"])
-    # raw figures are each one's median over the runs
+    assert all(set(r) == {"seed", "per_layer"} for r in runs)   # no kernel times
+    # each figure is its median over the runs, taken unscaled
     assert layers["per_layer"] == pytest.approx({
         "codes.syndrome.us_per_call": 5.0, "codes.syndrome.calls": 8,
-        "gdbf.step.self_us_per_iter": 2.5, "codes.load_alist_s": 0.02,
-        "harness.run_campaign.sgdbf.frames_per_s": 400.0,
-        "harness.run_campaign.mngdbf-q4.frames_per_s": 100.0,
-        "sweep.frames_per_s": 50.0, "trace.overhead_frac": 0.3})
+        "harness.run_campaign.sgdbf.frames_per_s": 400.0, "trace.overhead_frac": 0.3})
     record = bench_record.workload_record([{"environment": {}, "seed": 1, "metrics": {"m": 1.0},
                                             "unscaled": {}}] * 3, layers,
                                           lambda values: sorted(values))
-    assert {"per_layer", "per_layer_runs", "per_layer_scaled"} <= set(record)
-
+    assert {"per_layer", "per_layer_runs"} <= set(record)
 
 
 def test_alternating_runs_go_abba_and_pair_adjacent_runs(monkeypatch):
@@ -182,11 +154,11 @@ def test_paired_metrics_hold_ratios_quartiles_wins_and_the_sign_test(monkeypatch
     assert rss["median"] == pytest.approx(40 / 44) and rss["sign_test_p"] == 2 / 64
 
 
-def test_a_record_against_a_parent_keeps_the_single_commit_fields(monkeypatch, tmp_path):
-    bench_record = load_bench_record(monkeypatch)
-    import calibrate
+def fake_sides(monkeypatch, bench_record, root):
+    """A fake checkout ``root`` of this repository, its commit ``<root>0123456789``,
+    whose runs read 110 frames/s against the other side's 100; returns the list
+    that every run is logged in as (side, workload, seed, trace)."""
     from baseline import summarize
-    from workloads import WORKLOADS
 
     order = []
 
@@ -199,35 +171,62 @@ def test_a_record_against_a_parent_keeps_the_single_commit_fields(monkeypatch, t
                     "unscaled": dict(metrics)}
         return run
 
+    root.mkdir()
+    (root / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
     fake = ModuleType("baseline")
     fake.run, fake.summarize = runner("a", 110.0), summarize
     monkeypatch.setitem(sys.modules, "baseline", fake)
+    monkeypatch.setattr(bench_record, "ROOT", root)
     monkeypatch.setattr(bench_record, "load_baseline",
                         lambda checkout, name: SimpleNamespace(run=runner("b", 100.0)))
     monkeypatch.setattr(bench_record, "git", lambda checkout, *args: (
         "" if args[0] == "status" else f"{checkout.name}0123456789"))
-    monkeypatch.setattr(calibrate, "calibrate", lambda runs: [0.01] * runs)
-    monkeypatch.setattr(sys, "argv", ["bench_record.py", "--checkout", str(ROOT), "--against",
-                                      str(tmp_path / "parent"), "--out", str(tmp_path)])
+    return order
+
+
+def test_a_record_against_a_parent_keeps_the_single_commit_fields(monkeypatch, tmp_path):
+    bench_record = load_bench_record(monkeypatch)
+    import calibrate
+    from workloads import WORKLOADS
+
+    order = fake_sides(monkeypatch, bench_record, tmp_path / "change")
+    monkeypatch.setattr(calibrate, "calibrate", no_kernel)
+    monkeypatch.setattr(sys, "argv", ["bench_record.py", "--against", str(tmp_path / "parent")])
     assert bench_record.main() == 0
 
-    [path] = tmp_path.glob("BENCH_*.json")
+    [path] = (tmp_path / "change").glob("BENCH_*.json")
+    assert path.name == "BENCH_change0.json"
     record = json.loads(path.read_text())
-    assert record["git_sha"] == f"{ROOT.name}0123456789"
+    assert record["git_sha"] == "change0123456789"
     assert record["against"]["git_sha"] == "parent0123456789"
     for name in WORKLOADS:
         untraced = [o[0] for o in order if o[1] == name and o[3] == 0]
         assert untraced == list("abba") * len(bench_record.SEEDS)
+        # one traced run per seed, of this repository only
+        assert [o[:3] for o in order if o[1] == name and o[3] == 1] == [
+            ("a", name, seed) for seed in bench_record.SEEDS]
         paired = record["against"]["workloads"][name]
         assert paired["frames_per_s"]["median"] == pytest.approx(1.1)
         assert paired["frames_per_s"]["wins"] == 2 * len(bench_record.SEEDS)
         assert paired["cpu_ms_per_frame"]["wins"] == 2 * len(bench_record.SEEDS)
         assert paired["peak_rss_mb"]["ties"] == 2 * len(bench_record.SEEDS)
         assert len(paired["runs"]) == 2 * len(bench_record.SEEDS)
-        # the single-commit fields come from the checkout's runs only
+        # the single-commit fields come from this repository's runs only
         single = record["workloads"][name]
         assert single["end_to_end"]["frames_per_s"]["median"] == 110.0
         assert single["environment"] == {"side": "a"}
         assert [r["seed"] for r in single["runs"]] == [s for s in bench_record.SEEDS
                                                       for _ in (0, 1)]
-        assert {"per_layer", "per_layer_runs", "per_layer_scaled"} <= set(single)
+        assert set(single) == {"environment", "end_to_end", "unscaled", "runs",
+                               "per_layer", "per_layer_runs"}
+
+
+def test_leaving_out_against_is_a_usage_error_before_any_run(monkeypatch, tmp_path, capsys):
+    bench_record = load_bench_record(monkeypatch)
+    order = fake_sides(monkeypatch, bench_record, tmp_path / "change")
+    monkeypatch.setattr(sys, "argv", ["bench_record.py", "--tier1"])
+    with pytest.raises(SystemExit) as exit_:
+        bench_record.main()
+    assert exit_.value.code == 2
+    assert "--against" in capsys.readouterr().err
+    assert order == [] and list((tmp_path / "change").glob("BENCH_*.json")) == []

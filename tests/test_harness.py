@@ -528,12 +528,26 @@ class TestConfigLoading:
         ("ebn0_db", [4000], "ebn0_db[0]"),
         ("ebn0_db", [3.0, -4000], "ebn0_db[1]"),
         ("quantizer", {"q_bits": 4, "y_max": 1.75, "extra": 1}, "quantizer.extra"),
+        # two keys for one Eb/N0, and keys no point can match
+        ("schedules", {"eta": {"3": 0.9, "3.0": 0.8, "3.5": 0.9}}, "schedules.eta.3.0"),
+        ("schedules", {"eta": {"3.0": 0.9, "3.5": 0.9, "nan": 0.8}}, "nan"),
+        ("schedules", {"eta": {"3.0": 0.9, "3.5": 0.9, "-inf": 0.8}}, "-inf"),
     ])
     def test_malformed_value_names_its_key(self, tmp_path, key, value, named):
         doc = self.base_doc()
         doc[key] = value
         with pytest.raises(ConfigError, match=re.escape(f"'{named}'")):
             load_config(self._write(tmp_path, doc), master_seed=1)
+
+    @pytest.mark.parametrize("key, repeat", [
+        ("frames", '"frames": 200'),
+        ("q_bits", '"quantizer": {"q_bits": 4, "y_max": 1.75, "q_bits": 3}'),
+    ], ids=["top-level", "nested"])
+    def test_repeated_key_is_named(self, tmp_path, key, repeat):
+        p = self._write(tmp_path, self.base_doc())
+        p.write_text(p.read_text()[:-1] + ", " + repeat + "}")   # json.dumps cannot repeat a key
+        with pytest.raises(ConfigError, match=re.escape(f"repeated key(s) ['{key}']")):
+            load_config(p, master_seed=1)
 
     @pytest.mark.parametrize("content, reason", [
         (b"1008 504\n3 6\n" + b"3 " * 1008 + b"\n", "line 4: file ends early"),

@@ -1,14 +1,15 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package or a tool imports is used in that module."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE_DIR = Path(__file__).resolve().parent.parent / "src" / "ngdbf"
+ROOT = Path(__file__).resolve().parent.parent
 
 # The package's __init__ imports names only to re-export them.
-MODULES = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(p for p in (ROOT / "src" / "ngdbf").glob("*.py") if p.name != "__init__.py")
+MODULES += sorted((ROOT / "tools").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
