@@ -8,7 +8,7 @@ from .codes import AlistError, ParityCheckCode, load_alist, parse_alist, seriali
 from .core import DecodeResult, objective
 from .gdbf import decode, step, thresholds_by_count
 from .harness import (CampaignConfig, CampaignResult, ConfigError, DecoderSetup,
-                      decode_frame, load_config, run_campaign, run_convergence,
+                      decode_chunk, load_config, run_campaign, run_convergence,
                       run_sweep, wilson_interval)
 from .minsum import decode_minsum
 from .noisy import NgdbfParams, NoiseSource, adaptation_events, shift_chain

@@ -105,7 +105,7 @@ class DecoderSetup:
     @property
     def batched(self) -> bool:
         """A bit-flip setup drawing no perturbation or a shift chain (:func:`decode_batched`);
-        min-sum and iid or uniform draws decode frame by frame (:func:`_decode_one`)."""
+        min-sum and iid or uniform draws decode frame by frame (:func:`decode_frame`)."""
         return VARIANTS[self.variant].rule is not None and not (
             self.perturbed and self.params.noise_policy != "shift_chain")
 
@@ -191,12 +191,11 @@ def frame_rng(master_seed: int, snr_index: int, frame_index: int,
 
 
 class FrameStats(NamedTuple):
-    """Decoding statistics: scalars for one frame (:func:`decode_frame`), or
-    one int32 array per statistic over a frame range (:func:`decode_chunk`)."""
+    """Statistics of a frame range (:func:`decode_chunk`): an int32 array each, a frame an entry."""
 
-    bit_errors: int | np.ndarray
-    iterations: int | np.ndarray
-    engaged: bool | np.ndarray     # the smoothing window was entered
+    bit_errors: np.ndarray
+    iterations: np.ndarray
+    engaged: np.ndarray     # the smoothing window was entered
 
 
 def _transmit(code: ParityCheckCode, setup: DecoderSetup, sigma: float, y_max: float,
@@ -208,37 +207,45 @@ def _transmit(code: ParityCheckCode, setup: DecoderSetup, sigma: float, y_max: f
     return y if setup.variant == "minsum" else saturate(y, y_max)
 
 
+def decode_frame(code: ParityCheckCode, setup: DecoderSetup, sigma: float, y: np.ndarray,
+                 master_seed: int, snr_index: int, frame_index: int) -> tuple:
+    """Decode one frame's row of samples ``y`` by min-sum, or by :func:`gdbf.decode` with
+    the frame's own perturbation stream: its decisions, iterations and engaged flag."""
+    params = setup.params
+    if setup.variant == "minsum":
+        result = decode_minsum(code, y, params.t_max)
+    else:
+        noise = NoiseSource(code.n, params.eta * sigma, params.noise_policy,
+                            frame_rng(master_seed, snr_index, frame_index, 1),
+                            quantizer=setup.quantizer)
+        result = decode(code, y, params.t_max, *setup.weight_and_thresholds, noise,
+                        setup.smoothing_window)
+    return result.decisions, result.iterations, result.smoothing_engaged
+
+
 def _decode_one(code: ParityCheckCode, setup: DecoderSetup, sigma: float, y: np.ndarray,
                 master_seed: int, snr_index: int, start: int) -> tuple:
-    """Decode frames ``start``, ``start + 1``, ... one by one, by min-sum or by
-    :func:`gdbf.decode`; arguments and results as :func:`decode_batched`'s."""
-    params, decisions = setup.params, np.empty((len(y), code.n), dtype=np.int8)
-    stats = np.zeros((2, len(y)), dtype=np.int32)
+    """Decode frames ``start``, ``start + 1``, ... by :func:`decode_frame`, looked up as this
+    module's global for a wrapper to see; arguments and results as :func:`decode_batched`'s."""
+    decisions, stats = np.empty((len(y), code.n), np.int8), np.zeros((2, len(y)), np.int32)
     for i, row in enumerate(y):
-        if setup.variant == "minsum":
-            result = decode_minsum(code, row, params.t_max)
-        else:
-            noise = NoiseSource(code.n, params.eta * sigma, params.noise_policy,
-                                frame_rng(master_seed, snr_index, start + i, 1),
-                                quantizer=setup.quantizer)
-            result = decode(code, row, params.t_max, *setup.weight_and_thresholds, noise,
-                            setup.smoothing_window)
-        decisions[i], stats[:, i] = result.decisions, (result.iterations, result.smoothing_engaged)
+        decisions[i], stats[0, i], stats[1, i] = decode_frame(
+            code, setup, sigma, row, master_seed, snr_index, start + i)
     return decisions, stats[0], stats[1]
 
 
 def _decode_batches(code: ParityCheckCode, setup: DecoderSetup, sigma: float, y_max: float,
                     master_seed: int, snr_index: int, start: int, stop: int):
     """Transmit and decode frames ``start`` to ``stop - 1`` of one SNR point (an empty range is
-    one empty batch): yield each batch's samples and :func:`decode_batched`'s results, from
-    :func:`_decode_one` for a setup that is not batched.  Samples are floats or quantizer levels
-    in the narrowest type that holds |E| <= (2 + max_dv) * (2**q_bits - 1), written CHAIN_BATCH
-    frames at a time.  A batch is at most STOP_CHUNK frames; a perturbed one's chains take at
-    most CHAIN_BYTES (or one chain) and 8 * CHAIN_BATCH bytes a position (32 float64 chains)."""
+    one empty batch): yield each batch's samples and :func:`decode_batched`'s results, or
+    :func:`_decode_one`'s for min-sum and iid or uniform frames.  Samples are floats or quantizer
+    levels in the narrowest type that holds |E| <= (2 + max_dv) * (2**q_bits - 1), written
+    CHAIN_BATCH frames at a time.  A noise-free batch is at most STOP_CHUNK frames; another, at
+    most 8 * CHAIN_BATCH bytes a position (32 float64 rows) and CHAIN_BYTES of chains (or one)."""
     q, dtype = setup.quantizer, np.dtype(np.float64)
     if q is not None:
         dtype = np.min_scalar_type(-(2 + len(code.col_slots)) * (q.n_levels - 1) - 1)
-    size = STOP_CHUNK if not setup.perturbed else max(1, min(
+    size = STOP_CHUNK if setup.batched and not setup.perturbed else max(1, min(
         8 * CHAIN_BATCH, CHAIN_BYTES // (code.n + setup.params.t_max)) // dtype.itemsize)
     decoder = decode_batched if setup.batched else _decode_one
     for first in range(start, max(stop, start + 1), size):
@@ -250,26 +257,10 @@ def _decode_batches(code: ParityCheckCode, setup: DecoderSetup, sigma: float, y_
         yield y, *decoder(code, setup, sigma, y, master_seed, snr_index, first)
 
 
-def decode_frame(code: ParityCheckCode, setup: DecoderSetup, sigma: float, y_max: float,
-                 master_seed: int, snr_index: int, frame_index: int) -> FrameStats:
-    """Transmit one all-ones frame, decode it as a range of one, and score the outcome."""
-    [(_, x, iterations, engaged)] = _decode_batches(
-        code, setup, sigma, y_max, master_seed, snr_index, frame_index, frame_index + 1)
-    return FrameStats(int(np.count_nonzero(x[0] != 1)), int(iterations[0]), bool(engaged[0]))
-
-
 def decode_chunk(code: ParityCheckCode, setup: DecoderSetup, sigma: float, y_max: float,
                  master_seed: int, snr_index: int, start: int, stop: int) -> FrameStats:
-    """Decode frames ``start`` to ``stop - 1`` of one SNR point.
-
-    A batched setup decodes it a batch at a time (:func:`gdbf.decode_batch`);
-    min-sum and iid or uniform frames go one by one through :func:`decode_frame`,
-    looked up as this module's global so that a wrapper on it sees each of them.
-    """
-    if not setup.batched:
-        frames = [decode_frame(code, setup, sigma, y_max, master_seed, snr_index, fi)
-                  for fi in range(start, stop)]
-        return FrameStats(*np.array(frames, dtype=np.int32).reshape(-1, 3).T)
+    """Decode frames ``start`` to ``stop - 1`` of one SNR point a batch at a time
+    (:func:`_decode_batches`), and count each frame's bit errors."""
     return FrameStats(*map(np.concatenate, zip(*(
         (np.count_nonzero(x != 1, axis=1).astype(np.int32), iterations, engaged)
         for _, x, iterations, engaged in _decode_batches(

@@ -47,7 +47,6 @@ from ngdbf.gdbf import step
 from ngdbf.harness import CampaignConfig, DecoderSetup, NgdbfParams, run_campaign, run_convergence
 from ngdbf.noisy import adaptation_events
 
-from .conftest import TINY_ALIST
 from .support.lml_oracle import all_neighbour_pe, lml_flip_pattern
 from .support.oracles import PlainBitFlip, flip_decisions_direct, flip_decisions_prescaled
 from .test_analysis import (LML_STAGE_1, LML_STAGE_2, LML_STAGE_3, WGDBF_THETA_00,

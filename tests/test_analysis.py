@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from ngdbf.analysis import (MAX_DEGREE, FlipMatrix, LmlParams, bin_probability,
+from ngdbf.analysis import (MAX_DEGREE, LmlParams, bin_probability,
                             convergence_error, f_max, gdbf_flip_matrix, lml_flip_matrix,
                             pc_from_pe, pe_initial, syndrome_sum_likelihoods)
 from ngdbf.channel import QuantizerSpec

@@ -47,24 +47,24 @@ def test_every_benchmark_span_is_recorded(bench_code, tmp_path, perfbench, capsy
     tracer = Tracer()
     install(tracer, tmp_path)
     try:
-        stats = [(setup, harness.decode_frame(bench_code, setup, 0.8, 2.5, 1, 0, 0))
+        stats = [(setup, harness.decode_chunk(bench_code, setup, 0.8, 2.5, 1, 0, 0, 1))
                  for setup in setups]
-        # Pool workers' perturbed frames are counted through the wrapped
-        # decode_frame; a noise-free range is decoded as one batch instead.
+        # Pool workers' min-sum and iid frames are counted through the wrapped
+        # decode_frame, once each; a batched setup's range never reaches it.
         noisy = next(setup for setup in setups if setup.variant == "sngdbf")
         chunk = harness.decode_chunk(bench_code, noisy, 0.8, 2.5, 1, 0, 0, 2)
     finally:
         tracer.restore()
     assert not_found(capsys.readouterr().err) == MISSING
     assert [name for name in SPANS if not tracer.calls[name]] == []
-    assert tracer.calls["harness.decode_frame"] == len(setups) + 2
+    assert tracer.calls["harness.decode_frame"] == sum(not s.batched for s in setups) + 2
     # One core.decode span per frame perturbed by iid draws, and its counter
     # holds exactly those frames' iterations.
     perturbed = [frame for setup, frame in stats
                  if setup.variant != "minsum" and not setup.batched]
     assert tracer.calls["core.decode"] == len(perturbed) + 2
     assert tracer.counters["core.decode.iterations"] == (
-        sum(frame.iterations for frame in perturbed) + int(chunk.iterations.sum()))
+        sum(int(frame.iterations.sum()) for frame in perturbed) + int(chunk.iterations.sum()))
 
 
 def test_every_workload_decodes_frames_through_decode_frame(tmp_path, perfbench, capsys):

@@ -12,17 +12,19 @@ its frames through the engine afresh under a budget of each step count.
 The fixed cases run the acceptance parameters on the bundled code and on an
 irregular code; the property test draws small regular and irregular codes,
 variants, parameters and seeds.  The engine cases decode noise-free and
-shift-chain setups through ``decode_chunk``, over ranges of several sizes,
-and through ``decode_frame``, and compare bit errors, iterations, engaged
+shift-chain setups through ``decode_chunk``, over ranges of several sizes
+and ranges of one, and compare bit errors, iterations, engaged
 flags and final decisions with ``plain_decode``, ``PlainBitFlip`` run under
 the stop rule and output smoothing one frame at a time; a shift-chain
 frame is perturbed by ``ShiftRegister``, the paper's register fed one
 sample an iteration from an identically seeded generator.  Frames perturbed
 by iid or uniform draws, which ``gdbf.decode`` steps one by one, are checked
 whole-frame the same way through ``decode_chunk``, against ``plain_decode``
-fed by ``IidDraws``.  Last, the engine must give each frame the same result
+fed by ``IidDraws``, and min-sum frames against ``decode_minsum`` on each
+frame's raw samples.  Last, the engine must give each frame the same result
 wherever its row sits in the batch, and the same result in a batch, where
-finished frames retire in bulk, as decoded alone.
+finished frames retire in bulk, as decoded alone; and a campaign of any
+kind of setup must not depend on its number of workers.
 """
 
 from dataclasses import replace
@@ -37,7 +39,8 @@ from ngdbf.codes import bipolar_sign
 from ngdbf import harness
 from ngdbf.gdbf import step
 from ngdbf.harness import (VARIANTS, CampaignConfig, DecoderSetup, FrameStats, decode_chunk,
-                           decode_frame, frame_rng, run_campaign, run_convergence)
+                           frame_rng, run_campaign, run_convergence)
+from ngdbf.minsum import decode_minsum
 from ngdbf.noisy import NgdbfParams, NoiseSource
 
 from .support.gen_regular_code import peg_regular_code
@@ -251,8 +254,9 @@ def batched(code, setup, sigma, seed, frames, size, monkeypatch) -> tuple:
 
 
 def per_frame(code, setup, sigma, seed, frames) -> FrameStats:
-    stats = [decode_frame(code, setup, sigma, 2.5, seed, 0, fi) for fi in range(frames)]
-    return FrameStats(*np.array(stats, dtype=np.int32).T)
+    """decode_chunk over ranges of one frame (B = 1)."""
+    stats = [decode_chunk(code, setup, sigma, 2.5, seed, 0, fi, fi + 1) for fi in range(frames)]
+    return FrameStats(*(np.concatenate(c) for c in zip(*stats)))
 
 
 def reference_noise(code, setup, sigma, seed, frame):
@@ -287,7 +291,7 @@ def assert_same_stats(got: FrameStats, want: FrameStats) -> None:
 
 def assert_engine_matches_plain(code, setup, sigma, seed, frames, sizes,
                                 monkeypatch) -> FrameStats:
-    """decode_chunk over ranges of each of ``sizes`` frames, and decode_frame,
+    """decode_chunk over ranges of each of ``sizes`` frames, and of one frame,
     against plain_decode; returns the statistics.  ``batched`` tells which
     decoder a setup's frames reach."""
     x, want = plain(code, setup, sigma, seed, frames)
@@ -468,20 +472,21 @@ def test_engine_matches_shift_chain_decoding_on_random_codes(monkeypatch, case):
 
 
 def test_noise_free_setups_reach_no_stepper(bench_code, monkeypatch):
-    # float, eta = 0 and Q4 eta = 0 setups, through every per-frame entry point
+    # float, eta = 0 and Q4 eta = 0 setups, over ranges of one and three frames
+    # and through run_convergence
     monkeypatch.setattr(harness, "decode", refuse)
     sigma = ebn0_to_sigma(3.0, float(bench_code.rate))
     for setup in ENGINE_CASES.values():
         assert setup.batched
-        decode_frame(bench_code, setup, sigma, 2.5, SEED, 0, 0)
+        decode_chunk(bench_code, setup, sigma, 2.5, SEED, 0, 0, 1)
         decode_chunk(bench_code, setup, sigma, 2.5, SEED, 0, 0, 3)
     eps = run_convergence(bench_code, ENGINE_CASES, 3.0, 3, SEED)
     assert list(eps) == list(ENGINE_CASES)
 
 
 def test_shift_chain_setups_reach_no_stepper(bench_code, monkeypatch):
-    # float and quantized shift chains, through every per-frame entry point;
-    # iid and uniform perturbations still go frame by frame
+    # float and quantized shift chains, over ranges of one and three frames and
+    # through run_convergence; iid and uniform perturbations still go frame by frame
     monkeypatch.setattr(harness, "decode", refuse)
     monkeypatch.setattr(NoiseSource, "draw", refuse)
     sigma = ebn0_to_sigma(3.0, float(bench_code.rate))
@@ -489,19 +494,56 @@ def test_shift_chain_setups_reach_no_stepper(bench_code, monkeypatch):
         assert setup.batched
         assert not replace(setup, params=setup.params.replace(noise_policy="iid")).batched
         assert not replace(setup, params=setup.params.replace(noise_policy="uniform")).batched
-        decode_frame(bench_code, setup, sigma, 2.5, SEED, 0, 0)
+        decode_chunk(bench_code, setup, sigma, 2.5, SEED, 0, 0, 1)
         decode_chunk(bench_code, setup, sigma, 2.5, SEED, 0, 0, 3)
     eps = run_convergence(bench_code, CHAIN_CASES, 3.0, 3, SEED)
     assert list(eps) == list(CHAIN_CASES)
 
 
+# Frames that decode_frame decodes one by one, in blocks of rows.
+PER_FRAME_CASES = {
+    "minsum": DecoderSetup("minsum", NgdbfParams(t_max=30)),
+    "mngdbf-q4-iid": DRAW_CASES["mngdbf-q4"],
+    "mngdbf-uniform": DRAW_CASES["mngdbf-uniform"],
+}
+
+
 @pytest.mark.parametrize("name", ["sgdbf", "mgdbf", "atgdbf", "mngdbf-eta0", "mngdbf-q4-eta0",
                                   "sngdbf-chain", "mngdbf-q4-chain",
-                                  "smngdbf-q4-chain-window16"])
+                                  "smngdbf-q4-chain-window16", *PER_FRAME_CASES])
 def test_engine_campaigns_do_not_depend_on_workers(bench_code, name):
     # 64-frame stop chunks go to 2 and 3 workers as ranges of 4 and 3 frames,
-    # and to one worker as a range that spans two shift-chain batches
-    cfg = CampaignConfig(bench_code, ALL_CASES[name], ebn0_db=(3.0, 4.0), frames=150,
-                         master_seed=SEED, error_target=20)
+    # and to one worker as a range that spans two blocks of 32 float64 rows
+    cfg = CampaignConfig(bench_code, {**ALL_CASES, **PER_FRAME_CASES}[name], ebn0_db=(3.0, 4.0),
+                         frames=150, master_seed=SEED, error_target=20)
     csv = {w: run_campaign(cfg, workers=w, chunk_size=64).to_csv() for w in (1, 2, 3)}
     assert csv[2] == csv[1] and csv[3] == csv[1]
+
+
+def test_minsum_blocks_match_decode_minsum_on_raw_samples(bench_code, monkeypatch):
+    """Min-sum frames arrive in blocks of at most 32 float64 rows; over ranges of 1, 33
+    and every frame, each decodes as decode_minsum does on the frame's raw samples."""
+    frames, setup = 70, PER_FRAME_CASES["minsum"]
+    sigma, ones = ebn0_to_sigma(2.5, float(bench_code.rate)), np.ones(bench_code.n, np.int8)
+    results = [decode_minsum(bench_code, transmit(ones, sigma, frame_rng(SEED, 0, fi, 0)),
+                             setup.params.t_max) for fi in range(frames)]
+    x = np.array([r.decisions for r in results])
+    want = FrameStats(np.count_nonzero(x != 1, axis=1).astype(np.int32),
+                      np.array([r.iterations for r in results], np.int32),
+                      np.zeros(frames, np.int32))
+    assert want.bit_errors.any() and len(np.unique(want.iterations)) > 2
+    decided, engine = [], harness._decode_one
+
+    def record(*args):
+        out = engine(*args)
+        decided.append(out[0])
+        return out
+
+    monkeypatch.setattr(harness, "_decode_one", record)
+    for size, blocks in ((1, [1] * frames), (33, [32, 1, 32, 1, 4]), (frames, [32, 32, 6])):
+        decided.clear()
+        parts = [decode_chunk(bench_code, setup, sigma, 2.5, SEED, 0, start,
+                              min(start + size, frames)) for start in range(0, frames, size)]
+        assert [len(d) for d in decided] == blocks
+        assert np.array_equal(np.concatenate(decided), x)
+        assert_same_stats(FrameStats(*(np.concatenate(c) for c in zip(*parts))), want)

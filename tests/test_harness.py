@@ -17,8 +17,7 @@ from ngdbf.core import objective
 from ngdbf.gdbf import MAX_ITERATIONS, thresholds_by_count
 from ngdbf.harness import (CHAIN_BATCH, CHAIN_BYTES, STOP_CHUNK, SWEEPABLE, VARIANTS,
                            CampaignConfig, ConfigError, DecoderSetup, NgdbfParams, decode_chunk,
-                           decode_frame, load_config, run_campaign, run_convergence, run_sweep,
-                           wilson_interval)
+                           load_config, run_campaign, run_convergence, run_sweep, wilson_interval)
 from ngdbf.noisy import shift_chain
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -371,7 +370,7 @@ class TestFrameDecode:
             assert shape == (size, chain)
             assert nbytes <= min(CHAIN_BATCH * 8 * chain, CHAIN_BYTES)
 
-    def test_statistics_are_int_int_bool_for_every_setup_kind(self, bench_code):
+    def test_statistics_are_int32_arrays_of_length_one_for_every_setup_kind(self, bench_code):
         params = NgdbfParams(theta=-0.9, lam=0.99, eta=0.95, w=0.75, t_max=20)
         chain = params.replace(noise_policy="shift_chain")
         setups = [DecoderSetup("sgdbf", params), DecoderSetup("mngdbf", params.replace(eta=0.0)),
@@ -381,8 +380,8 @@ class TestFrameDecode:
                   DecoderSetup("mngdbf", chain, QuantizerSpec(4, 1.75)),
                   DecoderSetup("minsum", NgdbfParams(t_max=10))]
         for setup in setups:
-            stats = decode_frame(bench_code, setup, 0.8, 2.5, 1, 0, 0)
-            assert [type(v) for v in stats] == [int, int, bool], setup
+            stats = decode_chunk(bench_code, setup, 0.8, 2.5, 1, 0, 0, 1)
+            assert [(a.dtype, a.shape) for a in stats] == [(np.int32, (1,))] * 3, setup
 
     def test_empty_range_gives_empty_int32_arrays(self, bench_code):
         params = NgdbfParams(theta=-0.9, lam=0.99, eta=0.95, w=0.75, t_max=20)
@@ -394,27 +393,27 @@ class TestFrameDecode:
 
     def test_minsum_variant(self, bench_code):
         setup = DecoderSetup("minsum", NgdbfParams(t_max=10))
-        oc = decode_frame(bench_code, setup, 0.5, 2.5, 1, 0, 0)
-        assert oc.bit_errors == 0
+        oc = decode_chunk(bench_code, setup, 0.5, 2.5, 1, 0, 0, 1)
+        assert oc.bit_errors.tolist() == [0]
 
     def test_smoothing_engagement_flag(self, bench_code):
         setup = DecoderSetup("smngdbf",
                              NgdbfParams(theta=-0.9, lam=0.99, eta=0.95, w=0.75,
                                          t_max=40, smoothing_window=30))
         # at very low SNR the budget is exhausted and the window engages
-        oc = decode_frame(bench_code, setup, 1.4, 2.5, 2, 0, 0)
-        assert oc.iterations == 40
-        assert oc.engaged
+        oc = decode_chunk(bench_code, setup, 1.4, 2.5, 2, 0, 0, 1)
+        assert oc.iterations.tolist() == [40]
+        assert oc.engaged.tolist() == [1]
 
     @pytest.mark.parametrize("noisy, plain", [("sngdbf", "sgdbf"), ("mngdbf", "atgdbf")])
     def test_stochastic_flag_is_the_only_difference(self, bench_code, noisy, plain):
         # At eta = 0 a noisy variant draws no perturbation and is its twin.
         params = NgdbfParams(theta=-0.7, lam=0.98, eta=0.0, w=0.75, t_max=40)
-        outcomes = {name: [decode_frame(bench_code, DecoderSetup(name, params),
-                                        0.8, 2.5, 11, 0, fi) for fi in range(6)]
+        outcomes = {name: np.array([decode_chunk(bench_code, DecoderSetup(name, params),
+                                                 0.8, 2.5, 11, 0, fi, fi + 1) for fi in range(6)])
                     for name in (noisy, plain)}
-        assert outcomes[noisy] == outcomes[plain]
-        assert any(oc.iterations for oc in outcomes[plain])
+        assert np.array_equal(outcomes[noisy], outcomes[plain])
+        assert outcomes[plain][:, 1].any()     # some frame iterates
 
 
 class TestConfigLoading:

@@ -5,7 +5,7 @@ from ngdbf.channel import QuantizerSpec, ebn0_to_sigma, saturate, transmit
 from ngdbf import gdbf
 from ngdbf.core import smoothed_decision
 from ngdbf.gdbf import decode, decode_batch, step, thresholds_by_count
-from ngdbf.harness import DecoderSetup, decode_frame
+from ngdbf.harness import DecoderSetup, decode_chunk
 from ngdbf.noisy import NOISE_POLICIES, NgdbfParams, NoiseSource, adaptation_events, shift_chain
 
 from .support.oracles import (ShiftRegister, flip_decisions_direct, flip_decisions_prescaled,
@@ -331,8 +331,9 @@ class TestQuantizedDatapath:
         monkeypatch.setattr(QuantizerSpec, "to_index",
                             lambda self, y: calls.append(1) or to_index(self, y))
         frames, sigma = 8, ebn0_to_sigma(3.0, float(bench_code.rate))
-        stats = [decode_frame(bench_code, setup, sigma, 2.5, 5, 0, fi) for fi in range(frames)]
-        assert sum(s.iterations for s in stats) > 10 * frames
+        stats = [decode_chunk(bench_code, setup, sigma, 2.5, 5, 0, fi, fi + 1)
+                 for fi in range(frames)]
+        assert sum(int(s.iterations.sum()) for s in stats) > 10 * frames
         assert len(calls) <= 2 * frames
 
     def test_quantized_decode_runs_and_counts(self, bench_code):
