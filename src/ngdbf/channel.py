@@ -49,11 +49,12 @@ def transmit(codeword: np.ndarray, sigma: float, rng: np.random.Generator) -> np
     return c + sigma * rng.standard_normal(c.shape[0])
 
 
-def saturate(y: np.ndarray, y_max: float) -> np.ndarray:
-    """Clip samples to [-y_max, +y_max] (applied on every decoder input path)."""
+def saturate(y: np.ndarray, y_max: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Clip samples to [-y_max, +y_max] (applied on every decoder input path), into
+    ``out`` if it is given (``out=y`` clips in place)."""
     if not 0 < y_max < math.inf:
         raise ValueError("y_max must be finite and positive")
-    return np.clip(y, -y_max, y_max)
+    return np.clip(y, -y_max, y_max, out=out)
 
 
 MAX_Q_BITS = 16     # the analysis tools build tables over all 2**q_bits levels

@@ -1,6 +1,6 @@
-"""Results and scoring shared by the decoders: the per-frame result of ``gdbf.decode``
-and min-sum, the smoothed decision, and the objective that scores final decisions
-(``gdbf.decode_batch`` sums its own from its arrays for mgdbf's mode switch)."""
+"""Results and scoring shared by the decoders: min-sum's per-frame result, the smoothed
+decision, and the objective that scores final decisions (``gdbf.decode_batch`` sums
+its own from its arrays for mgdbf's mode switch)."""
 
 from __future__ import annotations
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .codes import ParityCheckCode, bipolar_sign
-from .core import DecodeResult, smoothed_decision
+from .core import smoothed_decision
 
 # Well above the paper's 300: each setup holds a vector of t_max + 1 thresholds,
 # and each shift-chain frame a chain of n + t_max perturbation samples.
@@ -37,68 +37,28 @@ def thresholds_by_count(theta: float, lam: float, t_max: int) -> np.ndarray:
     return np.cumprod(np.concatenate(([float(theta)], np.full(t_max, float(lam)))))
 
 
-def step(code: ParityCheckCode, x: np.ndarray, s: np.ndarray, y: np.ndarray, w=1.0,
-         thresholds: np.ndarray | None = None, u: np.ndarray | None = None,
-         q: np.ndarray | None = None) -> np.ndarray:
-    """One iteration on decisions ``x`` with syndromes ``s``, which it returns updated.
-
-    Without ``thresholds`` the argmin of E = x*y + w*sums + q flips (ties to the
-    lowest index); with them every E_k below ``thresholds[u_k]`` flips, and every
-    other symbol's non-flip count u_k advances.  ``x``, ``u`` and ``s`` change in place.
-    """
-    e = x * y
-    e += w * code.syndrome_sums(s)
-    if q is not None:
-        e += q
-    if thresholds is None:
-        k = int(e.argmin())
-        x[k] = -x[k]
-        s[code.col_neighbors[k]] *= -1
-        return s
-    mask = e < thresholds[u]
-    u += ~mask
-    if np.count_nonzero(mask):      # a no-op mask still counts as an iteration
-        np.negative(x, out=x, where=mask)
-        s = code.syndrome(x)
-    return s
-
-
-def decode(code: ParityCheckCode, y: np.ndarray, t_max: int, w, thresholds: np.ndarray | None,
-           noise, smoothing_window: int = 0) -> DecodeResult:
-    """Decode one frame perturbed by per-iteration draws (iid or uniform; other frames
-    go through :func:`decode_batch`) from the signs of ``y`` by :func:`step`, adding
-    one ``noise.draw()`` a step and stopping before any step once every check holds.
-    A frame that runs out of steps unsatisfied decides the sign of its decisions
-    summed over the last ``smoothing_window`` steps (ties keep the current bit).
-    """
-    if t_max < 1 or not 0 <= smoothing_window <= t_max:
-        raise ValueError("need t_max >= 1 and a smoothing window in [0, t_max]")
-    x = bipolar_sign(y)
-    s = code.syndrome(x)
-    u = None if thresholds is None else np.zeros(code.n, dtype=np.int64)
-    smooth, t = np.zeros(code.n, dtype=np.int32), 0
-    while t < t_max and s.min() < 1:
-        s = step(code, x, s, y, w, thresholds, u, noise.draw())
-        t += 1
-        if t > t_max - smoothing_window:
-            smooth += x
-    success, engaged = bool(s.min() == 1), t > t_max - smoothing_window
-    if engaged and not success:
-        x = smoothed_decision(smooth, x)
-    return DecodeResult(success, t, x, engaged)
-
-
 def decode_batch(code: ParityCheckCode, y: np.ndarray, t_max: int, w=1.0,
                  thresholds: np.ndarray | None = None, mode_switching: bool = False,
-                 smoothing_window: int = 0, chains: np.ndarray | None = None) -> tuple:
-    """Decode one noise-free or shift-chain frame per row of ``y`` by the rule, stop
-    test and smoothing of :func:`decode`; with ``mode_switching``, a step that lowers
-    a frame's sum(x*y) + sum(s), summed from its own rows, ends multi-flips for good.
+                 smoothing_window: int = 0, chains: np.ndarray | None = None,
+                 noise=None) -> tuple:
+    """Decode one frame per row of ``y``, starting from the signs of its samples.
+
+    Each step forms E = x*y + w*sums + q from the syndromes at step start.  Without
+    ``thresholds`` the argmin of E flips (ties to the lowest index); with them every
+    E_k below thresholds[u_k] flips, u_k being symbol k's non-flip count, and with
+    ``mode_switching`` a step that lowers a frame's sum(x*y) + sum(s), summed from
+    its own rows, ends multi-flips for good.  A frame stops before any step once
+    every check holds, or after ``t_max`` steps; one that stops unsatisfied after
+    entering the last ``smoothing_window`` steps decides the sign of its decisions
+    summed over them (ties keep the current bit).
 
     ``y`` holds the samples the rule compares: saturated floats, or quantizer
-    indices with an integer ``w`` and integer ``thresholds``.  A row of ``chains``
-    is a frame's shift chain w (:func:`noisy.shift_chain`) in the units of
-    ``y``; step t adds w[t_max-t : t_max-t+n] to the metric.  Decisions and
+    indices with an integer ``w`` and integer ``thresholds``.  The perturbation q,
+    in the units of ``y``, is 0, or a shift chain: step t adds w[t_max-t : t_max-t+n]
+    of the frame's row w of ``chains`` (:func:`noisy.shift_chain`), or a per-step
+    draw: ``noise.draw(cols, live)`` (:class:`noisy.NoiseSource`) returns a block
+    whose row k is the next draw of the frame in row ``cols[k]`` of ``y`` wherever
+    ``live[k]``, so a frame draws once for each step it takes.  Decisions and
     syndromes are (n+1, B) and (m+1, B) int8, one column a frame, so that one
     gather per slot table serves the batch; their last rows are the dummy
     symbol (+1) and dummy check (0) that pad the tables.  Metrics, x*y and flip
@@ -160,6 +120,8 @@ def decode_batch(code: ParityCheckCode, y: np.ndarray, t_max: int, w=1.0,
         e += xy
         if chains is not None:
             e += chains[:, t_max - t:t_max - t + n]
+        if noise is not None:
+            e += noise.draw(cols, live)
         multi, single = mu.any(), not mu.all()
         if single:      # the argmin flips; ties break to the lowest index
             js = np.flatnonzero(~mu)

@@ -69,15 +69,16 @@ def shift_chain(n: int, sigma: float, rng: np.random.Generator, t_max: int,
 
 
 class NoiseSource:
-    """Per-frame perturbation generator, one fresh draw per iteration: ``iid``,
-    n independent Gaussian draws, or ``uniform``, i.i.d. uniform on
-    [-sqrt(3)*sigma, +sqrt(3)*sigma], which matches the Gaussian variance.
+    """Per-iteration perturbation draws for a block of frames, one generator a frame
+    (``rngs``): ``iid``, n independent Gaussian draws of standard deviation
+    ``sigma``, or ``uniform``, i.i.d. uniform on [-sqrt(3)*sigma, +sqrt(3)*sigma],
+    which matches the Gaussian variance.
 
-    With a ``quantizer``, each draw comes as its ``to_index``.  A shift chain
-    is drawn whole, by :func:`shift_chain`.
+    :meth:`draw` serves :func:`gdbf.decode_batch`; with a ``quantizer``, its draws
+    come as their ``to_index``.  A shift chain is drawn whole, by :func:`shift_chain`.
     """
 
-    def __init__(self, n: int, sigma: float, policy: str, rng: np.random.Generator, *,
+    def __init__(self, n: int, sigma: float, policy: str, rngs, *,
                  quantizer: QuantizerSpec | None = None):
         if policy not in ("iid", "uniform"):
             raise ValueError(f"{policy!r} is not a per-iteration noise policy (iid, uniform)")
@@ -86,16 +87,23 @@ class NoiseSource:
         self.n = n
         self.sigma = float(sigma)
         self.policy = policy
-        self.rng = rng
+        self.rngs = list(rngs)
         self.quantizer = quantizer
+        self.block = np.zeros((len(self.rngs), n))
 
-    def draw(self) -> np.ndarray:
+    def draw(self, cols: np.ndarray, live: np.ndarray) -> np.ndarray:
+        """One step's draws: a (len(cols), n) block whose row k is the next draw of frame
+        ``cols[k]`` wherever ``live[k]``; other rows hold stale values."""
+        q = self.block[:len(cols)]
+        rows = np.flatnonzero(live)
         if self.policy == "iid":
-            q = self.rng.standard_normal(self.n)
-            q *= self.sigma
+            for k in rows:
+                self.rngs[cols[k]].standard_normal(out=q[k])
+            np.multiply(q, self.sigma, out=q, where=live[:, None])
         else:
             a = np.sqrt(3.0) * self.sigma
-            q = self.rng.uniform(-a, a, self.n)
+            for k in rows:
+                q[k] = self.rngs[cols[k]].uniform(-a, a, self.n)
         return q if self.quantizer is None else self.quantizer.to_index(q)
 
 

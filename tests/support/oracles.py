@@ -1,9 +1,10 @@
 """Reference forms of the flip rule, and of alist parsing, that the package
 is checked against.
 
-The package computes these quantities vectorised, per frame or per frame
-batch; the forms here follow the paper's definitions one symbol or one
-event at a time, so a test can compare the two.
+The package computes these quantities vectorised over a frame batch; the
+forms here follow the paper's definitions one symbol or one event at a
+time, so a test can compare the two.  ``step`` sits between the two: one
+frame's iteration, vectorised over its symbols.
 """
 
 from __future__ import annotations
@@ -54,6 +55,34 @@ def flip_decisions_prescaled(x, y_idx, q_idx, theta_idx, w_idx, syndrome_sums) -
                   + int(s[k]))
         out[k] = 1 if scaled >= 0 else -1
     return out
+
+
+def step(code, x: np.ndarray, s: np.ndarray, y: np.ndarray, w=1.0,
+         thresholds: np.ndarray | None = None, u: np.ndarray | None = None,
+         q: np.ndarray | None = None) -> np.ndarray:
+    """One iteration of the flip rule on one frame, vectorised over its symbols with the
+    code's own syndrome routines: decisions ``x`` with syndromes ``s``, which it returns
+    updated.  ``gdbf.decode_batch`` steps a block of frames by the same rule.
+
+    Without ``thresholds`` the argmin of E = x*y + w*sums + q flips (ties to the
+    lowest index); with them every E_k below ``thresholds[u_k]`` flips, and every
+    other symbol's non-flip count u_k advances.  ``x``, ``u`` and ``s`` change in place.
+    """
+    e = x * y
+    e += w * code.syndrome_sums(s)
+    if q is not None:
+        e += q
+    if thresholds is None:
+        k = int(e.argmin())
+        x[k] = -x[k]
+        s[code.col_neighbors[k]] *= -1
+        return s
+    mask = e < thresholds[u]
+    u += ~mask
+    if np.count_nonzero(mask):      # a no-op mask still counts as an iteration
+        np.negative(x, out=x, where=mask)
+        s = code.syndrome(x)
+    return s
 
 
 class ShiftRegister:

@@ -43,12 +43,11 @@ from ngdbf.analysis import (LmlParams, bin_probability, gdbf_flip_matrix,
 from ngdbf.channel import QuantizerSpec, ebn0_to_sigma, saturate, transmit
 from ngdbf.codes import bipolar_sign, parse_alist, serialize_alist
 from ngdbf.core import objective
-from ngdbf.gdbf import step
 from ngdbf.harness import CampaignConfig, DecoderSetup, NgdbfParams, run_campaign, run_convergence
 from ngdbf.noisy import adaptation_events
 
 from .support.lml_oracle import all_neighbour_pe, lml_flip_pattern
-from .support.oracles import PlainBitFlip, flip_decisions_direct, flip_decisions_prescaled
+from .support.oracles import PlainBitFlip, flip_decisions_direct, flip_decisions_prescaled, step
 from .test_analysis import (LML_STAGE_1, LML_STAGE_2, LML_STAGE_3, WGDBF_THETA_00,
                             WGDBF_THETA_03, WGDBF_THETA_09)
 

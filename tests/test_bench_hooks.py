@@ -18,13 +18,16 @@ from ngdbf.harness import DecoderSetup, NgdbfParams
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # Every span the per-layer metrics are computed from that still has a caller.
-SPANS = ("harness.decode_frame", "harness.frame_rng", "channel.transmit", "core.decode",
-         "minsum.decode", "codes.syndrome", "codes.syndrome_sums", "noisy.draw",
-         "channel.to_index")
+# codes.syndrome_sums lost its last caller with gdbf.step, as core.decode did
+# with gdbf.decode.
+SPANS = ("harness.decode_frame", "harness.frame_rng", "channel.transmit", "minsum.decode",
+         "codes.syndrome", "noisy.draw", "channel.to_index")
 
-# The one name the tracer still wraps that no longer exists: frames start
-# inside gdbf.decode, so its core.init_state layer reads 0.
-MISSING = ["trace: ngdbf.harness.init_state not found; core.init_state is not traced"]
+# The names the tracer still wraps that no longer exist: frames start inside
+# gdbf.decode_batch, which also decodes every frame perturbed by per-step draws,
+# so the core.init_state and core.decode layers read 0.
+MISSING = ["trace: ngdbf.harness.init_state not found; core.init_state is not traced",
+           "trace: ngdbf.harness.decode not found; core.decode is not traced"]
 
 
 @pytest.fixture
@@ -49,22 +52,21 @@ def test_every_benchmark_span_is_recorded(bench_code, tmp_path, perfbench, capsy
     try:
         stats = [(setup, harness.decode_chunk(bench_code, setup, 0.8, 2.5, 1, 0, 0, 1))
                  for setup in setups]
-        # Pool workers' min-sum and iid frames are counted through the wrapped
-        # decode_frame, once each; a batched setup's range never reaches it.
+        # The wrapped decode_frame decodes a block: each range above is one, and so
+        # is this two-frame range.
         noisy = next(setup for setup in setups if setup.variant == "sngdbf")
         chunk = harness.decode_chunk(bench_code, noisy, 0.8, 2.5, 1, 0, 0, 2)
     finally:
         tracer.restore()
     assert not_found(capsys.readouterr().err) == MISSING
     assert [name for name in SPANS if not tracer.calls[name]] == []
-    assert tracer.calls["harness.decode_frame"] == sum(not s.batched for s in setups) + 2
-    # One core.decode span per frame perturbed by iid draws, and its counter
-    # holds exactly those frames' iterations.
-    perturbed = [frame for setup, frame in stats
-                 if setup.variant != "minsum" and not setup.batched]
-    assert tracer.calls["core.decode"] == len(perturbed) + 2
-    assert tracer.counters["core.decode.iterations"] == (
-        sum(int(frame.iterations.sum()) for frame in perturbed) + int(chunk.iterations.sum()))
+    assert tracer.calls["harness.decode_frame"] == len(setups) + 1
+    # One noisy.draw span per step of a block perturbed by iid draws: a block
+    # steps until its last frame stops.
+    perturbed = [frame for setup, frame in stats if setup.perturbed]
+    assert len(perturbed) == 4
+    assert tracer.calls["noisy.draw"] == (
+        sum(int(frame.iterations.max()) for frame in perturbed) + int(chunk.iterations.max()))
 
 
 def test_every_workload_decodes_frames_through_decode_frame(tmp_path, perfbench, capsys):

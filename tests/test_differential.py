@@ -1,33 +1,30 @@
-"""``gdbf.step`` steps exactly as the plain reference rule does, and the
+"""The flip rule steps exactly as the plain reference rule does, and the
 batch engine decodes whole frames exactly as the plain reference decoder
 does.
 
-Each variant is stepped by ``gdbf.step`` with the samples, weight and
-thresholds its ``DecoderSetup`` gives, as ``gdbf.decode`` steps a perturbed
-frame, in lockstep with ``PlainBitFlip`` on the same saturated samples and the
-oracles' own draws (``IidDraws``) from an identically seeded generator;
+Each variant is stepped by the oracles' vectorised ``step`` with the samples,
+weight and thresholds its ``DecoderSetup`` gives and the draws of a one-frame
+``NoiseSource``, in lockstep with ``PlainBitFlip`` on the same saturated samples
+and the oracles' own draws (``IidDraws``) from an identically seeded generator;
 decisions and syndromes must agree after every step.
 mgdbf, whose mode switch only the engine applies, is stepped by decoding
 its frames through the engine afresh under a budget of each step count.
 The fixed cases run the acceptance parameters on the bundled code and on an
 irregular code; the property test draws small regular and irregular codes,
-variants, parameters and seeds.  The engine cases decode noise-free and
-shift-chain setups through ``decode_chunk``, over ranges of several sizes
-and ranges of one, and compare bit errors, iterations, engaged
+variants, parameters and seeds.  The engine cases decode noise-free,
+shift-chain and per-step-draw setups through ``decode_chunk``, over ranges of
+several sizes and ranges of one, and compare bit errors, iterations, engaged
 flags and final decisions with ``plain_decode``, ``PlainBitFlip`` run under
 the stop rule and output smoothing one frame at a time; a shift-chain
 frame is perturbed by ``ShiftRegister``, the paper's register fed one
-sample an iteration from an identically seeded generator.  Frames perturbed
-by iid or uniform draws, which ``gdbf.decode`` steps one by one, are checked
-whole-frame the same way through ``decode_chunk``, against ``plain_decode``
-fed by ``IidDraws``, and min-sum frames against ``decode_minsum`` on each
-frame's raw samples.  Last, the engine must give each frame the same result
-wherever its row sits in the batch, and the same result in a batch, where
-finished frames retire in bulk, as decoded alone; and a campaign of any
-kind of setup must not depend on its number of workers.
+sample an iteration from an identically seeded generator, and a frame
+perturbed by iid or uniform draws by ``IidDraws``.  Min-sum frames are checked
+against ``decode_minsum`` on each frame's raw samples.  Last, the engine must
+give each frame the same result wherever its row sits in the batch, its
+perturbation stream moving with it, and the same result in a batch, where
+finished frames retire in bulk, as decoded alone; and a campaign of any kind
+of setup must not depend on its number of workers.
 """
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,7 +34,6 @@ from hypothesis import strategies as st
 from ngdbf.channel import QuantizerSpec, ebn0_to_sigma, saturate, transmit
 from ngdbf.codes import bipolar_sign
 from ngdbf import harness
-from ngdbf.gdbf import step
 from ngdbf.harness import (VARIANTS, CampaignConfig, DecoderSetup, FrameStats, decode_chunk,
                            frame_rng, run_campaign, run_convergence)
 from ngdbf.minsum import decode_minsum
@@ -45,7 +41,7 @@ from ngdbf.noisy import NgdbfParams, NoiseSource
 
 from .support.gen_regular_code import peg_regular_code
 from .support.irregular import irregular_codes, random_irregular_code
-from .support.oracles import IidDraws, PlainBitFlip, ShiftRegister, plain_decode
+from .support.oracles import IidDraws, PlainBitFlip, ShiftRegister, plain_decode, step
 
 FRAMES = 3
 SEED = 7
@@ -79,12 +75,12 @@ def run_lockstep(code, setup, rule, sigma, seed, frame) -> int:
     params = setup.params
     ones = np.ones(code.n, dtype=np.int8)
     y = saturate(transmit(ones, sigma, frame_rng(seed, 0, frame, 0)), 2.5)
-    noise = None
+    noise, one = None, (np.zeros(1, dtype=int), np.ones(1, dtype=bool))
     if setup.perturbed:     # the step's draws come quantized, the reference quantizes its own
         noise = NoiseSource(code.n, params.eta * sigma, params.noise_policy,
-                            frame_rng(seed, 0, frame, 1), quantizer=setup.quantizer)
+                            [frame_rng(seed, 0, frame, 1)], quantizer=setup.quantizer)
     w, thresholds = setup.weight_and_thresholds
-    samples = setup.samples(y)
+    samples = y if setup.quantizer is None else setup.quantizer.to_index(y)
     plain = PlainBitFlip(code, y, noise=reference_noise(code, setup, sigma, seed, frame), **rule)
     x = bipolar_sign(samples)
     s, u = code.syndrome(x), np.zeros(code.n, dtype=np.int64)
@@ -92,7 +88,8 @@ def run_lockstep(code, setup, rule, sigma, seed, frame) -> int:
     for t in range(params.t_max):
         if s.min() == 1:
             return t
-        s = step(code, x, s, samples, w, thresholds, u, None if noise is None else noise.draw())
+        s = step(code, x, s, samples, w, thresholds, u,
+                 None if noise is None else noise.draw(*one)[0])
         plain.step()
         assert np.array_equal(x, plain.x), f"frame {frame}, step {t}: decisions differ"
         assert np.array_equal(s, plain.s), f"frame {frame}, step {t}: syndromes differ"
@@ -115,7 +112,7 @@ def run_engine_lockstep(code, setup, rule, sigma, seed, frame) -> int:
             return t
         plain.step()
         budget = DecoderSetup(setup.variant, params.replace(t_max=t + 1), setup.quantizer)
-        x, iterations, _ = harness.decode_batched(code, budget, sigma, y[None], seed, 0, frame)
+        x, iterations, _ = harness.decode_frame(code, budget, sigma, y[None], seed, 0, frame)
         assert np.array_equal(x[0], plain.x), f"frame {frame}, step {t}: decisions differ"
         assert iterations[0] == t + 1, f"frame {frame}, step {t}: iterations differ"
     return params.t_max
@@ -229,15 +226,13 @@ CHAIN_CASES = {
 
 
 def refuse(*args, **kwargs):
-    raise AssertionError("a noise-free or shift-chain frame left the batch engine")
+    raise AssertionError("a frame drew a perturbation its setup does not have")
 
 
 def batched(code, setup, sigma, seed, frames, size, monkeypatch) -> tuple:
-    """decode_chunk over ranges of ``size`` frames: the final decisions its batches
-    reached, and its statistics.  A batched setup's frames stay out of
-    decode_frame; the others go through it, one by one to gdbf.decode."""
-    name = "decode_batched" if setup.batched else "_decode_one"
-    decided, engine = [], getattr(harness, name)
+    """decode_chunk over ranges of ``size`` frames: the final decisions its blocks
+    reached through decode_frame, and its statistics."""
+    decided, engine = [], harness.decode_frame
 
     def record(*args):
         out = engine(*args)
@@ -245,9 +240,7 @@ def batched(code, setup, sigma, seed, frames, size, monkeypatch) -> tuple:
         return out
 
     with monkeypatch.context() as patch:
-        if setup.batched:
-            patch.setattr(harness, "decode_frame", refuse)
-        patch.setattr(harness, name, record)
+        patch.setattr(harness, "decode_frame", record)
         parts = [decode_chunk(code, setup, sigma, 2.5, seed, 0, start, min(start + size, frames))
                  for start in range(0, frames, size)]
     return np.concatenate(decided), FrameStats(*(np.concatenate(c) for c in zip(*parts)))
@@ -292,8 +285,7 @@ def assert_same_stats(got: FrameStats, want: FrameStats) -> None:
 def assert_engine_matches_plain(code, setup, sigma, seed, frames, sizes,
                                 monkeypatch) -> FrameStats:
     """decode_chunk over ranges of each of ``sizes`` frames, and of one frame,
-    against plain_decode; returns the statistics.  ``batched`` tells which
-    decoder a setup's frames reach."""
+    against plain_decode; returns the statistics."""
     x, want = plain(code, setup, sigma, seed, frames)
     for size in sizes:
         decided, got = batched(code, setup, sigma, seed, frames, size, monkeypatch)
@@ -321,7 +313,8 @@ def test_engine_matches_shift_chain_decoding(bench_code, monkeypatch, name, ebn0
     assert np.count_nonzero(want.iterations) > CHAIN_FRAMES // 2
 
 
-# Per-iteration draws: gdbf.decode steps each frame with one draw an iteration.
+# Per-iteration draws: the engine adds one draw of each running frame's own stream
+# a step, through its NoiseSource.
 DRAW_FRAMES = 32
 DRAW_CASES = {
     "sngdbf": DecoderSetup("sngdbf", SN),
@@ -336,28 +329,28 @@ DRAW_CASES = {
 @pytest.mark.parametrize("name", DRAW_CASES)
 def test_per_iteration_draws_match_plain_decoding(bench_code, monkeypatch, name, ebn0):
     setup, sigma = DRAW_CASES[name], ebn0_to_sigma(ebn0, float(bench_code.rate))
-    assert not setup.batched
     want = assert_engine_matches_plain(bench_code, setup, sigma, SEED, DRAW_FRAMES,
-                                       (DRAW_FRAMES,), monkeypatch)
+                                       (7, DRAW_FRAMES), monkeypatch)
     assert np.count_nonzero(want.iterations) > DRAW_FRAMES // 2
     assert want.engaged.any() == bool(setup.smoothing_window)
 
 
-ALL_CASES = {**ENGINE_CASES, **CHAIN_CASES}
+ALL_CASES = {**ENGINE_CASES, **CHAIN_CASES, **DRAW_CASES}
 
 
 @pytest.mark.parametrize("name", ALL_CASES)
 def test_engine_on_irregular_code_matches_plain_decoding(monkeypatch, name):
-    """Padded slots of both tables, decoded by every noise-free and shift-chain setup."""
+    """Padded slots of both tables, decoded by every noise-free and perturbed setup."""
     code = random_irregular_code(240, 100, 8, seed=11)
     assert_engine_matches_plain(code, ALL_CASES[name], 0.6, SEED, 8, (3,), monkeypatch)
 
 
 ORDER_FRAMES = 32
-# Every batched kind: noise-free single-flip, mgdbf with its mode switch,
-# adaptive thresholds and a smoothing window, and float and Q4 shift chains; each
-# with its Eb/N0 on the bundled code and its sigma on the irregular one, at which a
-# batch retires frames at several steps, some at t_max, on both sides of a quarter.
+# Every kind of bit-flip setup: noise-free single-flip, mgdbf with its mode switch,
+# adaptive thresholds and a smoothing window, float and Q4 shift chains, and float,
+# uniform and Q4 per-step draws; each with its Eb/N0 on the bundled code and its sigma
+# on the irregular one, at which a batch retires frames at several steps, some at
+# t_max, on both sides of a quarter.
 ORDER_CASES = {
     "sgdbf": (ENGINE_CASES["sgdbf"], 3.0, 0.6),
     "mgdbf": (ENGINE_CASES["mgdbf"], 3.5, 0.6),
@@ -369,6 +362,11 @@ ORDER_CASES = {
                                                                   smoothing_window=16)),
                                3.0, 0.6),
     "mngdbf-q4-chain": (CHAIN_CASES["mngdbf-q4-chain"], 3.0, 0.6),
+    "sngdbf-iid": (DRAW_CASES["sngdbf"], 3.5, 0.6),
+    "mngdbf-iid": (DRAW_CASES["mngdbf"], 3.0, 0.6),
+    "smngdbf-iid-window16": (DRAW_CASES["smngdbf-window16"], 3.0, 0.6),
+    "mngdbf-uniform": (DRAW_CASES["mngdbf-uniform"], 3.5, 0.6),
+    "mngdbf-q4-iid": (DRAW_CASES["mngdbf-q4"], 3.0, 0.6),
 }
 
 
@@ -392,7 +390,8 @@ def test_engine_results_do_not_depend_on_row_order(bench_code, monkeypatch, name
     """A frame's decisions, iterations and engaged flag are the same wherever its row
     sits in the batch, so rows retiring in another order leave every frame alone, and
     the same as decoded alone (B = 1), so finished columns that step on unread until a
-    quarter of the batch is dead leave every frame alone too."""
+    quarter of the batch is dead leave every frame alone too.  A frame's per-step
+    draws come from its own stream wherever its row sits."""
     setup, ebn0, sigma = ORDER_CASES[name]
     code, sigma = ((random_irregular_code(240, 100, 8, seed=11), sigma) if irregular
                    else (bench_code, ebn0_to_sigma(ebn0, float(bench_code.rate))))
@@ -404,8 +403,17 @@ def test_engine_results_do_not_depend_on_row_order(bench_code, monkeypatch, name
 
     monkeypatch.setattr(harness, "decode_batch", record)
     decode_chunk(code, setup, sigma, 2.5, SEED, 0, 0, ORDER_FRAMES)
-    [(y, (t_max, w, thresholds, mode_switching, window, chains))] = calls
-    x, iterations, engaged = engine(code, y, t_max, w, thresholds, mode_switching, window, chains)
+    [(y, (t_max, w, thresholds, mode_switching, window, chains, noise))] = calls
+
+    def draws(frames):
+        """A fresh source of the recorded one's draws, for ``frames`` in this order."""
+        return None if noise is None else NoiseSource(
+            noise.n, noise.sigma, noise.policy, [frame_rng(SEED, 0, i, 1) for i in frames],
+            quantizer=noise.quantizer)
+
+    assert (noise is not None) == (setup.perturbed and chains is None)
+    x, iterations, engaged = engine(code, y, t_max, w, thresholds, mode_switching, window,
+                                    chains, draws(range(ORDER_FRAMES)))
     assert len(np.unique(iterations)) > 2       # frames retire at several steps
     assert np.any(iterations == t_max)
     kept, dropped = retire_events(iterations)
@@ -413,12 +421,12 @@ def test_engine_results_do_not_depend_on_row_order(bench_code, monkeypatch, name
     assert engaged.any() == bool(setup.smoothing_window)
     p = np.random.default_rng(5).permutation(ORDER_FRAMES)
     got = engine(code, y[p], t_max, w, thresholds, mode_switching, window,
-                 None if chains is None else chains[p])
+                 None if chains is None else chains[p], draws(p))
     for a, b in zip(got, (x, iterations, engaged)):
         assert np.array_equal(a, b[p])
     for i in range(ORDER_FRAMES):
         alone = engine(code, y[i:i + 1], t_max, w, thresholds, mode_switching, window,
-                       None if chains is None else chains[i:i + 1])
+                       None if chains is None else chains[i:i + 1], draws([i]))
         for a, b in zip(alone, (x, iterations, engaged)):
             assert np.array_equal(a, b[i:i + 1]), (i, iterations[i])
 
@@ -472,12 +480,12 @@ def test_engine_matches_shift_chain_decoding_on_random_codes(monkeypatch, case):
 
 
 def test_noise_free_setups_reach_no_stepper(bench_code, monkeypatch):
-    # float, eta = 0 and Q4 eta = 0 setups, over ranges of one and three frames
-    # and through run_convergence
-    monkeypatch.setattr(harness, "decode", refuse)
+    # float, eta = 0 and Q4 eta = 0 setups draw neither a per-step draw nor a shift
+    # chain, over ranges of one and three frames and through run_convergence
+    monkeypatch.setattr(NoiseSource, "draw", refuse)
+    monkeypatch.setattr(harness, "shift_chain", refuse)
     sigma = ebn0_to_sigma(3.0, float(bench_code.rate))
     for setup in ENGINE_CASES.values():
-        assert setup.batched
         decode_chunk(bench_code, setup, sigma, 2.5, SEED, 0, 0, 1)
         decode_chunk(bench_code, setup, sigma, 2.5, SEED, 0, 0, 3)
     eps = run_convergence(bench_code, ENGINE_CASES, 3.0, 3, SEED)
@@ -485,24 +493,21 @@ def test_noise_free_setups_reach_no_stepper(bench_code, monkeypatch):
 
 
 def test_shift_chain_setups_reach_no_stepper(bench_code, monkeypatch):
-    # float and quantized shift chains, over ranges of one and three frames and
-    # through run_convergence; iid and uniform perturbations still go frame by frame
-    monkeypatch.setattr(harness, "decode", refuse)
+    # float and quantized shift chains draw no per-step draw, over ranges of one
+    # and three frames and through run_convergence
     monkeypatch.setattr(NoiseSource, "draw", refuse)
     sigma = ebn0_to_sigma(3.0, float(bench_code.rate))
     for setup in CHAIN_CASES.values():
-        assert setup.batched
-        assert not replace(setup, params=setup.params.replace(noise_policy="iid")).batched
-        assert not replace(setup, params=setup.params.replace(noise_policy="uniform")).batched
         decode_chunk(bench_code, setup, sigma, 2.5, SEED, 0, 0, 1)
         decode_chunk(bench_code, setup, sigma, 2.5, SEED, 0, 0, 3)
     eps = run_convergence(bench_code, CHAIN_CASES, 3.0, 3, SEED)
     assert list(eps) == list(CHAIN_CASES)
 
 
-# Frames that decode_frame decodes one by one, in blocks of rows.
+# Min-sum, which decode_frame decodes row by row, and per-step draws.
 PER_FRAME_CASES = {
     "minsum": DecoderSetup("minsum", NgdbfParams(t_max=30)),
+    "mngdbf-iid": DRAW_CASES["mngdbf"],
     "mngdbf-q4-iid": DRAW_CASES["mngdbf-q4"],
     "mngdbf-uniform": DRAW_CASES["mngdbf-uniform"],
 }
@@ -532,14 +537,14 @@ def test_minsum_blocks_match_decode_minsum_on_raw_samples(bench_code, monkeypatc
                       np.array([r.iterations for r in results], np.int32),
                       np.zeros(frames, np.int32))
     assert want.bit_errors.any() and len(np.unique(want.iterations)) > 2
-    decided, engine = [], harness._decode_one
+    decided, engine = [], harness.decode_frame
 
     def record(*args):
         out = engine(*args)
         decided.append(out[0])
         return out
 
-    monkeypatch.setattr(harness, "_decode_one", record)
+    monkeypatch.setattr(harness, "decode_frame", record)
     for size, blocks in ((1, [1] * frames), (33, [32, 1, 32, 1, 4]), (frames, [32, 32, 6])):
         decided.clear()
         parts = [decode_chunk(bench_code, setup, sigma, 2.5, SEED, 0, start,

@@ -4,9 +4,9 @@ import pytest
 from ngdbf.channel import saturate, transmit
 from ngdbf.codes import bipolar_sign
 from ngdbf.core import objective
-from ngdbf.gdbf import decode, decode_batch, step, thresholds_by_count
+from ngdbf.gdbf import decode_batch, thresholds_by_count
 
-from .support.oracles import PlainBitFlip, inversion, plain_decode
+from .support.oracles import PlainBitFlip, inversion, plain_decode, step
 
 
 def start(code, y):
@@ -89,10 +89,24 @@ class TestDecodeBatch:
         assert x.shape == (0, tiny_code.n) and [a.tolist() for a in stats] == [[], []]
 
 
-def test_decode_takes_only_frames_with_per_iteration_draws(tiny_code):
-    # an unperturbed frame goes through decode_batch; decode needs a noise source
-    with pytest.raises(TypeError):
-        decode(tiny_code, np.ones(6), 3, 1.0, None)
+def test_engine_draws_once_a_step_for_each_live_frame_through_cols(tiny_code):
+    # Frame 0 holds from the start and stays in the block, dead, until frame 2
+    # decodes at step 1 and the dead make a third of it; the other frames never
+    # decode.  Each draw names the running frames' rows of y, in the step's columns.
+    ok, stall, weak = [1, 1, 1, 1, 1, 1.0], [-2, 1, 1, 1, 1, 1.0], [-0.2, 1, 1, 1, 1, 1.0]
+    y = np.array([ok, stall, weak, stall, [1, 1, 1, -0.1, 1, 1.0], stall])
+    thresholds, calls = thresholds_by_count(-0.9, 1.0, 4), []
+
+    class Zero:
+        def draw(self, cols, live):
+            calls.append((len(cols), cols[live].tolist()))
+            return np.zeros((len(cols), 6))
+
+    x, iterations, _ = decode_batch(tiny_code, y, 4, thresholds=thresholds, noise=Zero())
+    assert iterations.tolist() == [0, 4, 1, 4, 4, 4]
+    assert calls == [(6, [1, 2, 3, 4, 5])] + [(4, [1, 3, 4, 5])] * 3
+    plain = decode_batch(tiny_code, y, 4, thresholds=thresholds)
+    assert np.array_equal(x, plain[0]) and np.array_equal(iterations, plain[1])
 
 
 class TestMultiFlip:

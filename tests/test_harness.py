@@ -12,12 +12,13 @@ from hypothesis import strategies as st
 
 from ngdbf import harness
 from ngdbf.analysis import convergence_error, f_max
-from ngdbf.channel import QuantizerSpec, ebn0_to_sigma
+from ngdbf.channel import QuantizerSpec, ebn0_to_sigma, saturate, transmit
 from ngdbf.core import objective
 from ngdbf.gdbf import MAX_ITERATIONS, thresholds_by_count
 from ngdbf.harness import (CHAIN_BATCH, CHAIN_BYTES, STOP_CHUNK, SWEEPABLE, VARIANTS,
                            CampaignConfig, ConfigError, DecoderSetup, NgdbfParams, decode_chunk,
-                           load_config, run_campaign, run_convergence, run_sweep, wilson_interval)
+                           frame_rng, load_config, run_campaign, run_convergence, run_sweep,
+                           wilson_interval)
 from ngdbf.noisy import shift_chain
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -315,23 +316,25 @@ class TestConvergenceRunner:
                                                   t_max=20, noise_policy="shift_chain"),
                              quantizer)
         sigma = ebn0_to_sigma(2.0, float(bench_code.rate))
-        ys = harness._transmit(bench_code, setup, sigma, 2.5, 3, 0, 0, frames)
-        xs = harness.decode_batched(bench_code, setup, sigma, setup.samples(ys), 3, 0, 0)[0]
+        ys = saturate(np.array([transmit(bench_code.zero_codeword, sigma, frame_rng(3, 0, fi, 0))
+                                for fi in range(frames)]), 2.5)
+        samples = ys if quantizer is None else quantizer.to_index(ys).astype(np.int8)
+        xs = harness.decode_frame(bench_code, setup, sigma, samples, 3, 0, 0)[0]
         ys = ys if quantizer is None else quantizer.quantize(ys)
         want = convergence_error([objective(bench_code, x, y) for x, y in zip(xs, ys)],
                                  [f_max(bench_code, bench_code.zero_codeword, y) for y in ys])
-        got, transmit, engine = [], harness._transmit, harness.decode_batched
+        got, write, engine = [], harness._transmit, harness.decode_frame
 
         def record_transmit(*args):
-            got.append(("transmit", args[-1] - args[-2]))
-            return transmit(*args)
+            got.append(("transmit", len(args[-1])))
+            return write(*args)
 
         def record_decode(code, setup, sigma, y, *args):
             got.append(("decode", len(y)))
             return engine(code, setup, sigma, y, *args)
 
         monkeypatch.setattr(harness, "_transmit", record_transmit)
-        monkeypatch.setattr(harness, "decode_batched", record_decode)
+        monkeypatch.setattr(harness, "decode_frame", record_decode)
         eps = run_convergence(bench_code, {variant: setup}, 2.0, frames, master_seed=3)
         assert got == sizes
         assert eps[variant] == want
@@ -356,9 +359,10 @@ class TestFrameDecode:
                              quantizer)
         got, engine = [], harness.decode_batch
 
-        def record(code, y, t_max, w, thresholds, switching, window, chains):
+        def record(code, y, t_max, w, thresholds, switching, window, chains, noise):
+            assert noise is None
             got.append((len(y), chains.shape, chains.nbytes))
-            return engine(code, y, t_max, w, thresholds, switching, window, chains)
+            return engine(code, y, t_max, w, thresholds, switching, window, chains, noise)
 
         monkeypatch.setattr(harness, "decode_batch", record)
         stats = decode_chunk(bench_code, setup, ebn0_to_sigma(6.0, float(bench_code.rate)), 2.5,

@@ -4,13 +4,20 @@ import pytest
 from ngdbf.channel import QuantizerSpec, ebn0_to_sigma, saturate, transmit
 from ngdbf import gdbf
 from ngdbf.core import smoothed_decision
-from ngdbf.gdbf import decode, decode_batch, step, thresholds_by_count
+from ngdbf.gdbf import decode_batch, thresholds_by_count
 from ngdbf.harness import DecoderSetup, decode_chunk
 from ngdbf.noisy import NOISE_POLICIES, NgdbfParams, NoiseSource, adaptation_events, shift_chain
 
-from .support.oracles import (ShiftRegister, flip_decisions_direct, flip_decisions_prescaled,
-                               inversion)
+from .support.oracles import (IidDraws, ShiftRegister, flip_decisions_direct,
+                               flip_decisions_prescaled, inversion, step)
 from .test_gdbf import start
+
+
+def draws(src: NoiseSource, steps: int) -> list:
+    """``steps`` draws of every frame of ``src``'s block, copied out of its buffer."""
+    frames = len(src.rngs)
+    return [src.draw(np.arange(frames), np.ones(frames, dtype=bool)).copy()
+            for _ in range(steps)]
 
 
 class TestParams:
@@ -30,10 +37,10 @@ class TestParams:
 
 class TestNoiseSource:
     def test_iid_standard_deviation(self):
-        src = NoiseSource(1000, 0.668, "iid", np.random.default_rng(3))
-        draws = np.concatenate([src.draw() for _ in range(1000)])
-        assert draws.std() == pytest.approx(0.668, rel=0.01)
-        assert abs(draws.mean()) < 0.005
+        src = NoiseSource(1000, 0.668, "iid", [np.random.default_rng(3)])
+        drawn = np.concatenate(draws(src, 1000))
+        assert drawn.std() == pytest.approx(0.668, rel=0.01)
+        assert abs(drawn.mean()) < 0.005
 
     def test_shift_chain_semantics(self):
         n, t_max = 16, 100
@@ -60,42 +67,53 @@ class TestNoiseSource:
     def test_quantized_draws_are_the_float_draws_through_the_quantizer(self, policy):
         quantizer = QuantizerSpec(4, 1.75)
 
-        def draws(q):
+        def drawn(q):
             if policy == "shift_chain":     # drawn whole, for t_max = 20
                 return [shift_chain(64, 0.6, np.random.default_rng(10), 20, q)]
-            src = NoiseSource(64, 0.6, policy, np.random.default_rng(10), quantizer=q)
-            return [src.draw() for _ in range(50)]
+            rngs = [np.random.default_rng(seed) for seed in (10, 11, 12)]
+            return draws(NoiseSource(64, 0.6, policy, rngs, quantizer=q), 50)
 
-        for drawn, twin in zip(draws(quantizer), draws(None), strict=True):
+        for drawn, twin in zip(drawn(quantizer), drawn(None), strict=True):
             assert np.array_equal(drawn, quantizer.to_index(twin))
 
     @pytest.mark.parametrize("policy", ["iid", "uniform"])
-    def test_draws_are_not_changed_by_later_draws(self, policy):
-        src = NoiseSource(16, 1.0, policy, np.random.default_rng(9))
-        drawn = [(q, q.copy()) for q in (src.draw() for _ in range(100))]
-        assert all(np.array_equal(q, kept) for q, kept in drawn)
+    def test_each_live_row_draws_from_its_frames_own_stream(self, policy):
+        # Rows name frames through cols; a frame whose column is not live neither
+        # draws nor has its row touched, so each frame's draws are those of
+        # the oracle on its own generator, however the columns are arranged.
+        src = NoiseSource(16, 0.7, policy, [np.random.default_rng(seed) for seed in range(4)])
+        oracles = [IidDraws(16, 0.7, policy, np.random.default_rng(seed)) for seed in range(4)]
+        for cols, live in (([0, 1, 2, 3], [1, 1, 1, 1]), ([0, 1, 2, 3], [1, 0, 1, 1]),
+                           ([3, 0, 2], [1, 1, 0]), ([2, 3], [1, 1])):
+            live = np.array(live, dtype=bool)
+            before = src.block[:len(cols)].copy()
+            q = src.draw(np.array(cols), live)
+            assert q.shape == (len(cols), 16)
+            for k, frame in enumerate(cols):
+                want = oracles[frame].draw() if live[k] else before[k]
+                assert np.array_equal(q[k], want), (cols, k)
 
     def test_uniform_variance_matched(self):
         sigma = 0.668 * 0.9   # eta^2 N0/2 with eta = 0.9
-        src = NoiseSource(1000, sigma, "uniform", np.random.default_rng(5))
-        draws = np.concatenate([src.draw() for _ in range(1000)])
-        assert draws.var() == pytest.approx(sigma * sigma, rel=0.01)
-        assert np.abs(draws).max() <= np.sqrt(3) * sigma
+        src = NoiseSource(1000, sigma, "uniform", [np.random.default_rng(5)])
+        drawn = np.concatenate(draws(src, 1000))
+        assert drawn.var() == pytest.approx(sigma * sigma, rel=0.01)
+        assert np.abs(drawn).max() <= np.sqrt(3) * sigma
 
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
-            NoiseSource(8, 1.0, "gauss", np.random.default_rng(0))
+            NoiseSource(8, 1.0, "gauss", [np.random.default_rng(0)])
 
     @pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf")])
     def test_sigma_must_be_finite_and_non_negative(self, sigma):
         with pytest.raises(ValueError, match="finite and non-negative"):
-            NoiseSource(8, sigma, "iid", np.random.default_rng(0))
+            NoiseSource(8, sigma, "iid", [np.random.default_rng(0)])
         with pytest.raises(ValueError, match="finite and non-negative"):
             shift_chain(8, sigma, np.random.default_rng(0), 10)
 
     def test_shift_chain_is_not_drawn_per_iteration(self):
         with pytest.raises(ValueError, match="shift_chain"):
-            NoiseSource(8, 1.0, "shift_chain", np.random.default_rng(0))
+            NoiseSource(8, 1.0, "shift_chain", [np.random.default_rng(0)])
 
 
 class TestNoisyInversion:
@@ -136,10 +154,11 @@ class TestDegeneration:
         outs = []
         for _ in range(2):
             noise = NoiseSource(bench_code.n, params.eta * 0.63, params.noise_policy,
-                                np.random.default_rng(123))
-            res = decode(bench_code, y, 40, *DecoderSetup("mngdbf", params).weight_and_thresholds,
-                         noise)
-            outs.append((res.iterations, res.decisions.tobytes()))
+                                [np.random.default_rng(123)])
+            x, iterations, _ = decode_batch(
+                bench_code, y[None], 40, *DecoderSetup("mngdbf", params).weight_and_thresholds,
+                noise=noise)
+            outs.append((iterations[0], x[0].tobytes()))
         assert outs[0] == outs[1]
 
 
@@ -276,7 +295,7 @@ class TestQuantizedDatapath:
         params = NgdbfParams(theta=-0.9, lam=0.99, eta=0.0, w=0.75, t_max=300)
         setup = DecoderSetup("mngdbf", params, q)
         w, thresholds = setup.weight_and_thresholds
-        y = setup.samples(np.array([-2.0, 1, 1, 1, 1, 1.0]))
+        y = q.to_index(np.array([-2.0, 1, 1, 1, 1, 1.0]))
         x, s, u = start(tiny_code, y)
         for _ in range(36):
             s = step(tiny_code, x, s, y, w, thresholds, u)
@@ -303,21 +322,23 @@ class TestQuantizedDatapath:
         w, thresholds = setup.weight_and_thresholds
         boundary = 0
         for trial in range(6):
-            y = setup.samples(transmit(c, 0.8, rng))
-            noise = NoiseSource(n, params.eta * 0.8, "iid", np.random.default_rng(trial),
+            y = q.to_index(transmit(c, 0.8, rng))
+            noise = NoiseSource(n, params.eta * 0.8, "iid", [np.random.default_rng(trial)],
                                 quantizer=q)
-            twin = NoiseSource(n, params.eta * 0.8, "iid", np.random.default_rng(trial))
+            twin = NoiseSource(n, params.eta * 0.8, "iid", [np.random.default_rng(trial)])
             x = rng.choice(np.array([-1, 1], dtype=np.int8), size=n)
             s = bench_code.syndrome(x)
             u = rng.integers(0, params.t_max - 10, size=n)
             for _ in range(10):
                 x_before, u_before = x.copy(), u.copy()
                 sums = bench_code.syndrome_sums(s)
-                q_idx = q.to_index(twin.draw())
+                [[z]] = draws(twin, 1)
+                q_idx = q.to_index(z)
                 theta_idx = q.to_index(params.theta * params.lam ** u_before)
                 delta = flip_decisions_direct(x_before, y, q_idx, theta_idx, w, sums)
                 boundary += int((x_before * y + w * sums + q_idx == theta_idx).sum())
-                s = step(bench_code, x, s, y, w, thresholds, u, noise.draw())
+                [[drawn]] = draws(noise, 1)
+                s = step(bench_code, x, s, y, w, thresholds, u, drawn)
                 assert np.array_equal(x != x_before, delta == -1)
                 assert np.array_equal(u, u_before + (delta == 1))
         assert boundary > 0
@@ -342,11 +363,11 @@ class TestQuantizedDatapath:
         c = np.ones(bench_code.n, dtype=np.int8)
         y = transmit(c, 0.6, np.random.default_rng(2))
         noise = NoiseSource(bench_code.n, params.eta * 0.6, params.noise_policy,
-                            np.random.default_rng(3), quantizer=q)
+                            [np.random.default_rng(3)], quantizer=q)
         setup = DecoderSetup("mngdbf", params, q)
-        res = decode(bench_code, setup.samples(y), 100, *setup.weight_and_thresholds, noise)
-        assert res.success
-        assert bench_code.is_codeword(res.decisions)
+        x, iterations, _ = decode_batch(bench_code, q.to_index(y)[None], 100,
+                                        *setup.weight_and_thresholds, noise=noise)
+        assert bench_code.is_codeword(x[0])     # decoded: every check holds
 
 
 class TestSingleBitNoisy:
