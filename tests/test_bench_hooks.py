@@ -18,8 +18,7 @@ from ngdbf.harness import DecoderSetup, NgdbfParams
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # Every span the per-layer metrics are computed from that still has a caller.
-# codes.syndrome_sums lost its last caller with gdbf.step, as core.decode did
-# with gdbf.decode.
+# (codes.syndrome_sums has none: the engine sums syndromes in its own arrays.)
 SPANS = ("harness.decode_frame", "harness.frame_rng", "channel.transmit", "minsum.decode",
          "codes.syndrome", "noisy.draw", "channel.to_index")
 

@@ -172,7 +172,7 @@ def random_cases(draw):
     if VARIANTS[variant].quantizable and draw(st.booleans()):
         quantizer = QuantizerSpec(draw(st.integers(2, 6)), draw(st.floats(1.5, 2.5)))
     if variant == "mgdbf":
-        # gdbf.step has no mode switch: the multi-bit rule without it is
+        # step has no mode switch: the multi-bit rule without it is
         # atgdbf's at lam = 1, and mgdbf itself is checked whole-frame below.
         variant, params = "atgdbf", params.replace(lam=1.0)
     setup = DecoderSetup(variant, params, quantizer)
