@@ -432,10 +432,10 @@ def test_engine_results_do_not_depend_on_row_order(bench_code, monkeypatch, name
 
 
 @st.composite
-def engine_cases(draw, chained=False):
+def engine_cases(draw, policy=None):
     """A regular PEG code with symbol degree up to 16 or an irregular code, and a
-    noise-free bit-flip setup with random parameters; ``chained``, a setup
-    perturbed by a shift chain instead, decoded over up to 40 frames."""
+    noise-free bit-flip setup with random parameters; with a noise ``policy``, a
+    setup perturbed by it instead, decoded over up to 40 frames."""
     if draw(st.booleans()):
         n = draw(st.integers(16, 96))
         code = random_irregular_code(n, draw(st.integers(2, n // 2)),
@@ -446,19 +446,19 @@ def engine_cases(draw, chained=False):
         n = draw(st.integers(1, 96 // (2 * dv))) * 2 * dv
         code = peg_regular_code(n, n // 2, dv, 2 * dv, seed=draw(st.integers(0, 2**16)))
     stochastic = sorted(v for v in RULE_ARGS if VARIANTS[v].stochastic)
-    variant = draw(st.sampled_from(stochastic if chained else sorted(RULE_ARGS)))
+    variant = draw(st.sampled_from(stochastic if policy else sorted(RULE_ARGS)))
     t_max = draw(st.integers(1, 60))
     params = NgdbfParams(theta=-draw(st.floats(0.05, 2.0)), lam=draw(st.floats(0.8, 1.0)),
-                         eta=draw(st.floats(0.05, 1.0)) if chained else 0.0,
+                         eta=draw(st.floats(0.05, 1.0)) if policy else 0.0,
                          w=draw(st.floats(0.25, 1.5)), t_max=t_max,
                          smoothing_window=(draw(st.integers(1, t_max))
                                            if variant == "smngdbf" else 0),
-                         noise_policy="shift_chain")
+                         noise_policy=policy or "shift_chain")
     quantizer = None
     if VARIANTS[variant].quantizable and draw(st.booleans()):
         quantizer = QuantizerSpec(draw(st.integers(2, 16)), draw(st.floats(1.5, 2.5)))
     return (code, DecoderSetup(variant, params, quantizer), draw(st.floats(0.4, 1.0)),
-            draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 40 if chained else 9)))
+            draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 40 if policy else 9)))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True,
@@ -472,8 +472,17 @@ def test_engine_matches_per_frame_decoding_on_random_codes(monkeypatch, case):
 
 @settings(max_examples=60, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(case=engine_cases(chained=True))
+@given(case=engine_cases(policy="shift_chain"))
 def test_engine_matches_shift_chain_decoding_on_random_codes(monkeypatch, case):
+    code, setup, sigma, seed, frames = case
+    assert_engine_matches_plain(code, setup, sigma, seed, frames, sorted({1, 33, frames}),
+                                monkeypatch)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.sampled_from(["iid", "uniform"]).flatmap(lambda p: engine_cases(policy=p)))
+def test_engine_matches_per_step_draws_on_random_codes(monkeypatch, case):
     code, setup, sigma, seed, frames = case
     assert_engine_matches_plain(code, setup, sigma, seed, frames, sorted({1, 33, frames}),
                                 monkeypatch)
